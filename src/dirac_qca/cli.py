@@ -335,19 +335,19 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     curves = []
     x = np.arange(preset["L"])
     for t in times:
+        fid = None
         if localized:
             state = evolve_position(field, auto, int(t))
         else:
-            state = inverse_transform(evolve_momentum(spectrum, auto, t))
+            evolved = evolve_momentum(spectrum, auto, t)
+            state = inverse_transform(evolved)
+            fid = approx.fidelity(evolved, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
+            del evolved  # not needed while the CSV rows are built
         density = state.density()
         path = os.path.join(out_dir, f"evolve_t{t:g}.csv")
         _write_csv(path, ["x", "density"], list(zip(x, density)))
         files.append(os.path.basename(path))
         mean_x, var_x = wavepacket.position_moments(state)
-        fid = None
-        if not localized:
-            approx_state = approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t)
-            fid = approx.fidelity(evolve_momentum(spectrum, auto, t), approx_state)
         summaries.append(
             {"t": t, "norm": state.norm(), "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
         )

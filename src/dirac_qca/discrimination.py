@@ -28,6 +28,7 @@ there; see ``_alpha`` and ``_beta``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 MU_CLAMP_TOL = 1e-9
+MC_BLOCK = 1024  # samples per Monte Carlo block: fixes the stream layout, bounds memory
 
 
 @dataclass(frozen=True)
@@ -143,14 +145,17 @@ def _mu_components(k, m, t):
     With both step matrices of the form [[a, b], [b, conj(a)]] (b pure
     imaginary), V has the SU(2) shape [[V00, V01], [-conj(V01), conj(V00)]]
     and cos mu = Re V00 = Re Tr V / 2, sin mu = sqrt(Im(V00)^2 + |V01|^2).
+    The products are expanded into real arithmetic, in the order complex
+    multiplication would take them.
     """
     k = np.asarray(k, dtype=float)
     n = math.sqrt(1.0 - m * m)
-    sw = np.sqrt(np.sin(k) ** 2 + m * m * np.cos(k) ** 2)
+    sk = np.sin(k)
+    sw = np.sqrt(sk ** 2 + m * m * np.cos(k) ** 2)
     w = omega(k, m)
     ok = sw > 0.0
     safe = np.where(ok, sw, 1.0)
-    v = np.where(ok, n * np.sin(k) / safe, 0.0)
+    v = np.where(ok, n * sk / safe, 0.0)
     ux = np.where(ok, m / safe, 0.0)
     lam = np.hypot(k, m)
     lsafe = np.where(lam > 0.0, lam, 1.0)
@@ -158,13 +163,14 @@ def _mu_components(k, m, t):
     dx = np.where(lam > 0.0, m / lsafe, 0.0)
     ca, sa = np.cos(w * t), np.sin(w * t)
     cd, sd = np.cos(lam * t), np.sin(lam * t)
-    a_latt = ca + 1j * v * sa
-    b_latt = -1j * ux * sa
-    a_cont = cd + 1j * vd * sd
-    b_cont = -1j * dx * sd
-    v00 = a_cont * np.conj(a_latt) + b_cont * np.conj(b_latt)
-    v01 = a_cont * np.conj(b_latt) + b_cont * a_latt
-    return np.real(v00), np.sqrt(np.imag(v00) ** 2 + np.abs(v01) ** 2)
+    # U_latt^t = [[ca + i vs, -i us], [-i us, ca - i vs]], U_cont^t likewise
+    vs, us = v * sa, ux * sa
+    ws, xs = vd * sd, dx * sd
+    re00 = cd * ca + ws * vs + xs * us
+    im00 = ws * ca - cd * vs
+    re01 = xs * vs - ws * us
+    im01 = cd * us - xs * ca
+    return re00, np.sqrt(im00 ** 2 + re01 ** 2 + im01 ** 2)
 
 
 def mu(k, m, t):
@@ -388,6 +394,23 @@ class MonteCarloReport:
     margin: float
 
 
+def _draw_block(inp: DiscriminationInput, count: int, stream, configs_per_state: int):
+    """Phases and probabilities, each (count, configs_per_state), of one block of states."""
+    rng = np.random.default_rng(stream)
+    c = configs_per_state
+    counts = rng.integers(1, inp.N_bar + 1, size=(count, c))
+    momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(count, c, inp.N_bar))
+    signs = rng.choice(np.array([-1.0, 1.0]), size=(count, c, inp.N_bar))
+    amplitudes = rng.standard_normal((count, c)) + 1j * rng.standard_normal((count, c))
+    mask = np.arange(inp.N_bar)[None, None, :] < counts[..., None]
+    angles = np.zeros_like(momenta)
+    angles[mask] = mu(momenta[mask], inp.m, inp.t)  # dropped particles keep angle 0
+    phases = np.sum(signs * angles, axis=2)
+    probs = np.abs(amplitudes) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    return phases, probs
+
+
 def validate_bound_montecarlo(
     inp: DiscriminationInput,
     samples: int,
@@ -401,48 +424,53 @@ def validate_bound_montecarlo(
     Each sample state is a superposition of ``configs_per_state`` joint
     eigenmodes with particle number uniform on {1..N_bar}, momenta uniform on
     [-k_bar, k_bar], branch signs uniform, and spherically drawn amplitudes.
-    Worker substreams derive from numpy's SeedSequence(seed).spawn(workers)
-    and are consumed in worker order, so results depend only on
-    (seed, workers, samples).  A sample exceeding the bound by more than 1e-9
-    raises :class:`BoundViolationError` -- that would falsify the analytic cap.
+
+    Samples are drawn in blocks of ``MC_BLOCK``; block i draws from the i-th
+    child of numpy's ``SeedSequence(seed).spawn(n_blocks)``, so results
+    depend only on (seed, samples).  ``workers`` only sets parallelism: the
+    blocks run on min(workers, os.cpu_count(), n_blocks) threads (numpy
+    releases the GIL in its loops), two blocks per thread at a time, so
+    memory is bounded by workers x block whatever the sample count.  Block maxima are reduced in block order; the first block with a
+    sample exceeding the bound by more than 1e-9 raises
+    :class:`BoundViolationError` -- that would falsify the analytic cap.
     """
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     report = pe_lower_bound(inp)
     if not report.hypotheses_ok:
         raise ValueError("the analytic bound requires the time-cap hypotheses to hold")
     bound = math.sqrt(max(0.0, 1.0 - math.cos(report.g) ** 2))
 
-    children = np.random.SeedSequence(seed).spawn(max(1, workers))
-    share = [samples // len(children)] * len(children)
-    for i in range(samples % len(children)):
-        share[i] += 1
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import path
+
+    n_blocks = -(-samples // MC_BLOCK)
+    threads = min(workers, os.cpu_count() or 1, n_blocks)
+
+    def run_block(i: int) -> float:
+        # SeedSequence(seed, spawn_key=(i,)) is spawn(n_blocks)[i], built lazily
+        stream = np.random.SeedSequence(seed, spawn_key=(i,))
+        count = min(MC_BLOCK, samples - i * MC_BLOCK)
+        phases, probs = _draw_block(inp, count, stream, configs_per_state)
+        return float(_pairwise_trace_distance(phases, probs).max())
 
     max_observed = 0.0
-    for child, count in zip(children, share):
-        if count == 0:
-            continue
-        rng = np.random.default_rng(child)
-        c = configs_per_state
-        counts = rng.integers(1, inp.N_bar + 1, size=(count, c))
-        momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(count, c, inp.N_bar))
-        signs = rng.choice(np.array([-1.0, 1.0]), size=(count, c, inp.N_bar))
-        amplitudes = rng.standard_normal((count, c)) + 1j * rng.standard_normal((count, c))
-        mask = np.arange(inp.N_bar)[None, None, :] < counts[..., None]
-        angles = mu(momenta, inp.m, inp.t)
-        phases = np.sum(np.where(mask, signs * angles, 0.0), axis=2)
-        probs = np.abs(amplitudes) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        values = _pairwise_trace_distance(phases, probs)
-        worst = float(values.max())
-        if worst > bound + 1e-9:
-            raise BoundViolationError(
-                f"sampled trace distance {worst} exceeds the analytic cap {bound}"
-            )
-        max_observed = max(max_observed, worst)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # map blocks in batches of two per thread, so few are queued at once;
+        # map cancels a batch's unstarted blocks when one of them raises
+        for start in range(0, n_blocks, 2 * threads):
+            for worst in pool.map(run_block, range(start, min(start + 2 * threads, n_blocks))):
+                if worst > bound + 1e-9:
+                    raise BoundViolationError(
+                        f"sampled trace distance {worst} exceeds the analytic cap {bound}"
+                    )
+                max_observed = max(max_observed, worst)
 
     return MonteCarloReport(
         samples=samples,
         seed=seed,
-        workers=max(1, workers),
+        workers=workers,
         bound=bound,
         max_observed=max_observed,
         margin=bound - max_observed,

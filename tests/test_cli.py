@@ -63,6 +63,18 @@ class TestEvolveCommand:
         assert rows[0] == "x,density"
         assert len(rows) == 1 + 1024
 
+    def test_evolves_each_time_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.evolve_momentum
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "evolve_momentum", counted)
+        assert run(["evolve", "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 0
+        assert calls == [0.0, 100.0]
+
     def test_wraparound_warning_fires(self, tmp_path):
         out = tmp_path / "o"
         assert run(["evolve", "--preset", "fig4", "--times", "0,600", "--out-dir", str(out)]) == 0
@@ -142,6 +154,15 @@ class TestValidateBoundCommand:
         results = load_json(out / "validate_bound.json")["results"]
         assert results["max_observed"] <= results["bound"] + 1e-9
         assert results["seed"] == 42
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-5"), ("--workers", "0")])
+    def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
+        argv = ["validate-bound", "--m", "0.3", "--kbar", "0.8", "--nbar", "2", "--t", "50",
+                flag, value, "--out-dir", str(tmp_path / "o")]
+        assert run(argv) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "config"
+        assert flag.lstrip("-") in record["error"]["message"]
 
 
 class TestSymcheckCommand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from dirac_qca import (
     unitary_pair_t,
     validate_bound_montecarlo,
 )
-from dirac_qca.discrimination import state_overlap_distance
+from dirac_qca import discrimination
+from dirac_qca.discrimination import MC_BLOCK, state_overlap_distance
+from dirac_qca.errors import BoundViolationError, UnitarityLossError
 
 # frozen mpmath references (60-digit arithmetic, evaluated at the exact
 # float64 representations of the inputs)
@@ -354,6 +357,79 @@ class TestMonteCarlo:
         a = validate_bound_montecarlo(inp, samples=500, seed=9, workers=3)
         b = validate_bound_montecarlo(inp, samples=500, seed=9, workers=3)
         assert a.max_observed == b.max_observed
+
+    def test_workers_only_set_parallelism(self):
+        inp = self._input()
+        reports = [
+            validate_bound_montecarlo(inp, samples=3 * MC_BLOCK + 17, seed=9, workers=w) for w in (1, 2, 3)
+        ]
+        assert len({r.max_observed for r in reports}) == 1
+        assert [r.workers for r in reports] == [1, 2, 3]  # echoes the request, not the thread count
+
+    @pytest.mark.parametrize("samples", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
+    def test_block_edge_sample_counts(self, samples):
+        inp = self._input()
+        a = validate_bound_montecarlo(inp, samples=samples, seed=4)
+        b = validate_bound_montecarlo(inp, samples=samples, seed=4, workers=2)
+        assert a.samples == samples
+        assert 0.0 <= a.max_observed <= a.bound + 1e-9
+        assert a.max_observed == b.max_observed
+
+    def test_block_streams_are_spawned_children(self):
+        inp, samples = self._input(), MC_BLOCK + 5
+        streams = np.random.SeedSequence(8).spawn(2)
+        expected = max(
+            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, n, s, 8)).max())
+            for n, s in zip((MC_BLOCK, 5), streams)
+        )
+        assert validate_bound_montecarlo(inp, samples=samples, seed=8).max_observed == expected
+
+    def test_masked_phase_sums_match_full_tensor(self):
+        # mu runs only on the kept draws; the full-tensor evaluation with the
+        # mask applied afterwards is the reference
+        inp, c = self._input(n_bar=4), 8
+        phases, _ = discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(11), c)
+        rng = np.random.default_rng(np.random.SeedSequence(11))
+        counts = rng.integers(1, inp.N_bar + 1, size=(MC_BLOCK, c))
+        momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(MC_BLOCK, c, inp.N_bar))
+        signs = rng.choice(np.array([-1.0, 1.0]), size=(MC_BLOCK, c, inp.N_bar))
+        mask = np.arange(inp.N_bar)[None, None, :] < counts[..., None]
+        reference = np.sum(np.where(mask, signs * mu(momenta, inp.m, inp.t), 0.0), axis=2)
+        assert np.max(np.abs(phases - reference)) <= 1e-14
+
+    def test_memory_flat_in_sample_count(self):
+        inp = self._input(n_bar=2)
+
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                validate_bound_montecarlo(inp, samples=blocks * MC_BLOCK, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations (lazy imports, caches) stay out of the comparison
+        assert peak(16) <= 1.25 * peak(2)
+
+    def test_violation_stops_the_remaining_blocks(self, monkeypatch):
+        calls = []
+
+        def huge_angles(k, m, t):
+            calls.append(1)
+            return np.full(np.shape(k), math.pi / 2)
+
+        monkeypatch.setattr(discrimination, "mu", huge_angles)
+        with pytest.raises(BoundViolationError):
+            validate_bound_montecarlo(self._input(), samples=50 * MC_BLOCK, seed=1, workers=2)
+        assert len(calls) <= 4  # two blocks in flight per thread, at most two threads
+
+    def test_block_error_propagates(self, monkeypatch):
+        def broken(k, m, t):
+            raise UnitarityLossError("synthetic")
+
+        monkeypatch.setattr(discrimination, "mu", broken)
+        with pytest.raises(UnitarityLossError):
+            validate_bound_montecarlo(self._input(), samples=10 * MC_BLOCK, seed=1, workers=2)
 
     def test_requires_hypotheses(self):
         with pytest.raises(ValueError):
