@@ -17,12 +17,10 @@ from .automaton import (
 )
 from .dispersion import (
     Derivatives,
-    DispersionPoint,
     derivatives,
     dirac_hamiltonian_k,
     dirac_omega,
     dispersion_correction,
-    dispersion_point,
     eigenpair,
     hamiltonian_k,
     omega,

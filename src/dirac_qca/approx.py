@@ -6,9 +6,7 @@ momentum turns the per-mode evolution into the pure phase
     exp(-i s (omega0 + v K + D K^2 / 2) t),     K = k - k0 folded into [-pi, pi),
 
 which solves a momentum-dependent drift-diffusion (Schrodinger-type) equation
-exactly, mode by mode.  The quadratic sign follows the Taylor expansion; the
-variant with the opposite sign on the K^2 term is kept behind a test switch
-(``printed_quadratic_sign``) because it fails the reference reproduction.
+exactly, mode by mode.  The quadratic sign follows the Taylor expansion.
 
 The fidelity floor is 1 - epsilon - gamma sigma^3 t with epsilon the
 out-of-window momentum mass and gamma = |omega'''(k0)| times the in-window
@@ -67,20 +65,11 @@ def evolve_with_phase(spec: ModeSpectrum, phase: np.ndarray, s: int, t: float) -
     return ModeSpectrum(spec.modes * factor[:, None], spec.origin_offset)
 
 
-def schrodinger_evolve(
-    spec: ModeSpectrum,
-    params: AutomatonParams,
-    k0: float,
-    s: int,
-    t: float,
-    *,
-    printed_quadratic_sign: bool = False,
-) -> ModeSpectrum:
+def schrodinger_evolve(spec: ModeSpectrum, params: AutomatonParams, k0: float, s: int, t: float) -> ModeSpectrum:
     """Evolve every mode by the quadratic-dispersion phase around k0."""
     ap = ApproxEvolutionParams.from_automaton(params, k0, s)
     K = wrap_momentum(spec.ks - ap.k0)
-    quad = -0.5 * ap.D if printed_quadratic_sign else 0.5 * ap.D
-    phase = ap.omega0 + ap.v * K + quad * K * K
+    phase = ap.omega0 + ap.v * K + 0.5 * ap.D * K * K
     return evolve_with_phase(spec, phase, ap.s, t)
 
 

@@ -15,7 +15,9 @@ into [-pi, pi)) as the SU(2) matrix
 
 Real powers ``U(k)^t`` are defined through the spectral decomposition with
 eigenphases ``exp(-i s omega(k) t)``, ``s = +-1`` -- the unique interpolation
-between integer steps whose generator has eigenvalues ``+-omega``.
+between integer steps whose generator has eigenvalues ``+-omega``.  Since
+``U(k)`` is the SU(2) rotation ``exp(-i omega u.sigma)``, that power is the
+closed form ``dispersion.su2_power`` on the axis ``dispersion.lattice_axis``.
 
 All functions are pure; reductions use numpy's deterministic pairwise
 summation, so results are reproducible bit-for-bit for a given input.
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import omega, sin_omega
+from .dispersion import _check_mass, lattice_axis, su2_power
 
 __all__ = [
     "AutomatonParams",
@@ -56,8 +58,7 @@ class AutomatonParams:
     m: float
 
     def __post_init__(self):
-        if not (0.0 <= self.m <= 1.0) or not math.isfinite(self.m):
-            raise ValueError(f"mass must lie in [0, 1], got {self.m}")
+        _check_mass(self.m)
 
     @property
     def n(self) -> float:
@@ -162,32 +163,12 @@ def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> Spin
     return SpinorField(out, field.origin_offset)
 
 
-def _mode_power_entries(params: AutomatonParams, ks: np.ndarray, t: float):
-    """Entries (a, b) of U(k)^t = [[a, b], [b, conj(a)]] per mode.
-
-    Uses U^t = cos(wt) I - i sin(wt) (u . sigma) with the unit vector
-    u = (m, 0, -n sin k)/sin(w); degenerate modes (sin w = 0, only the DC
-    mode at m = 0) fall back to the canonical-basis phases diag(e^{-iwt},
-    e^{+iwt}).
-    """
-    n, m = params.n, params.m
-    w = omega(ks, m)
-    sw = sin_omega(ks, m)
-    ok = sw > 0.0
-    safe = np.where(ok, sw, 1.0)
-    v = n * np.sin(ks) / safe
-    ux = m / safe
-    c, s = np.cos(w * t), np.sin(w * t)
-    a = np.where(ok, c + 1j * v * s, np.exp(-1j * w * t))
-    b = np.where(ok, -1j * ux * s, 0.0)
-    return a, b
-
-
 def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> ModeSpectrum:
     """Multiply each mode by U(k_j)^t; ``t`` may be any nonnegative real."""
     if t < 0:
         raise ValueError(f"momentum-space evolution needs t >= 0, got {t}")
-    a, b = _mode_power_entries(params, spec.ks, float(t))
+    c, vs, us = su2_power(*lattice_axis(spec.ks, params.m), float(t))
+    a, b = c + 1j * vs, -1j * us  # U^t = [[a, b], [b, conj(a)]]
     psi_r, psi_l = spec.modes[:, 0], spec.modes[:, 1]
     out = np.empty_like(spec.modes)
     out[:, 0] = a * psi_r + b * psi_l
@@ -242,6 +223,8 @@ def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
         R R^+ + L L^+ + M M^+ = 1,  M R^+ + L M^+ = 0,  L R^+ = 0.
     """
     ks = np.atleast_1d(np.asarray(k_samples, dtype=float))
+    if ks.size == 0:
+        raise ValueError("need at least one momentum sample")
     n, m = params.n, params.m
 
     parity = 0.0

@@ -253,23 +253,18 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
     files = []
     curves = []
     for m in masses:
-        rows = []
-        for k in ks:
-            w = dispersion.omega(k, m)
-            wd = dispersion.dirac_omega(k, m)
-            try:
-                v, d, w3 = dispersion.derivatives(k, m)
-            except ValueError:
-                v = d = w3 = math.nan
-                if not any("derivative" in w for w in warnings):
-                    warnings.append(
-                        "derivatives are undefined at k = 0 for m = 0; affected rows carry nan"
-                    )
-            rows.append((k, w, wd, v, d, w3))
+        w = dispersion.omega(ks, m)
+        cone = (ks == 0.0) & (m == 0.0)  # omega has a cone there: no derivatives
+        derivs = np.full((3, samples), math.nan)
+        derivs[:, ~cone] = dispersion.derivatives(ks[~cone], m)
+        if cone.any() and not any("derivative" in w for w in warnings):
+            warnings.append("derivatives are undefined at k = 0 for m = 0; affected rows carry nan")
         path = os.path.join(out_dir, f"dispersion_m{m:g}.csv")
+        rows = zip(ks, w, dispersion.dirac_omega(ks, m), *derivs)
         _write_csv(path, ["k", "omega", "omega_dirac", "v", "D", "omega3"], rows)
         files.append(os.path.basename(path))
-        curves.append((f"m={m:g}", list(ks), [row[1] for row in rows]))
+        if params["svg"]:
+            curves.append((f"m={m:g}", list(ks), list(w)))
     if params["svg"]:
         path = os.path.join(out_dir, "dispersion.svg")
         svgplot.write_plot(path, curves, title="dispersion", xlabel="k", ylabel="omega")
@@ -321,11 +316,16 @@ def _wraparound_warning(preset: dict, times, warnings: list):
         )
 
 
+def _times(params: dict) -> list:
+    times = params["times"]
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ConfigError(f"times must be a nonempty list of finite nonnegative numbers, got {times}")
+    return times
+
+
 def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     preset, auto, field, spectrum, spec = _build_state(params)
-    times = params["times"]
-    if any(t < 0 for t in times):
-        raise ConfigError("times must be nonnegative")
+    times = _times(params)
     _wraparound_warning(preset, times, warnings)
     localized = spec is None
     if localized and any(t != int(t) for t in times):
@@ -351,7 +351,8 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
         summaries.append(
             {"t": t, "norm": state.norm(), "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
         )
-        curves.append((f"t={t:g}", list(map(float, x)), list(map(float, density))))
+        if params["svg"]:
+            curves.append((f"t={t:g}", list(map(float, x)), list(map(float, density))))
     if params["svg"]:
         path = os.path.join(out_dir, "evolve.svg")
         svgplot.write_plot(path, curves, title="probability density", xlabel="x", ylabel="density")
@@ -363,7 +364,7 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
     preset, auto, field, spectrum, spec = _build_state(params)
     if spec is None:
         raise ConfigError("compare needs a smooth packet preset")
-    times = params["times"]
+    times = _times(params)
     _wraparound_warning(preset, times, warnings)
     sigma = params["sigma"] if params["sigma"] else 3.0 / spec.sigma_hat
     rows = []

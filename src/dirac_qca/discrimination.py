@@ -1,8 +1,9 @@
 """Distinguishability bounds between the lattice step and continuum evolution.
 
-For one momentum mode the two finite-time unitaries are SU(2) matrices, so
-their relative rotation V(k, t) = U_cont^t U_latt^{t,dagger} has eigenphases
-exp(+-i mu) with cos(mu) = Re Tr V / 2.  The per-mode angle obeys
+For one momentum mode the two finite-time unitaries are SU(2) matrices, both
+taken from the closed form ``dispersion.su2_power``, so their relative
+rotation V(k, t) = U_cont^t U_latt^{t,dagger} has eigenphases exp(+-i mu)
+with cos(mu) = Re Tr V / 2.  The per-mode angle obeys
 
     cos(mu(k, m, t)) >= cos(alpha t) - beta
     alpha = omega_cont - omega_latt
@@ -30,11 +31,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .dispersion import dirac_omega, omega, sin_omega
+from .dispersion import _check_mass, _sin2_omega, dirac_axis, dirac_omega, lattice_axis, omega, su2_power
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "t_min_approx",
     "t_min_exact",
     "multiparticle_phase",
-    "state_overlap_distance",
     "validate_bound_montecarlo",
 ]
 
@@ -68,12 +68,13 @@ class DiscriminationInput:
     t: float
 
     def __post_init__(self):
+        _check_mass(self.m)
         if not (0.0 <= self.k_bar < math.pi):
             raise ValueError("momentum cap must lie in [0, pi)")
         if self.N_bar < 1:
             raise ValueError("particle cap must be a positive integer")
-        if self.t < 0:
-            raise ValueError("duration must be nonnegative")
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError(f"duration must be finite and nonnegative, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -113,59 +114,29 @@ def unitary_pair_t(k: float, m: float, t: float) -> Tuple[np.ndarray, np.ndarray
     U_latt^t = cos(wt) I - i sin(wt) (u . sigma),  u = (m, 0, -n sin k)/sin w
     U_cont^t = cos(lt) I - i sin(lt) (m sx - k sz)/l,  l = sqrt(k^2 + m^2)
 
-    Degenerate directions (sin w = 0, l = 0) reduce to identity blocks.
+    A scalar wrapper over ``dispersion.su2_power``; degenerate directions
+    (sin w = 0, l = 0) reduce to identity blocks.
     """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-    k, m, t = float(k), float(m), float(t)
-    n = math.sqrt(1.0 - m * m)
-    w = omega(k, m)
-    sw = sin_omega(k, m)
-    if sw > 0.0:
-        v = n * math.sin(k) / sw
-        ux = m / sw
-        c, s = math.cos(w * t), math.sin(w * t)
-        u_aut = np.array([[c + 1j * v * s, -1j * ux * s], [-1j * ux * s, c - 1j * v * s]])
-    else:
-        u_aut = np.diag([np.exp(-1j * w * t), np.exp(1j * w * t)])
-    lam = math.hypot(k, m)
-    if lam > 0.0:
-        c, s = math.cos(lam * t), math.sin(lam * t)
-        vd = k / lam
-        dx = m / lam
-        u_dir = np.array([[c + 1j * vd * s, -1j * dx * s], [-1j * dx * s, c - 1j * vd * s]])
-    else:
-        u_dir = np.eye(2, dtype=complex)
-    return u_aut, u_dir
+    pair = []
+    for axis in (lattice_axis, dirac_axis):
+        c, vs, us = su2_power(*axis(float(k), m), float(t))
+        pair.append(np.array([[c + 1j * vs, -1j * us], [-1j * us, c - 1j * vs]]))
+    return pair[0], pair[1]
 
 
 def _mu_components(k, m, t):
     """(cos mu, sin mu) of V = U_cont^t U_latt^{t,dagger}, vectorized over k.
 
-    With both step matrices of the form [[a, b], [b, conj(a)]] (b pure
-    imaginary), V has the SU(2) shape [[V00, V01], [-conj(V01), conj(V00)]]
-    and cos mu = Re V00 = Re Tr V / 2, sin mu = sqrt(Im(V00)^2 + |V01|^2).
-    The products are expanded into real arithmetic, in the order complex
-    multiplication would take them.
+    Both powers come from ``dispersion.su2_power`` as
+    U^t = [[c + i vs, -i us], [-i us, c - i vs]], so V has the SU(2) shape
+    [[V00, V01], [-conj(V01), conj(V00)]] and cos mu = Re V00 = Re Tr V / 2,
+    sin mu = sqrt(Im(V00)^2 + |V01|^2).  The products are expanded into real
+    arithmetic, in the order complex multiplication would take them.
     """
-    k = np.asarray(k, dtype=float)
-    n = math.sqrt(1.0 - m * m)
-    sk = np.sin(k)
-    sw = np.sqrt(sk ** 2 + m * m * np.cos(k) ** 2)
-    w = omega(k, m)
-    ok = sw > 0.0
-    safe = np.where(ok, sw, 1.0)
-    v = np.where(ok, n * sk / safe, 0.0)
-    ux = np.where(ok, m / safe, 0.0)
-    lam = np.hypot(k, m)
-    lsafe = np.where(lam > 0.0, lam, 1.0)
-    vd = np.where(lam > 0.0, k / lsafe, 0.0)
-    dx = np.where(lam > 0.0, m / lsafe, 0.0)
-    ca, sa = np.cos(w * t), np.sin(w * t)
-    cd, sd = np.cos(lam * t), np.sin(lam * t)
-    # U_latt^t = [[ca + i vs, -i us], [-i us, ca - i vs]], U_cont^t likewise
-    vs, us = v * sa, ux * sa
-    ws, xs = vd * sd, dx * sd
+    ca, vs, us = su2_power(*lattice_axis(k, m), t)
+    cd, ws, xs = su2_power(*dirac_axis(k, m), t)
     re00 = cd * ca + ws * vs + xs * us
     im00 = ws * ca - cd * vs
     re01 = xs * vs - ws * us
@@ -231,7 +202,7 @@ def _beta(k: float, m: float) -> float:
     k = abs(float(k))
     if m == 0.0 or k == 0.0:
         return 0.0
-    s2 = math.sin(k) ** 2 + m * m * math.cos(k) ** 2
+    s2 = float(_sin2_omega(k, m))
     sw = math.sqrt(s2)
     lam = math.hypot(k, m)
     x = m * m / s2          # 1 - v^2
@@ -371,17 +342,6 @@ def _pairwise_trace_distance(phases: np.ndarray, probs: np.ndarray) -> np.ndarra
     weights = probs[..., :, None] * probs[..., None, :]
     squared = np.sum(2.0 * weights * np.sin(delta / 2.0) ** 2, axis=(-2, -1))
     return np.sqrt(squared)
-
-
-def state_overlap_distance(phases: Sequence[float], probabilities: Sequence[float]) -> float:
-    """sqrt(1 - |sum_c p_c e^{i phi_c}|^2) for a pure superposition of V-eigenmodes."""
-    phases = np.asarray(phases, dtype=float)
-    p = np.asarray(probabilities, dtype=float)
-    if phases.shape != p.shape:
-        raise ValueError("phases and probabilities must align")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    return float(_pairwise_trace_distance(phases, p))
 
 
 @dataclass(frozen=True)

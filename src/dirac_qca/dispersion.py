@@ -15,6 +15,11 @@ using the exact identity sin(omega)^2 = sin^2 k + m^2 cos^2 k, which avoids
 the catastrophic cancellation of 1 - n^2 cos^2 k at small k.  omega itself is
 evaluated through a half-angle form so it keeps full relative precision down
 to k, m ~ 1e-19 where a direct arccos would return 0.
+
+Both the lattice step and the continuum evolution of one mode are SU(2)
+rotations exp(-i angle u.sigma), u = (u_x, 0, -v): ``lattice_axis`` and
+``dirac_axis`` give (angle, v, u_x), and ``su2_power`` is the one closed form
+of their real powers U^t = cos(angle t) I - i sin(angle t) u.sigma.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalInvariantError
+from .errors import UnitarityLossError
 
 __all__ = [
     "omega",
@@ -33,8 +38,9 @@ __all__ = [
     "dirac_omega",
     "Derivatives",
     "derivatives",
-    "DispersionPoint",
-    "dispersion_point",
+    "lattice_axis",
+    "dirac_axis",
+    "su2_power",
     "eigenpair",
     "branch_spinors",
     "hamiltonian_k",
@@ -49,9 +55,14 @@ ARCCOS_CLAMP_TOL = 1e-12
 
 def _check_mass(m: float) -> float:
     m = float(m)
-    if not (0.0 <= m <= 1.0) or not math.isfinite(m):
+    if not 0.0 <= m <= 1.0:  # also rejects nan
         raise ValueError(f"mass must lie in [0, 1], got {m}")
     return m
+
+
+def _sin2_omega(k, m):
+    """sin^2 omega = sin^2 k + m^2 cos^2 k, free of the cancellation in 1 - n^2 cos^2 k."""
+    return np.sin(k) ** 2 + m * m * np.cos(k) ** 2
 
 
 def omega(k, m):
@@ -67,7 +78,7 @@ def omega(k, m):
     delta = 2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + n)) * np.cos(k)
     arg = delta / 2.0
     if np.any(arg < -ARCCOS_CLAMP_TOL) or np.any(arg > 1.0 + ARCCOS_CLAMP_TOL):
-        raise NumericalInvariantError("omega: arccos argument left [-1, 1] beyond tolerance")
+        raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
     result = 2.0 * np.arcsin(np.sqrt(np.clip(arg, 0.0, 1.0)))
     return result if result.ndim else float(result)
 
@@ -75,8 +86,7 @@ def omega(k, m):
 def sin_omega(k, m):
     """sin(omega(k, m)) via the exact identity sin^2 w = sin^2 k + m^2 cos^2 k."""
     m = _check_mass(m)
-    k = np.asarray(k, dtype=float)
-    result = np.sqrt(np.sin(k) ** 2 + m * m * np.cos(k) ** 2)
+    result = np.sqrt(_sin2_omega(np.asarray(k, dtype=float), m))
     return result if result.ndim else float(result)
 
 
@@ -102,7 +112,7 @@ def derivatives(k, m) -> Derivatives:
     m = _check_mass(m)
     k_arr = np.asarray(k, dtype=float)
     n = math.sqrt(1.0 - m * m)
-    s2 = np.sin(k_arr) ** 2 + m * m * np.cos(k_arr) ** 2
+    s2 = _sin2_omega(k_arr, m)
     if np.any(s2 == 0.0):
         if m == 0.0:
             raise ValueError("derivatives undefined at k = 0 for the massless automaton")
@@ -114,26 +124,6 @@ def derivatives(k, m) -> Derivatives:
     if k_arr.ndim:
         return Derivatives(v, d, w3)
     return Derivatives(float(v), float(d), float(w3))
-
-
-@dataclass(frozen=True)
-class DispersionPoint:
-    """One row of a dispersion table: omega, its reference, and derivatives."""
-
-    k: float
-    m: float
-    omega: float
-    omega_dirac: float
-    v: float
-    D: float
-    omega3: float
-
-
-def dispersion_point(k: float, m: float) -> DispersionPoint:
-    v, d, w3 = derivatives(k, m)
-    return DispersionPoint(
-        k=float(k), m=float(m), omega=omega(k, m), omega_dirac=dirac_omega(k, m), v=v, D=d, omega3=w3
-    )
 
 
 def branch_spinors(k, m, s: int) -> np.ndarray:
@@ -149,7 +139,7 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
     m = _check_mass(m)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     n = math.sqrt(1.0 - m * m)
-    s2 = np.sin(k) ** 2 + m * m * np.cos(k) ** 2
+    s2 = _sin2_omega(k, m)
     degenerate = s2 == 0.0
     v = np.where(degenerate, 0.0, n * np.sin(k) / np.sqrt(np.where(degenerate, 1.0, s2)))
     sv = np.clip(s * v, -1.0, 1.0)
@@ -160,6 +150,45 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
         out[degenerate, 0] = 1.0 if s == +1 else 0.0
         out[degenerate, 1] = 0.0 if s == +1 else 1.0
     return out
+
+
+def lattice_axis(k, m):
+    """(omega, v, u_x): angle and rotation axis of U(k) = exp(-i omega u.sigma).
+
+    u = (m, 0, -n sin k) / sin(omega), so v is the group velocity.  Where
+    sin(omega) = 0 (in floating point only k = 0 at m = 0, where omega = 0)
+    the axis is zero, which makes every power cos(omega t) I.
+    """
+    m = _check_mass(m)
+    k = np.asarray(k, dtype=float)
+    sw = np.sqrt(_sin2_omega(k, m))
+    ok = sw > 0.0
+    safe = np.where(ok, sw, 1.0)
+    v = np.where(ok, math.sqrt(1.0 - m * m) * np.sin(k) / safe, 0.0)
+    return omega(k, m), v, np.where(ok, m / safe, 0.0)
+
+
+def dirac_axis(k, m):
+    """(lambda, k/lambda, m/lambda): angle and axis of the continuum step exp(-i H_D).
+
+    The zero axis stands in at lambda = sqrt(k^2 + m^2) = 0.
+    """
+    k = np.asarray(k, dtype=float)
+    lam = np.asarray(dirac_omega(k, m))
+    ok = lam > 0.0
+    safe = np.where(ok, lam, 1.0)
+    return lam, np.where(ok, k / safe, 0.0), np.where(ok, m / safe, 0.0)
+
+
+def su2_power(angle, v, u_x, t):
+    """(c, v s, u_x s) with c = cos(angle t), s = sin(angle t).
+
+    The t-th power of the rotation with axis (u_x, 0, -v) is
+    [[c + i v s, -i u_x s], [-i u_x s, c - i v s]]; a zero axis gives c I.
+    """
+    phase = angle * t
+    s = np.sin(phase)
+    return np.cos(phase), v * s, u_x * s
 
 
 def eigenpair(s: int, k: float, m: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import planck_times_to_seconds
-from .dispersion import derivatives
+from .dispersion import _check_mass, derivatives
 
 __all__ = [
     "FlytimeInput",
@@ -21,7 +21,6 @@ __all__ = [
     "SeparationTimes",
     "separation_time",
     "broadening",
-    "broadening_collapsed",
     "visibility_report",
 ]
 
@@ -37,12 +36,12 @@ class FlytimeInput:
     sigma_hat: float
 
     def __post_init__(self):
-        if self.m <= 0.0 or self.m > 1.0:
+        if _check_mass(self.m) == 0.0:
             raise ValueError("need 0 < m <= 1")
-        if self.k == 0.0:
-            raise ValueError("need k != 0")
-        if self.sigma_hat <= 0.0:
-            raise ValueError("need sigma_hat > 0")
+        if not (self.k != 0.0 and math.isfinite(self.k)):
+            raise ValueError(f"need a finite k != 0, got {self.k}")
+        if not 0.0 < self.sigma_hat < math.inf:
+            raise ValueError(f"need a finite sigma_hat > 0, got {self.sigma_hat}")
 
 
 class SeparationTimes(NamedTuple):
@@ -83,14 +82,6 @@ def broadening(inp: FlytimeInput, t: float) -> float:
     return inp.sigma_hat * (
         _spread_term(abs(d_lattice), t, inp.sigma_hat) + _spread_term(d_cont, t, inp.sigma_hat)
     )
-
-
-def broadening_collapsed(inp: FlytimeInput, t: float) -> float:
-    """m << k approximation: 2 sigma_hat (sqrt(1 + m^4 t^2 / (4 sh^4 k^6)) - 1)."""
-    if t < 0:
-        raise ValueError("need t >= 0")
-    rate = inp.m * inp.m / abs(inp.k) ** 3
-    return 2.0 * inp.sigma_hat * _spread_term(rate, t, inp.sigma_hat)
 
 
 @dataclass(frozen=True)

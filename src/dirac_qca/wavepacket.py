@@ -56,8 +56,10 @@ class WavepacketSpec:
     hermite_coeffs: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.sigma_hat <= 0.0:
-            raise ValueError("sigma_hat must be positive")
+        if not 0.0 < self.sigma_hat < math.inf:
+            raise ValueError(f"sigma_hat must be positive and finite, got {self.sigma_hat}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"packet center must be finite, got {self.x0}")
         if not abs(self.k0) < math.pi:
             raise ValueError("peak momentum must satisfy |k0| < pi")
         if self.s not in (+1, -1):
@@ -143,8 +145,8 @@ def bandwidth(spectrum: ModeSpectrum, k0: float, sigma: float) -> BandwidthRepor
     On the uniform periodic DFT grid the trapezoid rule coincides with the
     plain sum of mode weights, which is what is used here.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     weights = spectrum.mode_weights()
     total = weights.sum()
     if total <= 0.0:

@@ -81,9 +81,9 @@ class TestSchrodingerEvolve:
         spec, params, _, spectrum = fig4_state
         exact = evolve_momentum(spectrum, params, 200.0)
         taylor = schrodinger_evolve(spectrum, params, spec.k0, spec.s, 200.0)
-        printed = schrodinger_evolve(
-            spectrum, params, spec.k0, spec.s, 200.0, printed_quadratic_sign=True
-        )
+        ap = ApproxEvolutionParams.from_automaton(params, spec.k0, spec.s)
+        K = wrap_momentum(spectrum.ks - ap.k0)
+        printed = evolve_with_phase(spectrum, ap.omega0 + ap.v * K - 0.5 * ap.D * K * K, ap.s, 200.0)
         assert fidelity(exact, taylor) > fidelity(exact, printed)
         assert fidelity(exact, taylor) >= 0.999
 

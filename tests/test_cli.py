@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dirac_qca import cli
+from dirac_qca import cli, derivatives, dirac_omega, dispersion, omega
 
 
 def run(argv):
@@ -37,6 +38,29 @@ class TestDispersionCommand:
         assert payload["results"]["masses"] == [0.0, 0.3, 0.6, 0.9]
         for m in ("0", "0.3", "0.6", "0.9"):
             assert (out / f"dispersion_m{m}.csv").exists()
+
+    def test_rows_match_pointwise_calls(self, tmp_path):
+        # reference: the per-point scalar calls the grid evaluation replaced;
+        # numpy's 0-d and 1-d kernels may round differently, by a few ulp
+        out = tmp_path / "o"
+        assert run(["dispersion", "--m", "0,0.6,0", "--samples", "2049", "--out-dir", str(out)]) == 0
+        for m in (0.0, 0.6):
+            table = np.loadtxt(out / f"dispersion_m{m:g}.csv", delimiter=",", skiprows=1)
+            cone = (table[:, 0] == 0.0) & (m == 0.0)
+            assert cone.sum() == (1 if m == 0.0 else 0)
+            assert np.all(np.isnan(table[cone, 3:]))
+            reference = [
+                (omega(k, m), dirac_omega(k, m), *derivatives(k, m)) for k in table[~cone, 0]
+            ]
+            np.testing.assert_array_max_ulp(table[~cone, 1:], np.array(reference), maxulp=4)
+        warnings = load_json(out / "dispersion.json")["warnings"]
+        assert warnings == ["derivatives are undefined at k = 0 for m = 0; affected rows carry nan"]
+
+    def test_omega_clamp_breach_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dispersion, "ARCCOS_CLAMP_TOL", -1.0)
+        assert run(["dispersion", "--m", "0.6", "--samples", "8", "--out-dir", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "numerical-invariant"
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -171,6 +195,29 @@ class TestSymcheckCommand:
         assert run(["symcheck", "--m", "0.6", "--k-samples", "64", "--out-dir", str(out)]) == 0
         results = load_json(out / "symcheck.json")["results"]
         assert results["max_residual"] <= 1e-14
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flytime", "--m", "0.001", "--k", "nan", "--sigma-hat", "10"],
+            ["flytime", "--m", "0.001", "--k", "0.1", "--sigma-hat", "inf"],
+            ["evolve", "--preset", "fig4", "--times", "nan"],
+            ["evolve", "--preset", "fig4", "--times", "0,inf"],
+            ["evolve", "--sigma-hat", "nan", "--times", "0"],
+            ["evolve", "--x0", "nan", "--times", "0"],
+            ["compare", "--preset", "fig4", "--times", "0,nan"],
+            ["compare", "--preset", "fig4", "--sigma", "nan"],
+            ["discriminate", "--m", "0.3", "--kbar", "0.5", "--t", "nan"],
+            ["discriminate", "--m", "0.3", "--kbar", "0.5", "--t", "inf"],
+            ["symcheck", "--k-samples", "0"],
+        ],
+    )
+    def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+        assert not (tmp_path / "o" / (argv[0] + ".json")).exists()
 
 
 class TestConfigHandling:

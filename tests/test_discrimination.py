@@ -3,14 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from dirac_qca import (
     AutomatonParams,
     DiscriminationInput,
+    ModeSpectrum,
     MultiParticleSpec,
     alpha_beta,
+    dirac_hamiltonian_k,
+    evolve_momentum,
     extremal_alpha_beta,
+    hamiltonian_k,
     mu,
     multiparticle_phase,
     omega,
@@ -22,7 +27,7 @@ from dirac_qca import (
     validate_bound_montecarlo,
 )
 from dirac_qca import discrimination
-from dirac_qca.discrimination import MC_BLOCK, state_overlap_distance
+from dirac_qca.discrimination import MC_BLOCK, _pairwise_trace_distance
 from dirac_qca.errors import BoundViolationError, UnitarityLossError
 
 # frozen mpmath references (60-digit arithmetic, evaluated at the exact
@@ -81,6 +86,24 @@ class TestUnitaryPair:
         )
         u, _ = unitary_pair_t(np.pi / 2, 0.6, t)
         assert np.max(np.abs(u - spectral_power)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("t", [0.5, 2.7, 37.3])
+    def test_powers_match_matrix_exponential(self, m, t):
+        # independent oracle: scipy's generic expm of each generator; the
+        # L = 16 ring carries k = 0 and k = -pi
+        L = 16
+        basis = [np.zeros((L, 2), dtype=complex) for _ in range(2)]
+        basis[0][:, 0] = 1.0
+        basis[1][:, 1] = 1.0
+        columns = [evolve_momentum(ModeSpectrum(b), AutomatonParams(m), t).modes for b in basis]
+        ks = ModeSpectrum(basis[0]).ks
+        assert 0.0 in ks and -np.pi in ks
+        for j, k in enumerate(ks):
+            power = np.stack([columns[0][j], columns[1][j]], axis=1)
+            assert np.max(np.abs(power - scipy.linalg.expm(-1j * t * hamiltonian_k(k, m)))) <= 1e-12
+            continuum = scipy.linalg.expm(-1j * t * dirac_hamiltonian_k(k, m))
+            assert np.max(np.abs(unitary_pair_t(k, m, t)[1] - continuum)) <= 1e-12
 
 
 class TestMu:
@@ -344,7 +367,7 @@ class TestMonteCarlo:
         # distance is exactly sqrt(1 - cos^2 mu)
         k, m, t = 0.6, 0.3, 4.0
         angle = mu(k, m, t)
-        value = state_overlap_distance([angle, -angle], [0.5, 0.5])
+        value = _pairwise_trace_distance(np.array([angle, -angle]), np.array([0.5, 0.5]))
         assert value == pytest.approx(math.sqrt(1.0 - math.cos(angle) ** 2), rel=1e-12)
 
     def test_reference_run_stays_below_bound(self):
@@ -434,9 +457,3 @@ class TestMonteCarlo:
     def test_requires_hypotheses(self):
         with pytest.raises(ValueError):
             validate_bound_montecarlo(self._input(t_fraction=1.5), samples=10, seed=0)
-
-    def test_overlap_distance_validation(self):
-        with pytest.raises(ValueError):
-            state_overlap_distance([0.1], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            state_overlap_distance([0.1, 0.2], [0.9, 0.3])

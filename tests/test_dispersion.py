@@ -11,14 +11,15 @@ from dirac_qca import (
     dirac_hamiltonian_k,
     dirac_omega,
     dispersion_correction,
-    dispersion_point,
     eigenpair,
     hamiltonian_k,
     omega,
     regime_coefficients,
     unitary_k,
 )
+from dirac_qca import dispersion
 from dirac_qca.dispersion import branch_spinors, sin_omega
+from dirac_qca.errors import UnitarityLossError
 
 from conftest import omega_longdouble
 
@@ -57,6 +58,12 @@ class TestOmega:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             omega(0.1, 1.5)
+
+    def test_clamp_breach_raises_unitarity_loss(self, monkeypatch):
+        # a negative tolerance turns every argument above 1 - 1 = 0 into a breach
+        monkeypatch.setattr(dispersion, "ARCCOS_CLAMP_TOL", -1.0)
+        with pytest.raises(UnitarityLossError):
+            omega(0.5, 0.6)
 
 
 class TestDiracOmega:
@@ -272,11 +279,3 @@ class TestRegimeCoefficients:
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
             regime_coefficients(0.1, 0.1, "ultrarelativistic")
-
-
-class TestDispersionPoint:
-    def test_row_is_consistent(self):
-        row = dispersion_point(0.7, 0.4)
-        assert row.omega == omega(0.7, 0.4)
-        assert row.omega_dirac == dirac_omega(0.7, 0.4)
-        assert (row.v, row.D, row.omega3) == tuple(derivatives(0.7, 0.4))

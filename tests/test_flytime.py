@@ -11,9 +11,14 @@ from dirac_qca.constants import (
     planck_times_to_seconds,
     seconds_to_planck_times,
 )
-from dirac_qca.flytime import broadening_collapsed
 
 PROTON = FlytimeInput(m=1e-19, k=1e-8, sigma_hat=1e22)
+
+
+def broadening_collapsed(inp, t):
+    """m << k oracle: 2 sigma_hat (sqrt(1 + x^2) - 1), x = m^2 t / (2 sigma_hat^2 |k|^3)."""
+    x = inp.m * inp.m / abs(inp.k) ** 3 * t / (2.0 * inp.sigma_hat ** 2)
+    return 2.0 * inp.sigma_hat * x * x / (1.0 + math.sqrt(1.0 + x * x))
 
 
 class TestSeparationTime:
