@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import AutomatonParams, ModeSpectrum
-from .dispersion import derivatives, omega
+from .dispersion import _check_time, derivatives, omega
 from .wavepacket import bandwidth, wrap_momentum
 
 __all__ = [
@@ -56,13 +56,12 @@ def evolve_with_phase(spec: ModeSpectrum, phase: np.ndarray, s: int, t: float) -
     This is the generic hook behind :func:`schrodinger_evolve`; passing the
     exact dispersion values reproduces the on-branch exact evolution.
     """
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    _check_time(t)
     phase = np.asarray(phase, dtype=float)
     if phase.shape != (spec.L,):
         raise ValueError("need one phase value per mode")
     factor = np.exp(-1j * s * phase * t)
-    return ModeSpectrum(spec.modes * factor[:, None], spec.origin_offset)
+    return ModeSpectrum(spec.modes * factor[:, None])
 
 
 def schrodinger_evolve(spec: ModeSpectrum, params: AutomatonParams, k0: float, s: int, t: float) -> ModeSpectrum:
@@ -103,8 +102,7 @@ def accuracy_bound(
     in-window momentum mass, matching the normalization in which the total
     mass is 1.
     """
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    _check_time(t)
     report = bandwidth(spec, k0, sigma)
     _, _, w3 = derivatives(k0, params.m)
     gamma = abs(w3) * (1.0 - report.epsilon)

@@ -26,11 +26,11 @@ summation, so results are reproducible bit-for-bit for a given input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _check_mass, lattice_axis, su2_power
+from .dispersion import _check_mass, _check_time, lattice_axis, su2_power
 
 __all__ = [
     "AutomatonParams",
@@ -76,13 +76,9 @@ def _as_sites(array) -> np.ndarray:
 
 @dataclass
 class SpinorField:
-    """Position-space state: one (psi_R, psi_L) pair per site of the ring.
-
-    ``origin_offset`` is the array index that carries lattice coordinate 0.
-    """
+    """Position-space state: one (psi_R, psi_L) pair per site of the ring."""
 
     sites: np.ndarray
-    origin_offset: int = 0
 
     def __post_init__(self):
         self.sites = _as_sites(self.sites)
@@ -98,16 +94,12 @@ class SpinorField:
         """Per-site probability density |psi_R|^2 + |psi_L|^2."""
         return np.abs(self.sites[:, 0]) ** 2 + np.abs(self.sites[:, 1]) ** 2
 
-    def coordinates(self) -> np.ndarray:
-        return np.arange(self.L, dtype=float) - float(self.origin_offset)
-
 
 @dataclass
 class ModeSpectrum:
     """Momentum-space state: one two-component amplitude per DFT mode."""
 
     modes: np.ndarray
-    origin_offset: int = 0
 
     def __post_init__(self):
         self.modes = _as_sites(self.modes)
@@ -129,13 +121,18 @@ class ModeSpectrum:
         return np.abs(self.modes[:, 0]) ** 2 + np.abs(self.modes[:, 1]) ** 2
 
 
-def unitary_k(params: AutomatonParams, k: float) -> np.ndarray:
-    """Single-mode step matrix [[n e^{ik}, -im], [-im, n e^{-ik}]]."""
+def unitary_k(params: AutomatonParams, k) -> np.ndarray:
+    """Single-mode step matrix [[n e^{ik}, -im], [-im, n e^{-ik}]], shape k.shape + (2, 2)."""
+    k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise ValueError("momentum must be finite")
     n, m = params.n, params.m
     phase = np.exp(1j * k)
-    return np.array([[n * phase, -1j * m], [-1j * m, n * np.conj(phase)]])
+    out = np.empty(k.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = n * phase
+    out[..., 0, 1] = out[..., 1, 0] = -1j * m
+    out[..., 1, 1] = n * np.conj(phase)
+    return out
 
 
 def step(field: SpinorField, params: AutomatonParams) -> SpinorField:
@@ -145,7 +142,7 @@ def step(field: SpinorField, params: AutomatonParams) -> SpinorField:
     out = np.empty_like(field.sites)
     out[:, 0] = n * np.roll(psi_r, -1) - 1j * m * psi_l
     out[:, 1] = -1j * m * psi_r + n * np.roll(psi_l, 1)
-    return SpinorField(out, field.origin_offset)
+    return SpinorField(out)
 
 
 def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> SpinorField:
@@ -160,44 +157,29 @@ def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> Spin
             -1j * m * psi_r + n * np.roll(psi_l, 1),
         )
     out = np.stack([psi_r, psi_l], axis=1)
-    return SpinorField(out, field.origin_offset)
+    return SpinorField(out)
 
 
 def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> ModeSpectrum:
     """Multiply each mode by U(k_j)^t; ``t`` may be any nonnegative real."""
-    if t < 0:
-        raise ValueError(f"momentum-space evolution needs t >= 0, got {t}")
+    _check_time(t)
     c, vs, us = su2_power(*lattice_axis(spec.ks, params.m), float(t))
     a, b = c + 1j * vs, -1j * us  # U^t = [[a, b], [b, conj(a)]]
     psi_r, psi_l = spec.modes[:, 0], spec.modes[:, 1]
     out = np.empty_like(spec.modes)
     out[:, 0] = a * psi_r + b * psi_l
     out[:, 1] = b * psi_r + np.conj(a) * psi_l
-    return ModeSpectrum(out, spec.origin_offset)
+    return ModeSpectrum(out)
 
 
 def transform(field: SpinorField) -> ModeSpectrum:
     """Unitary DFT per spinor component (Parseval-preserving)."""
-    L = field.L
-    modes = np.fft.fft(field.sites, axis=0) / math.sqrt(L)
-    if field.origin_offset:
-        ks = 2.0 * np.pi * np.fft.fftfreq(L)
-        modes = modes * np.exp(1j * ks * field.origin_offset)[:, None]
-    return ModeSpectrum(modes, field.origin_offset)
+    return ModeSpectrum(np.fft.fft(field.sites, axis=0) / math.sqrt(field.L))
 
 
 def inverse_transform(spec: ModeSpectrum) -> SpinorField:
     """Inverse of :func:`transform`; round-trips to 1e-12 per amplitude."""
-    L = spec.L
-    modes = spec.modes
-    if spec.origin_offset:
-        ks = 2.0 * np.pi * np.fft.fftfreq(L)
-        modes = modes * np.exp(-1j * ks * spec.origin_offset)[:, None]
-    sites = np.fft.ifft(modes, axis=0) * math.sqrt(L)
-    return SpinorField(sites, spec.origin_offset)
-
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return SpinorField(np.fft.ifft(spec.modes, axis=0) * math.sqrt(spec.L))
 
 
 @dataclass
@@ -207,7 +189,6 @@ class SymmetryReport:
     parity: float
     time_reversal: float
     unitarity: float
-    k_samples: int = field(repr=False, default=0)
 
     @property
     def max_residual(self) -> float:
@@ -221,19 +202,19 @@ def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
     (b) time reversal: sigma_x conj(U(-k)) sigma_x = U(k)^dagger
     (c) unitarity of the position-space stencil U = R S + L S^dag + M:
         R R^+ + L L^+ + M M^+ = 1,  M R^+ + L M^+ = 0,  L R^+ = 0.
+
+    sigma_x A sigma_x swaps both the rows and the columns of A, so (a) and
+    (b) are checked on all samples at once as axis reversals.
     """
     ks = np.atleast_1d(np.asarray(k_samples, dtype=float))
     if ks.size == 0:
         raise ValueError("need at least one momentum sample")
     n, m = params.n, params.m
 
-    parity = 0.0
-    trev = 0.0
-    for k in ks:
-        uk = unitary_k(params, k)
-        umk = unitary_k(params, -k)
-        parity = max(parity, float(np.max(np.abs(_SIGMA_X @ umk @ _SIGMA_X - uk))))
-        trev = max(trev, float(np.max(np.abs(_SIGMA_X @ np.conj(umk) @ _SIGMA_X - uk.conj().T))))
+    uk = unitary_k(params, ks)
+    flipped = unitary_k(params, -ks)[:, ::-1, ::-1]  # sigma_x U(-k) sigma_x
+    parity = float(np.max(np.abs(flipped - uk)))
+    trev = float(np.max(np.abs(np.conj(flipped) - np.conj(np.swapaxes(uk, 1, 2)))))
 
     r = np.array([[n, 0.0], [0.0, 0.0]], dtype=complex)
     l = np.array([[0.0, 0.0], [0.0, n]], dtype=complex)
@@ -243,4 +224,4 @@ def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
     res_lr = l @ r.conj().T
     unit = float(max(np.max(np.abs(res_complete)), np.max(np.abs(res_cross)), np.max(np.abs(res_lr))))
 
-    return SymmetryReport(parity=parity, time_reversal=trev, unitarity=unit, k_samples=len(ks))
+    return SymmetryReport(parity=parity, time_reversal=trev, unitarity=unit)

@@ -366,7 +366,7 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
         raise ConfigError("compare needs a smooth packet preset")
     times = _times(params)
     _wraparound_warning(preset, times, warnings)
-    sigma = params["sigma"] if params["sigma"] else 3.0 / spec.sigma_hat
+    sigma = params["sigma"] if params["sigma"] is not None else 3.0 / spec.sigma_hat
     rows = []
     for t in times:
         exact = evolve_momentum(spectrum, auto, t)

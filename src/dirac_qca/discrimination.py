@@ -21,9 +21,10 @@ keeps g <= pi/2), every admissible state has trace distance at most
 sqrt(1 - cos^2 g), hence error probability at least (1 - sin g)/2 for the
 equal-prior guess between the two dynamics.
 
-alpha and beta collapse under cancellation in the deep sub-Planckian regime
-(alpha ~ 1e-47 for proton-scale parameters), so both switch to series forms
-there; see ``_alpha`` and ``_beta``.
+alpha collapses under cancellation in the deep sub-Planckian regime (alpha ~
+1e-47 for proton-scale parameters), so it switches to series forms there; beta
+is 1 - u.u_c = |u - u_c|^2 / 2 for the rotation axes u, u_c of the two steps,
+one cancellation-free formula everywhere.  See ``_alpha`` and ``_beta``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dispersion import _check_mass, _sin2_omega, dirac_axis, dirac_omega, lattice_axis, omega, su2_power
+from .dispersion import _check_mass, _check_time, dirac_axis, dirac_omega, lattice_axis, omega, sin_omega, su2_power
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
 __all__ = [
@@ -55,7 +56,10 @@ __all__ = [
 ]
 
 MU_CLAMP_TOL = 1e-9
+GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
+T_MIN_REL_TOL = 1e-9  # relative bracket width at which t_min_exact stops bisecting
 MC_BLOCK = 1024  # samples per Monte Carlo block: fixes the stream layout, bounds memory
+CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample state
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,7 @@ class DiscriminationInput:
             raise ValueError("momentum cap must lie in [0, pi)")
         if self.N_bar < 1:
             raise ValueError("particle cap must be a positive integer")
-        if not 0.0 <= self.t < math.inf:
-            raise ValueError(f"duration must be finite and nonnegative, got {self.t}")
+        _check_time(self.t)
 
 
 @dataclass(frozen=True)
@@ -117,8 +120,7 @@ def unitary_pair_t(k: float, m: float, t: float) -> Tuple[np.ndarray, np.ndarray
     A scalar wrapper over ``dispersion.su2_power``; degenerate directions
     (sin w = 0, l = 0) reduce to identity blocks.
     """
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    _check_time(t)
     pair = []
     for axis in (lattice_axis, dirac_axis):
         c, vs, us = su2_power(*axis(float(k), m), float(t))
@@ -151,8 +153,7 @@ def mu(k, m, t):
     half-trace but without the square-root noise floor of arccos near
     mu = 0, which matters when comparing against a vanishing bound.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("need t >= 0")
+    _check_time(t)
     cos_mu, sin_mu = _mu_components(k, m, t)
     c_arr = np.asarray(cos_mu)
     if np.any(np.abs(c_arr) > 1.0 + MU_CLAMP_TOL):
@@ -165,59 +166,65 @@ def mu(k, m, t):
 
 # -- stable alpha and beta ------------------------------------------------
 
-def _alpha_small_m(k: float, m: float) -> float:
+def _alpha_small_m(k, m):
     # valid for m << k: alpha = (m^2/2)(1/k - cot k) - (m^4/8)(1/k^3 + cos k (sin^2 - cos^2)/sin^3)
-    k = abs(k)
-    c, s = math.cos(k), math.sin(k)
+    c, s = np.cos(k), np.sin(k)
     second = (m * m / 2.0) * (1.0 / k - c / s)
     fourth = -(m ** 4 / 8.0) * (1.0 / k ** 3 + c * (s * s - c * c) / s ** 3)
     return second + fourth
 
 
-def _alpha(k: float, m: float) -> float:
+def _alpha(k, m):
     """omega_cont - omega_latt, series-stabilized where subtraction cancels."""
-    k = abs(float(k))
-    if k == 0.0:
-        if m < 1e-5:
-            return -(m ** 3 / 6.0) * (1.0 + 9.0 * m * m / 20.0)  # m - arcsin m
-        return m - math.asin(m)
-    lam = math.hypot(k, m)
-    if lam < 1e-3:
-        # jointly small: leading correction of the dispersion mismatch
-        return lam * (m * m / 6.0) * (k * k - m * m) / (k * k + m * m)
-    if m < 1e-3 and k >= 100.0 * m:
-        return _alpha_small_m(k, m)
-    return dirac_omega(k, m) - omega(k, m)
+    k = np.abs(np.asarray(k, dtype=float))
+    lam = np.hypot(k, m)
+    rest = -(m ** 3 / 6.0) * (1.0 + 9.0 * m * m / 20.0) if m < 1e-5 else m - math.asin(m)  # m - arcsin m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        result = np.select(
+            [k == 0.0, lam < 1e-3, (m < 1e-3) & (k >= 100.0 * m)],
+            [
+                rest,
+                # jointly small: leading correction of the dispersion mismatch
+                lam * (m * m / 6.0) * (k * k - m * m) / (k * k + m * m),
+                _alpha_small_m(k, m),
+            ],
+            dirac_omega(k, m) - omega(k, m),
+        )
+    return result if result.ndim else float(result)
 
 
-def _k_minus_sin(k: float) -> float:
-    if abs(k) < 1e-3:
-        k2 = k * k
-        return k * k2 / 6.0 * (1.0 - k2 / 20.0 * (1.0 - k2 / 42.0))
-    return k - math.sin(k)
+# 1/19!, -1/17!, ..., 1/3!: (k - sin k)/k^3 as a polynomial in k^2, highest power first
+_K_MINUS_SIN_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(8, -1, -1)]
 
 
-def _beta(k: float, m: float) -> float:
-    """1 - v v_c - sqrt((1 - v^2)(1 - v_c^2)), stabilized for small 1 - v^2."""
-    k = abs(float(k))
-    if m == 0.0 or k == 0.0:
-        return 0.0
-    s2 = float(_sin2_omega(k, m))
-    sw = math.sqrt(s2)
-    lam = math.hypot(k, m)
-    x = m * m / s2          # 1 - v^2
-    y = m * m / (lam * lam)  # 1 - v_c^2
-    if max(x, y) < 1e-4:
-        # beta = (sqrt(x) - sqrt(y))^2/2 * (1 + (sqrt(x)+sqrt(y))^2/4) + O(x^3)
-        num = _k_minus_sin(k) * (k + math.sin(k)) + m * m * math.sin(k) ** 2
-        diff = num / (lam + sw)  # lam - sw without cancellation
-        root_diff = m * diff / (lam * sw)
-        sx, sy = m / sw, m / lam
-        return 0.5 * root_diff * root_diff * (1.0 + 0.25 * (sx + sy) ** 2)
-    n = math.sqrt(1.0 - m * m)
-    v = n * math.sin(k) / sw
-    vd = k / lam
-    return max(0.0, 1.0 - v * vd - math.sqrt(x * y))
+def _k_minus_sin(k):
+    """k - sin k to full relative precision: the series (Horner form) below |k| = 1."""
+    k2 = k * k
+    return np.where(np.abs(k) < 1.0, k * k2 * np.polyval(_K_MINUS_SIN_SERIES, k2), k - np.sin(k))
+
+
+def _beta(k, m):
+    """1 - v v_c - sqrt((1 - v^2)(1 - v_c^2)) = 1 - u.u_c, to full relative precision.
+
+    For the unit axes u = (u_x, 0, -v), u_c = (u_x^c, 0, -v_c) of the lattice
+    and continuum steps, v - v_c = -d (u_x + u_x^c)/(v + v_c) with d = u_x - u_x^c:
+
+        beta = |u - u_c|^2 / 2 = d^2/2 [1 + ((u_x + u_x^c)/(v + v_c))^2],
+        d = m (lambda - sin w)/(lambda sin w),
+        lambda - sin w = [(k - sin k)(k + sin k) + m^2 sin^2 k]/(lambda + sin w),
+
+    which adds only positive terms for 0 < |k| <= pi (v + v_c > 0 there).
+    """
+    k = np.abs(np.asarray(k, dtype=float))
+    _, v, u_x = lattice_axis(k, m)
+    lam, v_c, u_xc = dirac_axis(k, m)
+    sw = sin_omega(k, m)
+    sk = np.sin(k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = (_k_minus_sin(k) * (k + sk) + m * m * sk ** 2) / (lam + sw)  # lambda - sin w
+        d = m * gap / (lam * sw)
+        result = np.where(k == 0.0, 0.0, 0.5 * d * d * (1.0 + ((u_x + u_xc) / (v + v_c)) ** 2))
+    return result if result.ndim else float(result)
 
 
 def alpha_beta(k: float, m: float) -> Tuple[float, float]:
@@ -226,30 +233,33 @@ def alpha_beta(k: float, m: float) -> Tuple[float, float]:
     alpha is signed (the lattice eigenphase can overtake the continuum one);
     beta >= 0 always, and beta = 0 exactly at k = 0 or m = 0.  Note: the
     inequality cos(mu) >= cos(alpha t) - beta holds with this beta; a halved
-    variant breaks the trace identity and the inequality with it.
+    variant breaks the trace identity and the inequality with it.  A scalar
+    wrapper over the array forms ``_alpha`` and ``_beta``.
     """
+    if not abs(k) <= math.pi:  # also rejects nan
+        raise ValueError(f"momentum must be finite with |k| <= pi, got {k}")
     if k == 0.0 and m == 0.0:
         raise ValueError("alpha/beta undefined at (k, m) = (0, 0)")
     return _alpha(k, m), _beta(k, m)
 
 
-def extremal_alpha_beta(k_bar: float, m: float, grid_points: int = 256) -> Tuple[float, float]:
+def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     """max |alpha| and max |beta| over [0, k_bar], realized on {0, k_bar}.
 
     The endpoint property follows from alpha and beta being nondecreasing in
-    k on [0, pi); both facts are re-verified here on a grid and a violation
-    beyond 1e-10 raises :class:`MonotonicityError`.  (|alpha| itself is not
-    monotone: alpha starts negative at k = 0 and crosses zero, but a
-    monotone function still attains its extreme modulus at an endpoint.)
+    k on [0, pi); both facts are re-verified here on a ``GRID_POINTS`` grid
+    and a violation beyond 1e-10 raises :class:`MonotonicityError`.  (|alpha|
+    itself is not monotone: alpha starts negative at k = 0 and crosses zero,
+    but a monotone function still attains its extreme modulus at an endpoint.)
     """
     if not (0.0 <= k_bar < math.pi):
         raise ValueError("momentum cap must lie in [0, pi)")
     alpha_0, beta_0 = _alpha(0.0, m), 0.0
     alpha_end, beta_end = _alpha(k_bar, m), _beta(k_bar, m)
     if k_bar > 0.0 and m > 0.0:
-        ks = np.linspace(0.0, k_bar, grid_points)
-        alphas = np.array([_alpha(k, m) for k in ks])
-        betas = np.array([_beta(k, m) for k in ks])
+        ks = np.linspace(0.0, k_bar, GRID_POINTS)
+        alphas = _alpha(ks, m)
+        betas = _beta(ks, m)
         if np.any(np.diff(alphas) < -1e-10) or np.any(np.diff(betas) < -1e-10):
             raise MonotonicityError(
                 f"alpha/beta monotonicity violated on [0, {k_bar}] at m = {m}"
@@ -297,7 +307,7 @@ def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
     return 3.0 * math.pi / (m * m * k_bar * n_bar)
 
 
-def t_min_exact(m: float, k_bar: float, n_bar: int, rel_tol: float = 1e-9) -> Optional[float]:
+def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
     """Root of g(t) = pi/2 inside the validity window, by bisection.
 
     Returns None when pi/2 is unreachable: either the beta_bar hypothesis
@@ -317,7 +327,7 @@ def t_min_exact(m: float, k_bar: float, n_bar: int, rel_tol: float = 1e-9) -> Op
     lo, hi = 0.0, t_dom
     if g_of(hi) < math.pi / 2.0:
         return None
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > T_MIN_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if g_of(mid) < math.pi / 2.0:
             lo = mid
@@ -354,10 +364,10 @@ class MonteCarloReport:
     margin: float
 
 
-def _draw_block(inp: DiscriminationInput, count: int, stream, configs_per_state: int):
-    """Phases and probabilities, each (count, configs_per_state), of one block of states."""
+def _draw_block(inp: DiscriminationInput, count: int, stream):
+    """Phases and probabilities, each (count, CONFIGS_PER_STATE), of one block of states."""
     rng = np.random.default_rng(stream)
-    c = configs_per_state
+    c = CONFIGS_PER_STATE
     counts = rng.integers(1, inp.N_bar + 1, size=(count, c))
     momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(count, c, inp.N_bar))
     signs = rng.choice(np.array([-1.0, 1.0]), size=(count, c, inp.N_bar))
@@ -376,12 +386,11 @@ def validate_bound_montecarlo(
     samples: int,
     seed: int,
     *,
-    configs_per_state: int = 8,
     workers: int = 1,
 ) -> MonteCarloReport:
     """Sample admissible pure states and check none beats the trace-distance cap.
 
-    Each sample state is a superposition of ``configs_per_state`` joint
+    Each sample state is a superposition of ``CONFIGS_PER_STATE`` joint
     eigenmodes with particle number uniform on {1..N_bar}, momenta uniform on
     [-k_bar, k_bar], branch signs uniform, and spherically drawn amplitudes.
 
@@ -412,7 +421,7 @@ def validate_bound_montecarlo(
         # SeedSequence(seed, spawn_key=(i,)) is spawn(n_blocks)[i], built lazily
         stream = np.random.SeedSequence(seed, spawn_key=(i,))
         count = min(MC_BLOCK, samples - i * MC_BLOCK)
-        phases, probs = _draw_block(inp, count, stream, configs_per_state)
+        phases, probs = _draw_block(inp, count, stream)
         return float(_pairwise_trace_distance(phases, probs).max())
 
     max_observed = 0.0

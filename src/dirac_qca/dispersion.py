@@ -60,6 +60,13 @@ def _check_mass(m: float) -> float:
     return m
 
 
+def _check_time(t):
+    """Reject a time outside [0, inf), nan included; arrays are checked entrywise."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr >= 0.0) & (t_arr < math.inf)):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 def _sin2_omega(k, m):
     """sin^2 omega = sin^2 k + m^2 cos^2 k, free of the cancellation in 1 - n^2 cos^2 k."""
     return np.sin(k) ** 2 + m * m * np.cos(k) ** 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import planck_times_to_seconds
-from .dispersion import _check_mass, derivatives
+from .dispersion import _check_mass, _check_time, derivatives
 
 __all__ = [
     "FlytimeInput",
@@ -74,8 +74,7 @@ def broadening(inp: FlytimeInput, t: float) -> float:
     sigma_br = sigma_hat (sqrt(1 + (D t / 2 sh^2)^2) + sqrt(1 + (D_c t / 2 sh^2)^2) - 2)
     with D the lattice diffusion coefficient and D_c = m^2 (k^2 + m^2)^{-3/2}.
     """
-    if t < 0:
-        raise ValueError("need t >= 0")
+    _check_time(t)
     _, d_lattice, _ = derivatives(inp.k, inp.m)
     lam2 = inp.k * inp.k + inp.m * inp.m
     d_cont = inp.m * inp.m / lam2 ** 1.5

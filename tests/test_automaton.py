@@ -216,13 +216,6 @@ class TestTransform:
         assert np.max(np.abs(back.sites - field.sites)) <= 1e-12
         assert abs(spec.norm() - field.norm()) <= 1e-12
 
-    def test_origin_offset_round_trip(self):
-        field = random_field(32, seed=9)
-        shifted = SpinorField(field.sites, origin_offset=7)
-        back = inverse_transform(transform(shifted))
-        assert back.origin_offset == 7
-        assert np.max(np.abs(back.sites - shifted.sites)) <= 1e-12
-
     def test_mode_grid_is_first_zone(self):
         spec = transform(random_field(10))
         assert np.all(spec.ks >= -np.pi) and np.all(spec.ks < np.pi)
@@ -246,6 +239,27 @@ class TestSymmetry:
     def test_identities_hold_to_1e14(self, m):
         report = symmetry_check(AutomatonParams(m), np.linspace(-np.pi, np.pi, 64))
         assert report.max_residual <= 1e-14
+
+    @pytest.mark.parametrize("m", [0.0, 0.3, 0.92])
+    def test_residuals_equal_explicit_sigma_x_products(self, m):
+        # oracle: sigma_x U(-k) sigma_x as matrix products, one sample at a time
+        p, sx = AutomatonParams(m), np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        ks = np.linspace(-np.pi, np.pi, 257)
+        parity = trev = 0.0
+        for k in ks:
+            uk, umk = unitary_k(p, k), unitary_k(p, -k)
+            parity = max(parity, float(np.max(np.abs(sx @ umk @ sx - uk))))
+            trev = max(trev, float(np.max(np.abs(sx @ np.conj(umk) @ sx - uk.conj().T))))
+        report = symmetry_check(p, ks)
+        assert (report.parity, report.time_reversal) == (parity, trev)
+
+    def test_unitary_k_broadcasts_over_momenta(self):
+        p, ks = AutomatonParams(0.6), np.linspace(-3.0, 3.0, 7).reshape(7, 1)
+        stacked = unitary_k(p, ks)
+        assert stacked.shape == (7, 1, 2, 2)
+        assert all(np.array_equal(stacked[i, 0], unitary_k(p, k)) for i, k in enumerate(ks[:, 0]))
+        with pytest.raises(ValueError):
+            unitary_k(p, np.array([0.1, np.nan]))
 
     def test_massless_and_planck_mass_exact(self):
         for m in (0.0, 1.0):

@@ -212,6 +212,7 @@ class TestInputBoundaries:
             ["discriminate", "--m", "0.3", "--kbar", "0.5", "--t", "nan"],
             ["discriminate", "--m", "0.3", "--kbar", "0.5", "--t", "inf"],
             ["symcheck", "--k-samples", "0"],
+            ["compare", "--preset", "fig4", "--sigma", "0"],  # not replaced by the default window
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):

@@ -187,6 +187,12 @@ class TestAlphaBeta:
         with pytest.raises(ValueError):
             alpha_beta(0.0, 0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 3.2, -3.2])
+    def test_nonfinite_or_out_of_zone_momentum_rejected(self, k):
+        # the cancellation-free beta needs v + v_c > 0, which holds for |k| <= pi
+        with pytest.raises(ValueError):
+            alpha_beta(k, 0.5)
+
 
 class TestAngleInequalities:
     def test_angle_inequality_grid(self):
@@ -246,7 +252,7 @@ class TestExtremal:
             assert beta_bar == 0.0
 
     def test_grid_maximum_sits_on_endpoints(self):
-        alpha_bar, beta_bar = extremal_alpha_beta(1.0, 0.6, grid_points=1024)
+        alpha_bar, beta_bar = extremal_alpha_beta(1.0, 0.6)
         grid = np.linspace(0.0, 1.0, 2048)
         grid_alpha = max(abs(alpha_beta(k, 0.6)[0]) for k in grid)
         grid_beta = max(alpha_beta(k, 0.6)[1] for k in grid)
@@ -402,7 +408,7 @@ class TestMonteCarlo:
         inp, samples = self._input(), MC_BLOCK + 5
         streams = np.random.SeedSequence(8).spawn(2)
         expected = max(
-            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, n, s, 8)).max())
+            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, n, s)).max())
             for n, s in zip((MC_BLOCK, 5), streams)
         )
         assert validate_bound_montecarlo(inp, samples=samples, seed=8).max_observed == expected
@@ -410,8 +416,8 @@ class TestMonteCarlo:
     def test_masked_phase_sums_match_full_tensor(self):
         # mu runs only on the kept draws; the full-tensor evaluation with the
         # mask applied afterwards is the reference
-        inp, c = self._input(n_bar=4), 8
-        phases, _ = discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(11), c)
+        inp, c = self._input(n_bar=4), discrimination.CONFIGS_PER_STATE
+        phases, _ = discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(11))
         rng = np.random.default_rng(np.random.SeedSequence(11))
         counts = rng.integers(1, inp.N_bar + 1, size=(MC_BLOCK, c))
         momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(MC_BLOCK, c, inp.N_bar))

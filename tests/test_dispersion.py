@@ -7,21 +7,52 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_qca import (
     AutomatonParams,
+    FlytimeInput,
+    ModeSpectrum,
+    accuracy_bound,
+    broadening,
     derivatives,
     dirac_hamiltonian_k,
     dirac_omega,
     dispersion_correction,
     eigenpair,
+    evolve_momentum,
     hamiltonian_k,
+    mu,
     omega,
     regime_coefficients,
     unitary_k,
+    unitary_pair_t,
 )
 from dirac_qca import dispersion
+from dirac_qca.approx import evolve_with_phase
 from dirac_qca.dispersion import branch_spinors, sin_omega
 from dirac_qca.errors import UnitarityLossError
 
 from conftest import omega_longdouble
+
+
+def _time_entry_points():
+    """Every library function that takes an evolution time, as t -> call."""
+    p = AutomatonParams(0.5)
+    spec = ModeSpectrum(np.eye(8, 2, dtype=complex))
+    return {
+        "evolve_momentum": lambda t: evolve_momentum(spec, p, t),
+        "evolve_with_phase": lambda t: evolve_with_phase(spec, np.zeros(8), 1, t),
+        "accuracy_bound": lambda t: accuracy_bound(spec, p, 0.3, 0.5, t),
+        "unitary_pair_t": lambda t: unitary_pair_t(0.3, 0.5, t),
+        "mu": lambda t: mu(0.3, 0.5, np.array([1.0, t])),  # times are checked entrywise
+        "broadening": lambda t: broadening(FlytimeInput(m=0.5, k=0.3, sigma_hat=10.0), t),
+    }
+
+
+class TestTimeCheck:
+    @pytest.mark.parametrize("name", sorted(_time_entry_points()))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_rejects_time_outside_zero_to_infinity(self, name, t):
+        with pytest.raises(ValueError):
+            _time_entry_points()[name](t)
+
 
 # frozen: mpmath acos(0.8*cos(3*pi/10)) at 60 digits
 OMEGA_AT_FIG4_POINT = 1.0812469940849838

@@ -1,20 +1,28 @@
-"""Recompute the frozen reference constants with 60-digit arithmetic.
+"""Recompute the frozen reference constants with mpmath, and pin alpha/beta.
 
 The package never imports mpmath; this module keeps the frozen literals in
-the other test files honest by rebuilding them from scratch at runtime.
+the other test files honest by rebuilding them from scratch at runtime, and
+checks alpha and beta against their defining formulas across every regime
+boundary of the float implementation.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from dirac_qca import alpha_beta, derivatives, omega
+from dirac_qca.discrimination import _alpha, _beta
 
 import test_discrimination as td
 from test_automaton import TRACE_AT_FIG4_POINT
 from test_dispersion import OMEGA_AT_FIG4_POINT
 
 mp.mp.dps = 60
+# alpha and beta by their defining differences: beta ~ 1e-58 cancels against
+# 1, so 80 digits still leave a 1e-6 error there; 250 leave none
+MISMATCH_DPS = 250
 
 
 def mp_omega(k, m):
@@ -22,17 +30,19 @@ def mp_omega(k, m):
 
 
 def mp_alpha(k, m):
-    k, m = mp.mpf(k), mp.mpf(m)
-    return mp.sqrt(k * k + m * m) - mp_omega(k, m)
+    with mp.workdps(MISMATCH_DPS):
+        k, m = mp.mpf(k), mp.mpf(m)
+        return +(mp.sqrt(k * k + m * m) - mp_omega(k, m))
 
 
 def mp_beta(k, m):
-    k, m = mp.mpf(k), mp.mpf(m)
-    w = mp_omega(k, m)
-    n = mp.sqrt(1 - m * m)
-    v = n * mp.sin(k) / mp.sin(w)
-    vd = k / mp.sqrt(k * k + m * m)
-    return 1 - v * vd - mp.sqrt((1 - v * v) * (1 - vd * vd))
+    with mp.workdps(MISMATCH_DPS):
+        k, m = mp.mpf(k), mp.mpf(m)
+        w = mp_omega(k, m)
+        n = mp.sqrt(1 - m * m)
+        v = n * mp.sin(k) / mp.sin(w)
+        vd = k / mp.sqrt(k * k + m * m)
+        return +(1 - v * vd - mp.sqrt((1 - v * v) * (1 - vd * vd)))
 
 
 class TestFrozenConstants:
@@ -82,3 +92,63 @@ class TestFrozenConstants:
             ratio = gap / (0.2 * m * m * m)
             assert ratio == pytest.approx(expected_ratio, abs=2e-4)
             assert abs(alpha_beta(0.0, m)[0]) == pytest.approx(gap, rel=1e-12)
+
+
+def _rel(value, reference):
+    return abs(value - float(reference)) / abs(float(reference))
+
+
+def _sides(x):
+    return (float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf)))
+
+
+class TestAlphaBetaOracles:
+    """alpha and beta against 250-digit mpmath across every regime boundary."""
+
+    def test_beta_full_precision_everywhere(self):
+        rng = np.random.default_rng(20121)
+        ks = np.exp(rng.uniform(math.log(1e-9), math.log(math.pi), 2000))
+        ms = np.exp(rng.uniform(math.log(1e-19), 0.0, 2000))
+        points = list(zip(ks, ms)) + [(math.pi, 1.0), (math.pi, 1e-19), (1e-9, 1.0)]
+        for edge in (1e-3, 1.0):  # where a series for k - sin k may hand over to the subtraction
+            points += [(k, m) for k in _sides(edge) for m in (1e-19, 1e-3, 0.5, 1.0)]
+        worst = max(_rel(alpha_beta(float(k), float(m))[1], mp_beta(k, m)) for k, m in points)
+        assert worst <= 1e-14
+
+    # (regime, k, m, envelope): both sides of each switch of _alpha.  The
+    # envelopes pin the accuracy as it stands, not the float limit: the joint
+    # series stops at relative order lambda^2, and just past the m = 1e-5
+    # (k = 0) and k = 100 m switches the subtraction still cancels most digits.
+    ALPHA_SWITCHES = (
+        [("rest", 0.0, m, 4e-6) for m in _sides(1e-5) + (0.9e-5, 1.1e-5)]
+        + [
+            ("joint", r * s / math.hypot(r, 1.0) * 1e-3, s / math.hypot(r, 1.0) * 1e-3, 5e-7)
+            for r in (1e3, 3.0, 1.0 / 3.0)
+            for s in (0.999, 1.0, 1.001)
+        ]
+        + [("small-m", k, m, 1e-9) for k in (0.05, 0.5, 2.0) for m in _sides(1e-3) + (0.99e-3, 1.01e-3)]
+        + [
+            ("k=100m", k, m, 1.5e-5)
+            for m in (1e-5, 1e-4, 5e-4, 9e-4)
+            for k in _sides(100.0 * m) + (99.0 * m, 101.0 * m)
+        ]
+    )
+
+    @pytest.mark.parametrize("regime,k,m,envelope", ALPHA_SWITCHES)
+    def test_alpha_on_both_sides_of_each_switch(self, regime, k, m, envelope):
+        assert _rel(alpha_beta(k, m)[0], mp_alpha(k, m)) <= envelope
+
+    @pytest.mark.parametrize(
+        "m,ks",
+        [
+            (1e-6, np.concatenate([[0.0], np.geomspace(1e-9, 9e-4, 40)])),  # rest + joint
+            (1e-4, np.geomspace(1e-2, 3.1, 40)),  # small-m series
+            (0.3, np.linspace(0.0, math.pi, 41)),  # direct, with beta's k - sin k switch
+            (1.0, np.geomspace(1e-9, math.pi, 41)),
+        ],
+    )
+    def test_array_and_scalar_forms_agree(self, m, ks):
+        scalar = np.array([alpha_beta(k, m) for k in ks])
+        tol = 4 * np.spacing(np.abs(scalar))
+        assert np.all(np.abs(_alpha(ks, m) - scalar[:, 0]) <= tol[:, 0])
+        assert np.all(np.abs(_beta(ks, m) - scalar[:, 1]) <= tol[:, 1])
