@@ -10,7 +10,6 @@ from .automaton import (
     evolve_momentum,
     evolve_position,
     inverse_transform,
-    step,
     symmetry_check,
     transform,
     unitary_k,

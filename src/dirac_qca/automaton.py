@@ -38,7 +38,6 @@ __all__ = [
     "ModeSpectrum",
     "SymmetryReport",
     "unitary_k",
-    "step",
     "evolve_position",
     "evolve_momentum",
     "transform",
@@ -135,18 +134,8 @@ def unitary_k(params: AutomatonParams, k) -> np.ndarray:
     return out
 
 
-def step(field: SpinorField, params: AutomatonParams) -> SpinorField:
-    """Apply one automaton step on the ring."""
-    n, m = params.n, params.m
-    psi_r, psi_l = field.sites[:, 0], field.sites[:, 1]
-    out = np.empty_like(field.sites)
-    out[:, 0] = n * np.roll(psi_r, -1) - 1j * m * psi_l
-    out[:, 1] = -1j * m * psi_r + n * np.roll(psi_l, 1)
-    return SpinorField(out)
-
-
 def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> SpinorField:
-    """t-fold application of ``step`` (t a nonnegative integer)."""
+    """t steps of the sitewise update on the ring (t a nonnegative integer)."""
     if t != int(t) or t < 0:
         raise ValueError(f"position-space evolution needs a nonnegative integer time, got {t}")
     n, m = params.n, params.m

@@ -21,10 +21,10 @@ keeps g <= pi/2), every admissible state has trace distance at most
 sqrt(1 - cos^2 g), hence error probability at least (1 - sin g)/2 for the
 equal-prior guess between the two dynamics.
 
-alpha collapses under cancellation in the deep sub-Planckian regime (alpha ~
-1e-47 for proton-scale parameters), so it switches to series forms there; beta
-is 1 - u.u_c = |u - u_c|^2 / 2 for the rotation axes u, u_c of the two steps,
-one cancellation-free formula everywhere.  See ``_alpha`` and ``_beta``.
+alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
+proton scale), where their defining differences cancel, so both are built from
+pieces that do not: alpha from one identity on each side of k = pi/2, beta as
+|u - u_c|^2 / 2 over the two rotation axes.  See ``_alpha`` and ``_beta``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ __all__ = [
 
 MU_CLAMP_TOL = 1e-9
 GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
+MONOTONE_REL_TOL = 1e-12  # slack of that grid check, relative to the endpoint values
 T_MIN_REL_TOL = 1e-9  # relative bracket width at which t_min_exact stops bisecting
 MC_BLOCK = 1024  # samples per Monte Carlo block: fixes the stream layout, bounds memory
 CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample state
@@ -88,7 +89,6 @@ class DiscriminationReport:
     hypotheses_ok: bool
     g: Optional[float] = None
     pe_lower: Optional[float] = None
-    t_min: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -166,41 +166,51 @@ def mu(k, m, t):
 
 # -- stable alpha and beta ------------------------------------------------
 
-def _alpha_small_m(k, m):
-    # valid for m << k: alpha = (m^2/2)(1/k - cot k) - (m^4/8)(1/k^3 + cos k (sin^2 - cos^2)/sin^3)
-    c, s = np.cos(k), np.sin(k)
-    second = (m * m / 2.0) * (1.0 / k - c / s)
-    fourth = -(m ** 4 / 8.0) * (1.0 / k ** 3 + c * (s * s - c * c) / s ** 3)
-    return second + fourth
-
-
-def _alpha(k, m):
-    """omega_cont - omega_latt, series-stabilized where subtraction cancels."""
-    k = np.abs(np.asarray(k, dtype=float))
-    lam = np.hypot(k, m)
-    rest = -(m ** 3 / 6.0) * (1.0 + 9.0 * m * m / 20.0) if m < 1e-5 else m - math.asin(m)  # m - arcsin m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        result = np.select(
-            [k == 0.0, lam < 1e-3, (m < 1e-3) & (k >= 100.0 * m)],
-            [
-                rest,
-                # jointly small: leading correction of the dispersion mismatch
-                lam * (m * m / 6.0) * (k * k - m * m) / (k * k + m * m),
-                _alpha_small_m(k, m),
-            ],
-            dirac_omega(k, m) - omega(k, m),
-        )
-    return result if result.ndim else float(result)
-
-
 # 1/19!, -1/17!, ..., 1/3!: (k - sin k)/k^3 as a polynomial in k^2, highest power first
 _K_MINUS_SIN_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(8, -1, -1)]
+_PI_LOW = 1.2246467991473532e-16  # pi - math.pi: the part of pi that math.pi drops
 
 
 def _k_minus_sin(k):
     """k - sin k to full relative precision: the series (Horner form) below |k| = 1."""
     k2 = k * k
     return np.where(np.abs(k) < 1.0, k * k2 * np.polyval(_K_MINUS_SIN_SERIES, k2), k - np.sin(k))
+
+
+def _one_minus_sinc(x):
+    """1 - sin(x)/x for x >= 0, with the value 0 at x = 0."""
+    return np.divide(_k_minus_sin(x), x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def _alpha(k, m):
+    """omega_cont - omega_latt = lambda - omega, one cancellation-free identity per half-zone.
+
+    Below k = pi/2: cos w - cos lambda = 2 sin((lambda + w)/2) sin(alpha/2) = (m^2/2) B,
+        B = (4 sin^2(k/2) - m^2/(1+n))/(1+n) - [s(e) + (1 - s(e)) s(h)],  s(x) = 1 - sin(x)/x,
+    with e = (lambda - k)/2 = m^2/(2(lambda + k)) and h = (lambda + k)/2, so h e = m^2/4.
+    From pi/2 on, with kappa = pi - k, alpha = (lambda - k) + (w(kappa) - kappa) adds the
+    nonnegative m^2/(lambda + k) and 2 asin(m^2 cos kappa / (2(1+n) sin((w(kappa) + kappa)/2))).
+    m = 0 gives alpha = 0 exactly.
+    """
+    k = np.abs(np.asarray(k, dtype=float))
+    m2 = m * m
+    if m2 == 0.0:
+        result = np.zeros_like(k)
+    else:
+        n1 = 1.0 + math.sqrt(1.0 - m2)
+        lam = dirac_omega(k, m)
+        s_e = _one_minus_sinc(m2 / (2.0 * (lam + k)))
+        s_h = _one_minus_sinc((lam + k) / 2.0)
+        b = (4.0 * np.sin(k / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
+        kappa = (math.pi - k) + _PI_LOW  # pi - k exactly, then rounded once
+        w_kappa = omega(kappa, m)
+        with np.errstate(divide="ignore", invalid="ignore"):  # each side is kept only on its own half
+            below = 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + omega(k, m)) / 2.0)))
+            above = m2 / (lam + k) + 2.0 * np.arcsin(
+                m2 * np.cos(kappa) / (2.0 * n1 * np.sin((w_kappa + kappa) / 2.0))
+            )
+        result = np.where(k < math.pi / 2.0, below, above)
+    return result if result.ndim else float(result)
 
 
 def _beta(k, m):
@@ -234,7 +244,8 @@ def alpha_beta(k: float, m: float) -> Tuple[float, float]:
     beta >= 0 always, and beta = 0 exactly at k = 0 or m = 0.  Note: the
     inequality cos(mu) >= cos(alpha t) - beta holds with this beta; a halved
     variant breaks the trace identity and the inequality with it.  A scalar
-    wrapper over the array forms ``_alpha`` and ``_beta``.
+    wrapper over the array forms ``_alpha`` (a half-angle identity below
+    k = pi/2, the sum (lambda - k) + (k - omega) from pi/2 on) and ``_beta``.
     """
     if not abs(k) <= math.pi:  # also rejects nan
         raise ValueError(f"momentum must be finite with |k| <= pi, got {k}")
@@ -247,30 +258,23 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     """max |alpha| and max |beta| over [0, k_bar], realized on {0, k_bar}.
 
     The endpoint property follows from alpha and beta being nondecreasing in
-    k on [0, pi); both facts are re-verified here on a ``GRID_POINTS`` grid
-    and a violation beyond 1e-10 raises :class:`MonotonicityError`.  (|alpha|
+    k on [0, pi); both facts are re-verified here on a ``GRID_POINTS`` grid,
+    and a violation beyond ``MONOTONE_REL_TOL`` times the endpoint scale
+    (max |alpha| and beta(k_bar)) raises :class:`MonotonicityError`.  (|alpha|
     itself is not monotone: alpha starts negative at k = 0 and crosses zero,
     but a monotone function still attains its extreme modulus at an endpoint.)
     """
     if not (0.0 <= k_bar < math.pi):
         raise ValueError("momentum cap must lie in [0, pi)")
-    alpha_0, beta_0 = _alpha(0.0, m), 0.0
-    alpha_end, beta_end = _alpha(k_bar, m), _beta(k_bar, m)
-    if k_bar > 0.0 and m > 0.0:
-        ks = np.linspace(0.0, k_bar, GRID_POINTS)
-        alphas = _alpha(ks, m)
-        betas = _beta(ks, m)
-        if np.any(np.diff(alphas) < -1e-10) or np.any(np.diff(betas) < -1e-10):
-            raise MonotonicityError(
-                f"alpha/beta monotonicity violated on [0, {k_bar}] at m = {m}"
-            )
-        grid_alpha = float(np.max(np.abs(alphas)))
-        grid_beta = float(np.max(np.abs(betas)))
-        if grid_alpha > max(abs(alpha_0), abs(alpha_end)) + 1e-10 or grid_beta > max(
-            beta_0, beta_end
-        ) + 1e-10:
-            raise MonotonicityError("interior grid maximum exceeded the endpoint values")
-    return max(abs(alpha_0), abs(alpha_end)), max(beta_0, beta_end)
+    ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
+    alphas, betas = _alpha(ks, m), _beta(ks, m)
+    alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
+    alpha_slack, beta_slack = MONOTONE_REL_TOL * alpha_bar, MONOTONE_REL_TOL * beta_bar
+    if np.any(np.diff(alphas) < -alpha_slack) or np.any(np.diff(betas) < -beta_slack):
+        raise MonotonicityError(f"alpha/beta monotonicity violated on [0, {k_bar}] at m = {m}")
+    if np.max(np.abs(alphas)) > alpha_bar + alpha_slack or np.max(betas) > beta_bar + beta_slack:
+        raise MonotonicityError("interior grid maximum exceeded the endpoint values")
+    return float(alpha_bar), float(beta_bar)
 
 
 def _time_cap(alpha_bar: float, beta_bar: float, n_bar: int) -> float:

@@ -11,7 +11,6 @@ from dirac_qca import (
     evolve_momentum,
     evolve_position,
     inverse_transform,
-    step,
     symmetry_check,
     transform,
     unitary_k,
@@ -74,14 +73,14 @@ class TestStep:
         L, x0 = 16, 5
         sites = np.zeros((L, 2), dtype=complex)
         sites[x0, 0] = 1.0
-        out = step(SpinorField(sites), AutomatonParams(0.0))
+        out = evolve_position(SpinorField(sites), AutomatonParams(0.0), 1)
         expected = np.zeros((L, 2), dtype=complex)
         expected[(x0 - 1) % L, 0] = 1.0
         assert np.array_equal(out.sites, expected)
 
     def test_planck_mass_mixes_sitewise(self):
         field = random_field(12, seed=3)
-        out = step(field, AutomatonParams(1.0))
+        out = evolve_position(field, AutomatonParams(1.0), 1)
         assert np.allclose(out.sites[:, 0], -1j * field.sites[:, 1], atol=0, rtol=0)
         assert np.allclose(out.sites[:, 1], -1j * field.sites[:, 0], atol=0, rtol=0)
 
@@ -90,10 +89,7 @@ class TestStep:
         L = 128
         sites = np.zeros((L, 2), dtype=complex)
         sites[30] = 1.0 / math.sqrt(2.0)
-        state = SpinorField(sites)
-        p = AutomatonParams(0.92)
-        for _ in range(10):
-            state = step(state, p)
+        state = evolve_position(SpinorField(sites), AutomatonParams(0.92), 10)
         outside = np.ones(L, dtype=bool)
         outside[20:41] = False
         assert np.all(state.sites[outside] == 0.0)
@@ -104,11 +100,6 @@ class TestEvolvePosition:
         field = random_field(32, seed=1)
         out = evolve_position(field, AutomatonParams(0.6), 0)
         assert np.array_equal(out.sites, field.sites)
-
-    def test_t1_matches_step(self):
-        field = random_field(32, seed=2)
-        p = AutomatonParams(0.47)
-        assert np.array_equal(evolve_position(field, p, 1).sites, step(field, p).sites)
 
     def test_rejects_negative_or_fractional_t(self):
         field = random_field(8)

@@ -151,6 +151,13 @@ class TestDiscriminateCommand:
         assert 1e3 <= results["t_min_seconds"] <= 1e4
         assert results["hypotheses_ok"] is True
 
+    def test_momentum_cap_next_to_the_zone_edge(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["discriminate", "--m", "1e-4", "--kbar", "3.14159", "--nbar", "1", "--t", "1", "--solve-tmin"]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        alpha_bar = load_json(out / "discriminate.json")["results"]["alpha_bar"]
+        assert alpha_bar == pytest.approx(9.738320342213932e-05, rel=1e-15, abs=0)  # 250-digit mpmath
+
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run(["discriminate", "--kbar", "0.5", "--out-dir", str(tmp_path / "o")]) == 1
         assert "--m" in json.loads(capsys.readouterr().out)["error"]["message"]

@@ -28,15 +28,15 @@ from dirac_qca import (
 )
 from dirac_qca import discrimination
 from dirac_qca.discrimination import MC_BLOCK, _pairwise_trace_distance
-from dirac_qca.errors import BoundViolationError, UnitarityLossError
+from dirac_qca.errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
 # frozen mpmath references (60-digit arithmetic, evaluated at the exact
-# float64 representations of the inputs)
+# float64 representations of the inputs; ALPHA_PROTON at 250 digits)
 ALPHA_05_06 = -0.011476696887052928
 BETA_05_06 = 0.007923564932435428
 ALPHA_08_03 = 0.010583607770434625
 BETA_08_03 = 0.0014788196457598798
-ALPHA_PROTON = 1.6666661368997259e-47  # k = 1e-8, m = 1e-19
+ALPHA_PROTON = 1.6666666666666665e-47  # k = 1e-8, m = 1e-19
 
 
 class TestUnitaryPair:
@@ -165,15 +165,12 @@ class TestAlphaBeta:
 
     def test_series_regime_against_mpmath(self):
         a, b = alpha_beta(1e-8, 1e-19)
-        assert a == pytest.approx(ALPHA_PROTON, rel=1e-5)
-        assert b == pytest.approx(1.3888898e-56, rel=1e-4)
+        assert a == pytest.approx(ALPHA_PROTON, rel=1e-5, abs=0)
+        assert b == pytest.approx(1.3888898e-56, rel=1e-4, abs=0)
 
-    def test_series_and_direct_branches_agree_at_crossover(self):
-        # the direct subtraction is still accurate where the series takes over
-        for k, m in ((0.5, 1.1e-3), (0.5, 0.9e-3), (2.9e-3, 1e-5), (1.2e-3, 1e-6)):
-            a_direct = math.hypot(k, m) - omega(k, m)
-            a_impl, _ = alpha_beta(k, m)
-            assert a_impl == pytest.approx(a_direct, rel=2e-7)
+    def test_alpha_at_the_zone_edge(self):
+        # 250-digit mpmath value; a series in 1/sin k would blow up here
+        assert alpha_beta(math.pi, 1e-4)[0] == pytest.approx(1.0000159171597473e-4, rel=1e-14, abs=0)
 
     def test_beta_nonnegative(self):
         for k in np.linspace(0.0, 3.0, 31):
@@ -262,6 +259,22 @@ class TestExtremal:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             extremal_alpha_beta(np.pi, 0.5)
+
+    def test_relative_dip_in_tiny_alpha_is_caught(self, monkeypatch):
+        # at proton scale alpha ~ 1e-47: the slack must scale with the endpoint values
+        exact = discrimination._alpha
+
+        def dipped(k, m):
+            a = exact(k, m)
+            if np.ndim(a):
+                a = a.copy()
+                a[100] = a[99] - 1e-11 * np.max(np.abs(a))
+            return a
+
+        extremal_alpha_beta(1e-8, 1e-19)
+        monkeypatch.setattr(discrimination, "_alpha", dipped)
+        with pytest.raises(MonotonicityError):
+            extremal_alpha_beta(1e-8, 1e-19)
 
 
 class TestPeLowerBound:

@@ -2,8 +2,8 @@
 
 The package never imports mpmath; this module keeps the frozen literals in
 the other test files honest by rebuilding them from scratch at runtime, and
-checks alpha and beta against their defining formulas across every regime
-boundary of the float implementation.
+checks alpha and beta against their defining formulas across the Brillouin
+half-zone, next to k = pi/2 and k = pi, and around alpha's sign change.
 """
 
 import math
@@ -33,6 +33,12 @@ def mp_alpha(k, m):
     with mp.workdps(MISMATCH_DPS):
         k, m = mp.mpf(k), mp.mpf(m)
         return +(mp.sqrt(k * k + m * m) - mp_omega(k, m))
+
+
+def mp_alpha_root(m):
+    """The k > 0 where alpha changes sign (k ~ m for small m)."""
+    with mp.workdps(MISMATCH_DPS):
+        return float(mp.findroot(lambda k: mp_alpha(k, m), 1.2 * mp.mpf(m)))
 
 
 def mp_beta(k, m):
@@ -68,7 +74,7 @@ class TestFrozenConstants:
 
     def test_proton_scale_alpha(self):
         live = float(mp_alpha(1e-8, 1e-19))
-        assert td.ALPHA_PROTON == pytest.approx(live, rel=1e-12)
+        assert td.ALPHA_PROTON == pytest.approx(live, rel=1e-12, abs=0)
 
     def test_drift_diffusion_against_mp_derivatives(self):
         k0 = 3 * np.pi / 10
@@ -78,12 +84,12 @@ class TestFrozenConstants:
         assert w3 == pytest.approx(float(mp.diff(lambda k: mp_omega(k, "0.6"), k0, 3)), rel=1e-8)
 
     def test_small_regime_branches_against_mp(self):
-        # the series branches of alpha and beta, checked where cancellation
-        # makes direct float subtraction meaningless
+        # alpha and beta where cancellation makes direct float subtraction
+        # meaningless
         for k, m in [(1e-8, 1e-19), (1e-4, 1e-6), (0.5, 1e-4), (2.0, 1e-5)]:
             a, b = alpha_beta(k, m)
-            assert a == pytest.approx(float(mp_alpha(k, m)), rel=1e-5)
-            assert b == pytest.approx(float(mp_beta(k, m)), rel=1e-4)
+            assert a == pytest.approx(float(mp_alpha(k, m)), rel=1e-5, abs=0)
+            assert b == pytest.approx(float(mp_beta(k, m)), rel=1e-4, abs=0)
 
     def test_arcsin_gap_identity(self):
         # alpha(0, m) = m - arcsin(m); pins the criterion-4 analysis numbers
@@ -102,33 +108,62 @@ def _sides(x):
     return (float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf)))
 
 
+# alpha changes sign at k ~ m, so its error is measured against
+# max(|alpha|, m^2 lambda / 6), the size of its terms there
+ALPHA_TOL = 1e-14
+ORACLE_MASSES = (1e-19, 1e-6, 1e-3, 0.3, 1.0)
+
+
+def _alpha_error(k, m):
+    reference = float(mp_alpha(k, m))
+    return abs(alpha_beta(k, m)[0] - reference) / max(abs(reference), m * m * math.hypot(k, m) / 6.0)
+
+
+def _sweep_points():
+    """2000 log-uniform points in k in [1e-9, pi], m in [1e-19, 1], plus edges."""
+    rng = np.random.default_rng(20121)
+    ks = np.exp(rng.uniform(math.log(1e-9), math.log(math.pi), 2000))
+    ms = np.exp(rng.uniform(math.log(1e-19), 0.0, 2000))
+    points = [(float(k), float(m)) for k, m in zip(ks, ms)] + [(math.pi, 1.0), (math.pi, 1e-19), (1e-9, 1.0)]
+    for edge in (1e-3, 1.0):  # where a series for k - sin k may hand over to the subtraction
+        points += [(k, m) for k in _sides(edge) for m in (1e-19, 1e-3, 0.5, 1.0)]
+    return points
+
+
 class TestAlphaBetaOracles:
-    """alpha and beta against 250-digit mpmath across every regime boundary."""
+    """alpha and beta against 250-digit mpmath."""
 
     def test_beta_full_precision_everywhere(self):
-        rng = np.random.default_rng(20121)
-        ks = np.exp(rng.uniform(math.log(1e-9), math.log(math.pi), 2000))
-        ms = np.exp(rng.uniform(math.log(1e-19), 0.0, 2000))
-        points = list(zip(ks, ms)) + [(math.pi, 1.0), (math.pi, 1e-19), (1e-9, 1.0)]
-        for edge in (1e-3, 1.0):  # where a series for k - sin k may hand over to the subtraction
-            points += [(k, m) for k in _sides(edge) for m in (1e-19, 1e-3, 0.5, 1.0)]
-        worst = max(_rel(alpha_beta(float(k), float(m))[1], mp_beta(k, m)) for k, m in points)
+        worst = max(_rel(alpha_beta(k, m)[1], mp_beta(k, m)) for k, m in _sweep_points())
         assert worst <= 1e-14
 
-    # (regime, k, m, envelope): both sides of each switch of _alpha.  The
-    # envelopes pin the accuracy as it stands, not the float limit: the joint
-    # series stops at relative order lambda^2, and just past the m = 1e-5
-    # (k = 0) and k = 100 m switches the subtraction still cancels most digits.
+    def test_alpha_full_precision_everywhere(self):
+        assert max(_alpha_error(k, m) for k, m in _sweep_points()) <= ALPHA_TOL
+
+    @pytest.mark.parametrize("m", ORACLE_MASSES)
+    def test_alpha_next_to_pi_half_and_pi(self, m):
+        ks = [math.pi / 2.0 + s * d for d in (1e-12, 1e-9, 1e-3) for s in (-1.0, 1.0)]
+        ks += [math.pi - d for d in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)]
+        assert max(_alpha_error(k, m) for k in ks) <= ALPHA_TOL
+
+    @pytest.mark.parametrize("m", ORACLE_MASSES)
+    def test_alpha_around_its_sign_change(self, m):
+        root = mp_alpha_root(m)
+        ks = list(_sides(root)) + [root * (1.0 + s * f) for f in (1e-12, 1e-9, 1e-6, 1e-3) for s in (-1.0, 1.0)]
+        assert max(_alpha_error(k, m) for k in ks) <= ALPHA_TOL
+
+    # (label, k, m, envelope): both sides of k = 0 at m = 1e-5, of lambda =
+    # 1e-3, of m = 1e-3 and of k = 100 m, all held to the oracle bound
     ALPHA_SWITCHES = (
-        [("rest", 0.0, m, 4e-6) for m in _sides(1e-5) + (0.9e-5, 1.1e-5)]
+        [("rest", 0.0, m, ALPHA_TOL) for m in _sides(1e-5) + (0.9e-5, 1.1e-5)]
         + [
-            ("joint", r * s / math.hypot(r, 1.0) * 1e-3, s / math.hypot(r, 1.0) * 1e-3, 5e-7)
+            ("joint", r * s / math.hypot(r, 1.0) * 1e-3, s / math.hypot(r, 1.0) * 1e-3, ALPHA_TOL)
             for r in (1e3, 3.0, 1.0 / 3.0)
             for s in (0.999, 1.0, 1.001)
         ]
-        + [("small-m", k, m, 1e-9) for k in (0.05, 0.5, 2.0) for m in _sides(1e-3) + (0.99e-3, 1.01e-3)]
+        + [("small-m", k, m, ALPHA_TOL) for k in (0.05, 0.5, 2.0) for m in _sides(1e-3) + (0.99e-3, 1.01e-3)]
         + [
-            ("k=100m", k, m, 1.5e-5)
+            ("k=100m", k, m, ALPHA_TOL)
             for m in (1e-5, 1e-4, 5e-4, 9e-4)
             for k in _sides(100.0 * m) + (99.0 * m, 101.0 * m)
         ]
@@ -136,14 +171,14 @@ class TestAlphaBetaOracles:
 
     @pytest.mark.parametrize("regime,k,m,envelope", ALPHA_SWITCHES)
     def test_alpha_on_both_sides_of_each_switch(self, regime, k, m, envelope):
-        assert _rel(alpha_beta(k, m)[0], mp_alpha(k, m)) <= envelope
+        assert _alpha_error(k, m) <= envelope
 
     @pytest.mark.parametrize(
         "m,ks",
         [
-            (1e-6, np.concatenate([[0.0], np.geomspace(1e-9, 9e-4, 40)])),  # rest + joint
-            (1e-4, np.geomspace(1e-2, 3.1, 40)),  # small-m series
-            (0.3, np.linspace(0.0, math.pi, 41)),  # direct, with beta's k - sin k switch
+            (1e-6, np.concatenate([[0.0], np.geomspace(1e-9, 9e-4, 40)])),  # through alpha's sign change
+            (1e-4, np.geomspace(1e-2, 3.1, 40)),  # across k = pi/2
+            (0.3, np.linspace(0.0, math.pi, 41)),  # k = pi/2 exactly, and beta's k - sin k switch
             (1.0, np.geomspace(1e-9, math.pi, 41)),
         ],
     )
