@@ -135,18 +135,33 @@ def unitary_k(params: AutomatonParams, k) -> np.ndarray:
 
 
 def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> SpinorField:
-    """t steps of the sitewise update on the ring (t a nonnegative integer)."""
+    """t steps of the sitewise update on the ring (t a nonnegative integer).
+
+    The step is a stencil on five buffers allocated before the loop: the
+    shifts are slice copies, and the arithmetic runs in place with the same
+    ufunc calls, in the same order, as ``n * roll(psi_r, -1) - 1j * m * psi_l``
+    and ``-1j * m * psi_r + n * roll(psi_l, 1)``, so every amplitude is
+    bit-identical to that form.  Stepping on from an evolved state is
+    bit-identical to evolving from the start.
+    """
     if t != int(t) or t < 0:
         raise ValueError(f"position-space evolution needs a nonnegative integer time, got {t}")
     n, m = params.n, params.m
+    mix_r, mix_l = 1j * m, -1j * m  # the two scalars of the expressions above
     psi_r, psi_l = field.sites[:, 0].copy(), field.sites[:, 1].copy()
+    next_r, next_l, mixed = np.empty_like(psi_r), np.empty_like(psi_l), np.empty_like(psi_r)
     for _ in range(int(t)):
-        psi_r, psi_l = (
-            n * np.roll(psi_r, -1) - 1j * m * psi_l,
-            -1j * m * psi_r + n * np.roll(psi_l, 1),
-        )
-    out = np.stack([psi_r, psi_l], axis=1)
-    return SpinorField(out)
+        next_r[:-1], next_r[-1] = psi_r[1:], psi_r[0]  # roll(psi_r, -1)
+        np.multiply(n, next_r, out=next_r)
+        np.multiply(mix_r, psi_l, out=mixed)
+        np.subtract(next_r, mixed, out=next_r)
+        next_l[1:], next_l[0] = psi_l[:-1], psi_l[-1]  # roll(psi_l, 1)
+        np.multiply(n, next_l, out=next_l)
+        np.multiply(mix_l, psi_r, out=mixed)
+        np.add(mixed, next_l, out=next_l)
+        psi_r, next_r, psi_l, next_l = next_r, psi_r, next_l, psi_l
+    del next_r, next_l, mixed  # free the buffers before the output is stacked
+    return SpinorField(np.stack([psi_r, psi_l], axis=1))
 
 
 def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> ModeSpectrum:

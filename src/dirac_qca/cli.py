@@ -32,6 +32,7 @@ from .constants import PLANCK_TIME_SECONDS
 from .errors import NumericalInvariantError
 
 SCHEMA_VERSION = 1
+NORM_TOL = 1e-12  # largest |norm - 1| an evolved state may show
 
 
 class ConfigError(ValueError):
@@ -227,15 +228,10 @@ def _write_json(path: str, payload: dict):
     _write_text(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _fmt_number(x) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: str, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_number(cell) for cell in row))
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header, columns):
+    """One row per entry of the equal-length ``columns``, each float as its shortest repr."""
+    cells = [map(repr, np.asarray(column, dtype=float).tolist()) for column in columns]
+    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
 # -- subcommand runners ----------------------------------------------------
@@ -260,8 +256,8 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
         if cone.any() and not any("derivative" in w for w in warnings):
             warnings.append("derivatives are undefined at k = 0 for m = 0; affected rows carry nan")
         path = os.path.join(out_dir, f"dispersion_m{m:g}.csv")
-        rows = zip(ks, w, dispersion.dirac_omega(ks, m), *derivs)
-        _write_csv(path, ["k", "omega", "omega_dirac", "v", "D", "omega3"], rows)
+        columns = [ks, w, dispersion.dirac_omega(ks, m), *derivs]
+        _write_csv(path, ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
         files.append(os.path.basename(path))
         if params["svg"]:
             curves.append((f"m={m:g}", list(ks), list(w)))
@@ -324,35 +320,49 @@ def _times(params: dict) -> list:
 
 
 def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
+    """Densities and summaries per requested time, in the requested order.
+
+    Each distinct time is evolved once, in increasing order.  A localized
+    state steps on from the previous time (bit-identical to restarting from
+    t = 0), so the run costs ``max(times)`` steps.
+    """
     preset, auto, field, spectrum, spec = _build_state(params)
     times = _times(params)
     _wraparound_warning(preset, times, warnings)
     localized = spec is None
     if localized and any(t != int(t) for t in times):
         raise ConfigError("localized states evolve in position space: times must be integers")
-    files = []
-    summaries = []
-    curves = []
+    summaries = [None] * len(times)
+    curves = [None] * len(times)
+    written = set()
     x = np.arange(preset["L"])
-    for t in times:
-        fid = None
-        if localized:
-            state = evolve_position(field, auto, int(t))
-        else:
-            evolved = evolve_momentum(spectrum, auto, t)
-            state = inverse_transform(evolved)
-            fid = approx.fidelity(evolved, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
-            del evolved  # not needed while the CSV rows are built
-        density = state.density()
-        path = os.path.join(out_dir, f"evolve_t{t:g}.csv")
-        _write_csv(path, ["x", "density"], list(zip(x, density)))
-        files.append(os.path.basename(path))
-        mean_x, var_x = wavepacket.position_moments(state)
-        summaries.append(
-            {"t": t, "norm": state.norm(), "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
-        )
+    previous, elapsed = None, 0
+    for i in sorted(range(len(times)), key=times.__getitem__):
+        t = times[i]
+        if t != previous:
+            fid = None
+            if localized:
+                state = field = evolve_position(field, auto, int(t) - elapsed)
+                elapsed = int(t)
+            else:
+                evolved = evolve_momentum(spectrum, auto, t)
+                state = inverse_transform(evolved)
+                fid = approx.fidelity(evolved, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
+                del evolved  # not needed while the CSV is built
+            norm = state.norm()
+            if not abs(norm - 1.0) <= NORM_TOL:
+                raise NumericalInvariantError(f"norm {norm!r} at t = {t:g} is more than {NORM_TOL:g} from 1")
+            density = state.density()
+            mean_x, var_x = wavepacket.position_moments(state)
+            previous = t
+        name = f"evolve_t{t:g}.csv"
+        if name not in written:
+            _write_csv(os.path.join(out_dir, name), ["x", "density"], (x, density))
+            written.add(name)
+        summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
         if params["svg"]:
-            curves.append((f"t={t:g}", list(map(float, x)), list(map(float, density))))
+            curves[i] = (f"t={t:g}", list(map(float, x)), list(map(float, density)))
+    files = [f"evolve_t{t:g}.csv" for t in times]
     if params["svg"]:
         path = os.path.join(out_dir, "evolve.svg")
         svgplot.write_plot(path, curves, title="probability density", xlabel="x", ylabel="density")
@@ -375,7 +385,7 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
         bound = approx.accuracy_bound(spectrum, auto, spec.k0, sigma, t)
         rows.append((t, fid, bound.bound, bound.epsilon, bound.gamma, sigma))
     path = os.path.join(out_dir, "compare.csv")
-    _write_csv(path, ["t", "fidelity", "bound", "epsilon", "gamma", "sigma"], rows)
+    _write_csv(path, ["t", "fidelity", "bound", "epsilon", "gamma", "sigma"], list(zip(*rows)))
     files = [os.path.basename(path)]
     if params["svg"]:
         svg_path = os.path.join(out_dir, "compare.svg")

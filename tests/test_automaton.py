@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dirac_qca import (
     evolve_momentum,
     evolve_position,
     inverse_transform,
+    localized,
     symmetry_check,
     transform,
     unitary_k,
@@ -18,6 +20,22 @@ from dirac_qca import (
 
 # frozen oracle: 2 * 0.8 * cos(3*pi/10) to 20 digits via mpmath
 TRACE_AT_FIG4_POINT = 0.94045640366795700667
+
+
+def roll_steps(field, params, t):
+    """Oracle: t steps of the update written with np.roll, one new array per term."""
+    n, m = params.n, params.m
+    psi_r, psi_l = field.sites[:, 0].copy(), field.sites[:, 1].copy()
+    for _ in range(t):
+        psi_r, psi_l = (
+            n * np.roll(psi_r, -1) - 1j * m * psi_l,
+            -1j * m * psi_r + n * np.roll(psi_l, 1),
+        )
+    return np.stack([psi_r, psi_l], axis=1)
+
+
+def fig2_state():
+    return localized(30, np.array([1.0, 1.0]) / math.sqrt(2.0), 128), AutomatonParams(0.92)
 
 
 def random_field(L, seed=0):
@@ -135,6 +153,43 @@ class TestEvolvePosition:
         allowed = {(20 + d) % L for d in range(-t, t + 1)}
         outside = np.array([x not in allowed for x in range(L)])
         assert np.all(out.sites[outside] == 0.0)
+
+
+class TestStencil:
+    @pytest.mark.parametrize("t", [1, 60, 2500])
+    def test_matches_roll_oracle_bit_for_bit(self, t):
+        field, params = fig2_state()
+        assert np.array_equal(evolve_position(field, params, t).sites, roll_steps(field, params, t))
+
+    @pytest.mark.parametrize("m", [0.0, 0.37, 1.0])
+    def test_matches_roll_oracle_on_random_fields(self, m):
+        for L in (2, 3, 33):
+            field = random_field(L, seed=L)
+            expected = roll_steps(field, AutomatonParams(m), 17)
+            # tobytes also compares the signs of zeros
+            assert evolve_position(field, AutomatonParams(m), 17).sites.tobytes() == expected.tobytes()
+
+    def test_stepping_on_equals_restarting(self):
+        field, params = fig2_state()
+        state = field
+        for _ in range(4):
+            state = evolve_position(state, params, 2500)
+        assert np.array_equal(state.sites, evolve_position(field, params, 10_000).sites)
+
+    def test_loop_allocates_nothing_per_step(self):
+        L = 4096
+        field, params = random_field(L, seed=5), AutomatonParams(0.6)
+        peaks = []
+        for t in (10, 2000):
+            tracemalloc.start()
+            try:
+                evolve_position(field, params, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.25 * min(peaks)
+        # two state columns, two next-step columns and one product buffer
+        assert max(peaks) < 5.5 * L * np.dtype(complex).itemsize
 
 
 class TestEvolveMomentum:

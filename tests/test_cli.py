@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac_qca import cli, derivatives, dirac_omega, dispersion, omega
+from dirac_qca import SpinorField, cli, derivatives, dirac_omega, dispersion, omega
 
 
 def run(argv):
@@ -98,6 +98,46 @@ class TestEvolveCommand:
         monkeypatch.setattr(cli, "evolve_momentum", counted)
         assert run(["evolve", "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 0
         assert calls == [0.0, 100.0]
+
+    def test_unsorted_and_repeated_times_match_single_time_runs(self, tmp_path):
+        times = [7500.0, 0.0, 2500.0, 2500.0, 10000.0, 1.0]
+        out = tmp_path / "mixed"
+        assert run(["evolve", "--preset", "fig2", "--times", "7500,0,2500,2500,10000,1", "--out-dir", str(out)]) == 0
+        results = load_json(out / "evolve.json")["results"]
+        assert [s["t"] for s in results["summaries"]] == times
+        assert results["files"] == [f"evolve_t{t:g}.csv" for t in times]
+        for t in sorted(set(times)):
+            single = tmp_path / f"t{t:g}"
+            assert run(["evolve", "--preset", "fig2", "--times", f"{t:g}", "--out-dir", str(single)]) == 0
+            name = f"evolve_t{t:g}.csv"
+            assert (out / name).read_bytes() == (single / name).read_bytes()
+            (summary,) = load_json(single / "evolve.json")["results"]["summaries"]
+            assert all(s == summary for s in results["summaries"] if s["t"] == t)
+
+    def test_localized_run_costs_max_time_steps(self, tmp_path, monkeypatch):
+        steps = []
+        original = cli.evolve_position
+
+        def counted(field, params, t):
+            steps.append(t)
+            return original(field, params, t)
+
+        monkeypatch.setattr(cli, "evolve_position", counted)
+        assert run(["evolve", "--preset", "fig2", "--times", "60,0,15,15,45", "--out-dir", str(tmp_path / "o")]) == 0
+        assert steps == [0, 15, 30, 15]
+
+    @pytest.mark.parametrize("preset, norm", [("fig2", 1.0 + 2e-12), ("fig4", 1.0 - 2e-12), ("fig2", math.nan)])
+    def test_norm_drift_is_exit_2(self, tmp_path, capsys, monkeypatch, preset, norm):
+        # fig2 takes the position path, fig4 the momentum path
+        monkeypatch.setattr(SpinorField, "norm", lambda self: norm)
+        assert run(["evolve", "--preset", preset, "--times", "0,30", "--out-dir", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "numerical-invariant"
+        assert "norm" in record["error"]["message"]
+
+    def test_norm_within_tolerance_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(SpinorField, "norm", lambda self: 1.0 - 0.9e-12)
+        assert run(["evolve", "--preset", "fig2", "--times", "0,30", "--out-dir", str(tmp_path / "o")]) == 0
 
     def test_wraparound_warning_fires(self, tmp_path):
         out = tmp_path / "o"

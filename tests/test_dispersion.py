@@ -72,7 +72,7 @@ class TestOmega:
 
     def test_deep_subplanckian_keeps_relative_precision(self):
         # naive arccos would return exactly 0 here
-        assert omega(1e-8, 1e-19) == pytest.approx(1e-8, rel=1e-12)
+        assert omega(1e-8, 1e-19) == pytest.approx(1e-8, rel=1e-12, abs=0)
 
     def test_sin_omega_identity(self):
         for m in (0.0, 0.2, 0.81, 1.0):
@@ -101,7 +101,7 @@ class TestDiracOmega:
     def test_examples(self):
         assert dirac_omega(0.0, 0.37) == 0.37
         assert dirac_omega(-1.2, 0.0) == 1.2
-        assert dirac_omega(3e-8, 4e-8) == pytest.approx(5e-8, rel=1e-15)
+        assert dirac_omega(3e-8, 4e-8) == pytest.approx(5e-8, rel=1e-15, abs=0)
 
 
 class TestDerivatives:
