@@ -18,6 +18,7 @@ byte-identical files: nothing here reads the clock or ambient state.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from .errors import NumericalInvariantError
 
 SCHEMA_VERSION = 1
 NORM_TOL = 1e-12  # largest |norm - 1| an evolved state may show
+FIDELITY_TOL = 1e-12  # largest excess over 1 a fidelity may show
 
 
 class ConfigError(ValueError):
@@ -135,7 +137,14 @@ OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use.
+
+    ``main`` reuses it on every call, so it must hold no per-call state:
+    every flag defaults to None (``_resolve_params`` fills the defaults),
+    each ``parse_args`` returns a fresh namespace, and errors raise.
+    """
     parser = _Parser(prog="dirac-qca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in OPTIONS.items():
@@ -260,7 +269,7 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
         _write_csv(path, ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
         files.append(os.path.basename(path))
         if params["svg"]:
-            curves.append((f"m={m:g}", list(ks), list(w)))
+            curves.append((f"m={m:g}", ks, w))
     if params["svg"]:
         path = os.path.join(out_dir, "dispersion.svg")
         svgplot.write_plot(path, curves, title="dispersion", xlabel="k", ylabel="omega")
@@ -316,7 +325,13 @@ def _times(params: dict) -> list:
     times = params["times"]
     if not times or not all(0.0 <= t < math.inf for t in times):
         raise ConfigError(f"times must be a nonempty list of finite nonnegative numbers, got {times}")
-    return times
+    return [t + 0.0 for t in times]  # -0.0 + 0.0 is 0.0: one time, one file name
+
+
+def _checked_fidelity(fid: float, t: float) -> float:
+    if not 0.0 <= fid <= 1.0 + FIDELITY_TOL:
+        raise NumericalInvariantError(f"fidelity {fid!r} at t = {t:g} is outside [0, 1 + {FIDELITY_TOL:g}]")
+    return fid
 
 
 def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
@@ -348,6 +363,7 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
                 evolved = evolve_momentum(spectrum, auto, t)
                 state = inverse_transform(evolved)
                 fid = approx.fidelity(evolved, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
+                fid = _checked_fidelity(fid, t)
                 del evolved  # not needed while the CSV is built
             norm = state.norm()
             if not abs(norm - 1.0) <= NORM_TOL:
@@ -361,7 +377,7 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
             written.add(name)
         summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
         if params["svg"]:
-            curves[i] = (f"t={t:g}", list(map(float, x)), list(map(float, density)))
+            curves[i] = (f"t={t:g}", x, density)
     files = [f"evolve_t{t:g}.csv" for t in times]
     if params["svg"]:
         path = os.path.join(out_dir, "evolve.svg")
@@ -381,7 +397,7 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
     for t in times:
         exact = evolve_momentum(spectrum, auto, t)
         approximate = approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t)
-        fid = approx.fidelity(exact, approximate)
+        fid = _checked_fidelity(approx.fidelity(exact, approximate), t)
         bound = approx.accuracy_bound(spectrum, auto, spec.k0, sigma, t)
         rows.append((t, fid, bound.bound, bound.epsilon, bound.gamma, sigma))
     path = os.path.join(out_dir, "compare.csv")

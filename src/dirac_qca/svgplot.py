@@ -1,10 +1,12 @@
-"""Tiny SVG line-plot emitter: polylines, axes, ticks, legend. No dependencies."""
+"""Tiny SVG line-plot emitter: polylines, axes, ticks, legend. Needs only numpy."""
 
 from __future__ import annotations
 
 import math
 import os
 import tempfile
+
+import numpy as np
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -35,13 +37,19 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
-    """Write one SVG file with the given curves [(label, xs, ys), ...]."""
-    xs_all = [x for _, xs, _ in curves for x in xs]
-    ys_all = [y for _, _, ys in curves for y in ys if math.isfinite(y)]
-    if not xs_all or not ys_all:
+    """Write one SVG file with the given curves [(label, xs, ys), ...].
+
+    ``xs`` and ``ys`` are equal-length sequences or arrays of numbers; points
+    whose y is not finite are left out of the polyline and of the y range.
+    """
+    curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for label, xs, ys in curves]
+    xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in curves)])
+    ys_all = np.concatenate([np.empty(0), *(ys for _, _, ys in curves)])
+    ys_all = ys_all[np.isfinite(ys_all)]
+    if not xs_all.size or not ys_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -49,6 +57,7 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    # applied to scalars (ticks) and to whole arrays (polylines): the same IEEE operations either way
     def sx(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
 
@@ -88,9 +97,8 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
 
     for i, (label, xs, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(y)
-        )
+        finite = np.isfinite(ys)
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(xs[finite]).tolist(), sy(ys[finite]).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = MARGIN_T + 16 * (i + 1)
         lx = WIDTH - MARGIN_R - 150

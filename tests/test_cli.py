@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from dirac_qca import SpinorField, cli, derivatives, dirac_omega, dispersion, omega
+from dirac_qca import SpinorField, approx, cli, derivatives, dirac_omega, dispersion, omega
 
 
 def run(argv):
@@ -139,6 +142,14 @@ class TestEvolveCommand:
         monkeypatch.setattr(SpinorField, "norm", lambda self: 1.0 - 0.9e-12)
         assert run(["evolve", "--preset", "fig2", "--times", "0,30", "--out-dir", str(tmp_path / "o")]) == 0
 
+    def test_negative_zero_time_is_time_zero(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["evolve", "--preset", "fig2", "--times=-0,0", "--out-dir", str(out)]) == 0
+        assert [p.name for p in out.glob("*.csv")] == ["evolve_t0.csv"]
+        results = load_json(out / "evolve.json")["results"]
+        assert results["files"] == ["evolve_t0.csv", "evolve_t0.csv"]
+        assert [math.copysign(1.0, s["t"]) for s in results["summaries"]] == [1.0, 1.0]
+
     def test_wraparound_warning_fires(self, tmp_path):
         out = tmp_path / "o"
         assert run(["evolve", "--preset", "fig4", "--times", "0,600", "--out-dir", str(out)]) == 0
@@ -177,6 +188,22 @@ class TestCompareCommand:
     def test_rejects_localized_preset(self, tmp_path, capsys):
         assert run(["compare", "--preset", "fig2", "--out-dir", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+
+
+class TestFidelityPostcondition:
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    @pytest.mark.parametrize("fid", [1.0 + 2e-12, math.nan, -1e-300])
+    def test_fidelity_out_of_range_is_exit_2(self, tmp_path, capsys, monkeypatch, command, fid):
+        monkeypatch.setattr(approx, "fidelity", lambda a, b: fid)
+        assert run([command, "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "numerical-invariant"
+        assert "fidelity" in record["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["evolve", "compare"])
+    def test_fidelity_within_tolerance_passes(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(approx, "fidelity", lambda a, b: 1.0 + 0.9e-12)
+        assert run([command, "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 0
 
 
 class TestDiscriminateCommand:
@@ -312,3 +339,49 @@ class TestConfigHandling:
         assert run(["discriminate", "--m", "0", "--kbar", "0.5", "--out-dir", str(out)]) == 0
         payload = load_json(out / "discriminate.json")
         assert payload["results"]["f_limit"] == "inf"
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process: no call may see another call's flags."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flag_does_not_carry_over(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run(["evolve", "--preset", "fig4", "--svg", "--out-dir", str(first)]) == 0
+        assert (first / "evolve.svg").exists()
+        assert run(["evolve", "--preset", "fig4", "--out-dir", str(second)]) == 0
+        assert not (second / "evolve.svg").exists()
+        assert load_json(second / "evolve.json")["params"]["svg"] is False
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["evolve", "--preset", "fig2", "--svg", "--no-such-flag"],
+            ["evolve", "--svg", "--L", "64", "--times"],
+            ["no-such-command", "--svg"],
+        ],
+    )
+    def test_usage_error_leaves_no_trace(self, tmp_path, capsys, bad):
+        argv = ["evolve", "--preset", "fig4", "--times", "0,100"]
+        alone = tmp_path / "alone"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        subprocess.run([sys.executable, "-m", "dirac_qca.cli", *argv, "--out-dir", str(alone)], env=env, check=True)
+        assert run(bad) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+        after = tmp_path / "after"
+        assert run(argv + ["--out-dir", str(after)]) == 0
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == sorted(p.name for p in after.iterdir())
+        for name in names:
+            assert (after / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_config_does_not_carry_over(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("m = 0.3\nsamples = 8\nsvg = true\nseed = 9\n")
+        assert run(["dispersion", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 0
+        assert load_json(tmp_path / "a" / "dispersion.json")["params"]["samples"] == 8
+        assert run(["dispersion", "--out-dir", str(tmp_path / "b")]) == 0
+        params = load_json(tmp_path / "b" / "dispersion.json")["params"]
+        assert params == {"m": [0.6], "samples": 512, "preset": None, "svg": False, "seed": 0}
