@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -31,10 +30,13 @@ from . import approx, discrimination, dispersion, flytime, svgplot, wavepacket
 from .automaton import AutomatonParams, evolve_momentum, evolve_position, inverse_transform, symmetry_check, transform
 from .constants import PLANCK_TIME_SECONDS
 from .errors import NumericalInvariantError
+from .textfile import write_text
 
 SCHEMA_VERSION = 1
 NORM_TOL = 1e-12  # largest |norm - 1| an evolved state may show
 FIDELITY_TOL = 1e-12  # largest excess over 1 a fidelity may show
+CSV_CHUNK_ROWS = 8192  # a CSV table with more rows is formatted in chunks of this many on worker processes
+CSV_MAX_WORKERS = 8  # the chunk pool has one worker per usable CPU, at most this many
 
 
 class ConfigError(ValueError):
@@ -219,28 +221,70 @@ def _sanitize(obj):
     return obj
 
 
-def _write_text(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: str, payload: dict):
-    _write_text(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
+
+
+def _csv_rows(columns):
+    """The rows of the equal-length ``columns`` as text, each float as its shortest repr."""
+    cells = [map(repr, np.asarray(column, dtype=float).tolist()) for column in columns]
+    return map(",".join, zip(*cells))
+
+
+def _csv_chunk(columns) -> str:
+    """One chunk of rows, each ended by a newline; runs on a pool worker."""
+    return "\n".join(_csv_rows(columns)) + "\n"
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _csv_pool():
+    """The process pool that formats large CSV tables, built on first use.
+
+    Workers start with the "fork" method where the platform has it (Linux,
+    where it is Python 3.11's default), else with the platform's default.
+    Chunks travel to them pickled, so a worker relies on no state shared
+    with this process.  The pool lives until the process exits.
+    """
+    import multiprocessing  # kept off the CLI import path
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    workers = min(CSV_MAX_WORKERS, _usable_cpus())
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
 
 
 def _write_csv(path: str, header, columns):
-    """One row per entry of the equal-length ``columns``, each float as its shortest repr."""
-    cells = [map(repr, np.asarray(column, dtype=float).tolist()) for column in columns]
-    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+    """One row per entry of the equal-length ``columns``, each float as its shortest repr.
+
+    A table of more than ``CSV_CHUNK_ROWS`` rows, on a machine with at least
+    two usable CPUs, is formatted in row chunks on ``_csv_pool``; the chunks
+    are joined in row order, so the bytes are those of the serial path.  A
+    failed worker raises ``OSError`` before anything is written.
+    """
+    rows = min(map(len, columns), default=0)
+    if rows <= CSV_CHUNK_ROWS or _usable_cpus() < 2:
+        write_text(path, "\n".join([",".join(header), *_csv_rows(columns)]) + "\n")
+        return
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    chunks = [[column[i : i + CSV_CHUNK_ROWS] for column in columns] for i in range(0, rows, CSV_CHUNK_ROWS)]
+    pool = _csv_pool()
+    try:
+        parts = list(pool.map(_csv_chunk, chunks))
+    except Exception as exc:
+        from concurrent.futures import BrokenExecutor
+
+        if isinstance(exc, BrokenExecutor):  # a broken pool takes no more work: the next table builds a new one
+            pool.shutdown(wait=False)
+            _csv_pool.cache_clear()
+        raise OSError(f"formatting {path} on worker processes failed: {exc!r}") from exc
+    write_text(path, "".join([",".join(header) + "\n", *parts]))
 
 
 # -- subcommand runners ----------------------------------------------------

@@ -59,8 +59,9 @@ MU_CLAMP_TOL = 1e-9
 GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
 MONOTONE_REL_TOL = 1e-12  # slack of that grid check, relative to the endpoint values
 T_MIN_REL_TOL = 1e-9  # relative bracket width at which t_min_exact stops bisecting
-MC_BLOCK = 1024  # samples per Monte Carlo block: fixes the stream layout, bounds memory
+MC_BLOCK = 1024  # samples per Monte Carlo block at N_bar <= 20: fixes the stream layout, bounds memory
 CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample state
+MC_BLOCK_DRAWS = MC_BLOCK * CONFIGS_PER_STATE * 20  # particle draws per block: fewer samples for N_bar > 20
 
 
 @dataclass(frozen=True)
@@ -398,13 +399,16 @@ def validate_bound_montecarlo(
     eigenmodes with particle number uniform on {1..N_bar}, momenta uniform on
     [-k_bar, k_bar], branch signs uniform, and spherically drawn amplitudes.
 
-    Samples are drawn in blocks of ``MC_BLOCK``; block i draws from the i-th
-    child of numpy's ``SeedSequence(seed).spawn(n_blocks)``, so results
-    depend only on (seed, samples).  ``workers`` only sets parallelism: the
-    blocks run on min(workers, os.cpu_count(), n_blocks) threads (numpy
-    releases the GIL in its loops), two blocks per thread at a time, so
-    memory is bounded by workers x block whatever the sample count.  Block maxima are reduced in block order; the first block with a
-    sample exceeding the bound by more than 1e-9 raises
+    Samples are drawn in blocks of min(``MC_BLOCK``, ``MC_BLOCK_DRAWS`` //
+    (``CONFIGS_PER_STATE`` N_bar)) samples, at least one, so a block holds
+    at most ``MC_BLOCK_DRAWS`` particle draws whatever N_bar; block i draws
+    from the i-th child of numpy's ``SeedSequence(seed).spawn(n_blocks)``,
+    so results depend only on (seed, samples, N_bar).  ``workers`` only sets
+    parallelism: the blocks run on min(workers, os.cpu_count(), n_blocks)
+    threads (numpy releases the GIL in its loops), two blocks per thread at
+    a time, so memory is bounded by workers x block whatever the sample
+    count and N_bar.  Block maxima are reduced in block order; the first
+    block with a sample exceeding the bound by more than 1e-9 raises
     :class:`BoundViolationError` -- that would falsify the analytic cap.
     """
     if samples < 1:
@@ -418,13 +422,14 @@ def validate_bound_montecarlo(
 
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import path
 
-    n_blocks = -(-samples // MC_BLOCK)
+    block = min(MC_BLOCK, max(1, MC_BLOCK_DRAWS // (CONFIGS_PER_STATE * inp.N_bar)))
+    n_blocks = -(-samples // block)
     threads = min(workers, os.cpu_count() or 1, n_blocks)
 
     def run_block(i: int) -> float:
         # SeedSequence(seed, spawn_key=(i,)) is spawn(n_blocks)[i], built lazily
         stream = np.random.SeedSequence(seed, spawn_key=(i,))
-        count = min(MC_BLOCK, samples - i * MC_BLOCK)
+        count = min(block, samples - i * block)
         phases, probs = _draw_block(inp, count, stream)
         return float(_pairwise_trace_distance(phases, probs).max())
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 
 import numpy as np
+
+from .textfile import write_text
 
 WIDTH, HEIGHT = 960, 540
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -106,14 +106,4 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
         parts.append(f'<text x="{lx + 30}" y="{ly}">{label}</text>')
 
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_text(path, "\n".join(parts) + "\n")

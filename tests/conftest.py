@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac_qca import AutomatonParams, WavepacketSpec, build
+from dirac_qca import AutomatonParams, WavepacketSpec, build, cli
 
 FIG4_COEFFS = (
     math.sqrt(1 / 3), 0.0, math.sqrt(4 / 9), 0.0, 0.0, 0.0, 0.0, math.sqrt(2 / 9),
@@ -45,3 +45,17 @@ def build_fig4(L: int = FIG4_L):
 @pytest.fixture(scope="session")
 def fig4_state():
     return build_fig4()
+
+
+def shutdown_csv_pool():
+    """Stop the CSV formatting pool's workers and forget the pool, if one was built."""
+    if cli._csv_pool.cache_info().currsize:
+        cli._csv_pool().shutdown(wait=True)
+        cli._csv_pool.cache_clear()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_leftover_csv_workers():
+    # cli keeps its pool for the life of the process; a test run leaves no workers behind
+    yield
+    shutdown_csv_pool()

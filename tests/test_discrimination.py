@@ -453,6 +453,45 @@ class TestMonteCarlo:
         peak(1)  # first-call allocations (lazy imports, caches) stay out of the comparison
         assert peak(16) <= 1.25 * peak(2)
 
+    @staticmethod
+    def _block(n_bar):
+        return min(MC_BLOCK, max(1, 1024 * 8 * 20 // (discrimination.CONFIGS_PER_STATE * n_bar)))
+
+    def test_memory_flat_in_n_bar(self):
+        def peak(n_bar):
+            inp = self._input(m=0.01, k_bar=0.05, n_bar=n_bar)
+            tracemalloc.start()
+            try:
+                validate_bound_montecarlo(inp, samples=2 * self._block(n_bar), seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations (lazy imports, caches) stay out of the comparison
+        base = peak(20)
+        assert peak(200) <= 1.25 * base
+        assert peak(2000) <= 1.25 * base
+
+    @pytest.mark.parametrize("n_bar", [20, 21, 200])
+    def test_block_size_follows_n_bar(self, n_bar):
+        # blocks of MC_BLOCK samples up to N_bar = 20 (the stream layout of
+        # every earlier run), fewer samples per block above it
+        inp, block = self._input(m=0.01, k_bar=0.05, n_bar=n_bar), self._block(n_bar)
+        samples = 2 * block + 3
+        streams = np.random.SeedSequence(8).spawn(3)
+        expected = max(
+            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, n, s)).max())
+            for n, s in zip((block, block, 3), streams)
+        )
+        assert validate_bound_montecarlo(inp, samples=samples, seed=8).max_observed == expected
+
+    @pytest.mark.parametrize("n_bar", [2, 200])
+    def test_result_depends_on_seed_samples_and_n_bar_only(self, n_bar):
+        inp = self._input(m=0.01, k_bar=0.05, n_bar=n_bar)
+        samples = 3 * self._block(n_bar) + 17
+        reports = [validate_bound_montecarlo(inp, samples=samples, seed=5, workers=w) for w in (1, 2, 3)]
+        assert len({r.max_observed for r in reports}) == 1
+
     def test_violation_stops_the_remaining_blocks(self, monkeypatch):
         calls = []
 

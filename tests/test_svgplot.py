@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -123,3 +126,19 @@ def test_nothing_to_plot(tmp_path, curves):
     with pytest.raises(ValueError, match="nothing to plot"):
         svgplot.write_plot(tmp_path / "plot.svg", curves)
     assert not list(tmp_path.iterdir())
+
+
+def test_non_ascii_labels_are_utf8_under_the_c_locale(tmp_path):
+    # the locale's encoding is ASCII here; the file must still be UTF-8, as CSV and JSON are
+    curves = [("\u03c9(k)", [0.0, 1.0], [0.5, 2.0])]
+    labels = dict(title="\u03c9 vs k", xlabel="k", ylabel="\u03c9")
+    code = (
+        "import sys; from dirac_qca import svgplot\n"
+        f"svgplot.write_plot(sys.argv[1], {ascii(curves)}, **{ascii(labels)})\n"
+    )
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=os.pathsep.join(sys.path))
+    path = tmp_path / "plot.svg"
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert path.read_bytes() == reference_svg(curves, **labels).encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["plot.svg"]
