@@ -14,31 +14,18 @@ from .automaton import (
     transform,
     unitary_k,
 )
-from .dispersion import (
-    Derivatives,
-    derivatives,
-    dirac_hamiltonian_k,
-    dirac_omega,
-    dispersion_correction,
-    eigenpair,
-    hamiltonian_k,
-    omega,
-    regime_coefficients,
-)
+from .dispersion import Derivatives, derivatives, dirac_omega, omega
 from .wavepacket import BandwidthReport, WavepacketSpec, bandwidth, build, localized
 from .approx import AccuracyBound, ApproxEvolutionParams, accuracy_bound, fidelity, schrodinger_evolve
 from .discrimination import (
     DiscriminationInput,
     DiscriminationReport,
-    MultiParticleSpec,
     alpha_beta,
     extremal_alpha_beta,
     mu,
-    multiparticle_phase,
     pe_lower_bound,
     t_min_approx,
     t_min_exact,
-    unitary_pair_t,
     validate_bound_montecarlo,
 )
 from .flytime import FlytimeInput, FlytimeReport, broadening, separation_time, visibility_report

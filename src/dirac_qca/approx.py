@@ -28,7 +28,6 @@ __all__ = [
     "ApproxEvolutionParams",
     "AccuracyBound",
     "schrodinger_evolve",
-    "evolve_with_phase",
     "fidelity",
     "accuracy_bound",
 ]
@@ -50,26 +49,13 @@ class ApproxEvolutionParams:
         return cls(k0=float(k0), omega0=omega(k0, params.m), v=v, D=d, s=int(s))
 
 
-def evolve_with_phase(spec: ModeSpectrum, phase: np.ndarray, s: int, t: float) -> ModeSpectrum:
-    """Multiply mode j by exp(-i s phase[j] t), leaving spinor parts untouched.
-
-    This is the generic hook behind :func:`schrodinger_evolve`; passing the
-    exact dispersion values reproduces the on-branch exact evolution.
-    """
-    _check_time(t)
-    phase = np.asarray(phase, dtype=float)
-    if phase.shape != (spec.L,):
-        raise ValueError("need one phase value per mode")
-    factor = np.exp(-1j * s * phase * t)
-    return ModeSpectrum(spec.modes * factor[:, None])
-
-
 def schrodinger_evolve(spec: ModeSpectrum, params: AutomatonParams, k0: float, s: int, t: float) -> ModeSpectrum:
-    """Evolve every mode by the quadratic-dispersion phase around k0."""
+    """Multiply every mode by exp(-i s phase t), the quadratic-dispersion phase around k0."""
+    _check_time(t)
     ap = ApproxEvolutionParams.from_automaton(params, k0, s)
     K = wrap_momentum(spec.ks - ap.k0)
     phase = ap.omega0 + ap.v * K + 0.5 * ap.D * K * K
-    return evolve_with_phase(spec, phase, ap.s, t)
+    return ModeSpectrum(spec.modes * np.exp(-1j * ap.s * phase * t)[:, None])
 
 
 def fidelity(a: ModeSpectrum, b: ModeSpectrum) -> float:

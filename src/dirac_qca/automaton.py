@@ -144,7 +144,8 @@ def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> Spin
     bit-identical to that form.  Stepping on from an evolved state is
     bit-identical to evolving from the start.
     """
-    if t != int(t) or t < 0:
+    _check_time(t)
+    if t != int(t):
         raise ValueError(f"position-space evolution needs a nonnegative integer time, got {t}")
     n, m = params.n, params.m
     mix_r, mix_l = 1j * m, -1j * m  # the two scalars of the expressions above

@@ -8,7 +8,8 @@ Conventions shared by every subcommand:
   results, warnings: []}`` with keys sorted, floats serialized as their
   shortest round-trip decimal, infinities as the string "inf";
 * a config file (``--config``) holds flat ``key = value`` lines; command-line
-  flags override config keys, unknown keys are errors;
+  flags override config keys, unknown keys are errors, and so is a key that
+  the chosen preset fixes (``PRESET_FIXED_KEYS``);
 * exit codes: 0 success, 1 usage/config error, 2 numerical-invariant failure.
 
 Re-running a command with the same configuration and seed produces
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import approx, discrimination, dispersion, flytime, svgplot, wavepacket
 from .automaton import AutomatonParams, evolve_momentum, evolve_position, inverse_transform, symmetry_check, transform
-from .constants import PLANCK_TIME_SECONDS
+from .constants import planck_times_to_seconds
 from .errors import NumericalInvariantError
 from .textfile import write_text
 
@@ -85,6 +86,11 @@ PRESETS = {
     ),
 }
 FIG3_MASSES = [0.0, 0.3, 0.6, 0.9]
+# per command: the presets that fix keys, and the keys they fix; giving one of those keys as well is an error
+PRESET_FIXED_KEYS = {
+    "dispersion": ({"fig3"}, ("m",)),
+    "evolve": (set(PRESETS), ("L", "m", "sigma_hat", "k0", "x0")),
+}
 
 # per-command option registry: dest -> (coercion, default); used both for
 # config-file parsing and for filling unset flags
@@ -182,6 +188,7 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     spec = OPTIONS[command]
     merged = {dest: default for dest, (_, default) in spec.items()}
     merged["seed"] = 0
+    given = set()
     if args.config:
         for key, raw in _read_config(args.config).items():
             dest = key.replace("-", "_")
@@ -189,14 +196,21 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
                 merged["seed"] = int(raw)
             elif dest in spec:
                 merged[dest] = spec[dest][0](raw)
+                given.add(dest)
             else:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
     for dest, (coerce, _) in spec.items():
         value = getattr(args, dest)
         if value is not None:
             merged[dest] = coerce(value)
+            given.add(dest)
     if args.seed is not None:
         merged["seed"] = args.seed
+    presets, fixed = PRESET_FIXED_KEYS.get(command, ((), ()))
+    clash = [key for key in fixed if key in given]
+    if merged.get("preset") in presets and clash:
+        name = merged["preset"]
+        raise ConfigError(f"preset {name!r} fixes {', '.join(clash)}; give the preset or these keys, not both")
     return merged
 
 
@@ -346,7 +360,7 @@ def _build_state(params: dict):
         k0=preset["k0"],
         sigma_hat=preset["sigma_hat"],
         x0=preset["x0"],
-        s=int(params.get("branch", 1) or 1),
+        s=params.get("branch", 1),
         shape=preset["shape"],
         hermite_coeffs=preset.get("coeffs"),
     )
@@ -494,7 +508,7 @@ def _run_discriminate(params: dict, out_dir: str, warnings: list) -> dict:
         exact_t = discrimination.t_min_exact(params["m"], params["kbar"], params["nbar"])
         results["t_min"] = approx_t
         results["t_min_exact"] = exact_t
-        results["t_min_seconds"] = approx_t * PLANCK_TIME_SECONDS
+        results["t_min_seconds"] = planck_times_to_seconds(approx_t)
     if not report.hypotheses_ok:
         warnings.append("time-cap hypotheses do not hold: no error-probability bound at this t")
     return results

@@ -1,25 +1,11 @@
-"""Planck-unit conversion factors, four significant figures.
+"""Planck-unit conversion factor, four significant figures.
 
-Comparisons against these are order-of-magnitude, so higher precision would
+Comparisons against it are order-of-magnitude, so higher precision would
 be spurious.
 """
 
 PLANCK_TIME_SECONDS = 5.391e-44
-PLANCK_LENGTH_METERS = 1.616e-35
-PLANCK_MASS_KG = 2.176e-8
 
 
 def planck_times_to_seconds(t: float) -> float:
     return t * PLANCK_TIME_SECONDS
-
-
-def seconds_to_planck_times(seconds: float) -> float:
-    return seconds / PLANCK_TIME_SECONDS
-
-
-def planck_lengths_to_meters(x: float) -> float:
-    return x * PLANCK_LENGTH_METERS
-
-
-def meters_to_planck_lengths(meters: float) -> float:
-    return meters / PLANCK_LENGTH_METERS

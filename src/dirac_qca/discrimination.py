@@ -42,16 +42,13 @@ from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 __all__ = [
     "DiscriminationInput",
     "DiscriminationReport",
-    "MultiParticleSpec",
     "MonteCarloReport",
-    "unitary_pair_t",
     "mu",
     "alpha_beta",
     "extremal_alpha_beta",
     "pe_lower_bound",
     "t_min_approx",
     "t_min_exact",
-    "multiparticle_phase",
     "validate_bound_montecarlo",
 ]
 
@@ -90,43 +87,6 @@ class DiscriminationReport:
     hypotheses_ok: bool
     g: Optional[float] = None
     pe_lower: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class MultiParticleSpec:
-    """A joint eigenmode: per-particle momenta and branch signs."""
-
-    momenta: Tuple[float, ...]
-    branches: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.momenta) != len(self.branches):
-            raise ValueError("momenta and branches must have equal length")
-        if len(self.momenta) == 0:
-            raise ValueError("need at least one particle")
-        if any(s not in (+1, -1) for s in self.branches):
-            raise ValueError("branch labels must be +1 or -1")
-
-    @property
-    def N(self) -> int:
-        return len(self.momenta)
-
-
-def unitary_pair_t(k: float, m: float, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Finite-time unitaries (lattice, continuum) for one mode, closed form.
-
-    U_latt^t = cos(wt) I - i sin(wt) (u . sigma),  u = (m, 0, -n sin k)/sin w
-    U_cont^t = cos(lt) I - i sin(lt) (m sx - k sz)/l,  l = sqrt(k^2 + m^2)
-
-    A scalar wrapper over ``dispersion.su2_power``; degenerate directions
-    (sin w = 0, l = 0) reduce to identity blocks.
-    """
-    _check_time(t)
-    pair = []
-    for axis in (lattice_axis, dirac_axis):
-        c, vs, us = su2_power(*axis(float(k), m), float(t))
-        pair.append(np.array([[c + 1j * vs, -1j * us], [-1j * us, c - 1j * vs]]))
-    return pair[0], pair[1]
 
 
 def _mu_components(k, m, t):
@@ -339,11 +299,6 @@ def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def multiparticle_phase(spec: MultiParticleSpec, m: float) -> float:
-    """Joint eigenphase: signed sum of single-particle dispersion values."""
-    return float(sum(s * omega(k, m) for k, s in zip(spec.momenta, spec.branches)))
 
 
 def _pairwise_trace_distance(phases: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ of their real powers U^t = cos(angle t) I - i sin(angle t) u.sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,13 +40,7 @@ __all__ = [
     "lattice_axis",
     "dirac_axis",
     "su2_power",
-    "eigenpair",
     "branch_spinors",
-    "hamiltonian_k",
-    "dirac_hamiltonian_k",
-    "dispersion_correction",
-    "RegimeCoefficients",
-    "regime_coefficients",
 ]
 
 ARCCOS_CLAMP_TOL = 1e-12
@@ -196,112 +189,3 @@ def su2_power(angle, v, u_x, t):
     phase = angle * t
     s = np.sin(phase)
     return np.cos(phase), v * s, u_x * s
-
-
-def eigenpair(s: int, k: float, m: float):
-    """Eigenphase s*omega and unit eigenvector of U(k) for branch s.
-
-    Satisfies U(k) @ spinor = exp(-i s omega) * spinor; the deterministic
-    global phase makes the first nonzero component real and positive.
-    """
-    phase = s * omega(k, m)
-    spinor = branch_spinors(np.asarray([k]), m, s)[0]
-    return float(phase), spinor
-
-
-def hamiltonian_k(k: float, m: float) -> np.ndarray:
-    """Generator of the interpolated step: (w/sin w) [[-n sin k, m], [m, n sin k]].
-
-    exp(-i H) reproduces U(k).  The massless case is the limit
-    H = diag(-k, k), which also covers sin(omega) -> 0.
-    """
-    m = _check_mass(m)
-    k = float(k)
-    if m == 0.0:
-        return np.array([[-k, 0.0], [0.0, k]], dtype=complex)
-    n = math.sqrt(1.0 - m * m)
-    w = omega(k, m)
-    ratio = w / sin_omega(k, m)  # sin w > 0 strictly for m > 0
-    return ratio * np.array([[-n * math.sin(k), m], [m, n * math.sin(k)]], dtype=complex)
-
-
-def dirac_hamiltonian_k(k: float, m: float) -> np.ndarray:
-    """Continuum generator [[-k, m], [m, k]]."""
-    return np.array([[-float(k), float(m)], [float(m), float(k)]], dtype=complex)
-
-
-def dispersion_correction(k, m):
-    """Cubic-order improvement of the continuum dispersion.
-
-    Returns (omega_approx, residual) with
-    omega_approx = omega_D * (1 - (m^2/6) (k^2 - m^2)/(k^2 + m^2)) and
-    residual = omega - omega_approx (a fifth-order quantity near the origin).
-    """
-    m = _check_mass(m)
-    k_arr = np.asarray(k, dtype=float)
-    if np.any((k_arr == 0.0) & (m == 0.0)):
-        raise ValueError("correction undefined at (k, m) = (0, 0)")
-    wd = dirac_omega(k_arr, m)
-    factor = 1.0 - (m * m / 6.0) * (k_arr * k_arr - m * m) / (k_arr * k_arr + m * m)
-    approx = wd * factor
-    residual = omega(k_arr, m) - approx
-    if k_arr.ndim:
-        return approx, residual
-    return float(approx), float(residual)
-
-
-@dataclass(frozen=True)
-class RegimeCoefficients:
-    """Series values for v and D in one asymptotic regime, with deviations.
-
-    ``*_leading`` is the lowest-order term, ``*_series`` includes the first
-    printed correction; the deviations are relative to the exact closed-form
-    derivatives at the same point.
-    """
-
-    regime: str
-    v_leading: float
-    v_series: float
-    D_leading: float
-    D_series: float
-    v_deviation: float
-    D_deviation: float
-
-
-def regime_coefficients(k: float, m: float, regime: str) -> RegimeCoefficients:
-    """Leading term and first correction for v and D in a named regime.
-
-    ``relativistic`` expects k, m << 1 with k/m > 1; ``nonrelativistic``
-    expects k/m < 1.  The thresholds are reporting guidance only -- any
-    (k, m) is accepted and the deviation fields expose the series quality.
-    """
-    m = _check_mass(m)
-    k = float(k)
-    lam2 = k * k + m * m
-    if regime == "relativistic":
-        lam = math.sqrt(lam2)
-        v_lead = k / lam
-        v_ser = v_lead * (1.0 - m * m / 3.0 + (m * m * k * k) / (6.0 * lam2))
-        d_lead = m * m / lam2 ** 1.5
-        d_ser = d_lead * (1.0 + m * m * k * k / 3.0 - 0.5 * m * m * k ** 4 / lam2)
-    elif regime == "nonrelativistic":
-        if m == 0.0:
-            raise ValueError("nonrelativistic series needs m > 0")
-        v_lead = k / m
-        v_ser = v_lead * (1.0 + m * m / 3.0)
-        d_lead = 1.0 / m
-        d_ser = d_lead * (1.0 + 5.0 * k * k / 6.0)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    v_exact, d_exact, _ = derivatives(k, m)
-    v_dev = abs(v_ser - v_exact) / abs(v_exact) if v_exact != 0.0 else abs(v_ser)
-    d_dev = abs(d_ser - d_exact) / abs(d_exact) if d_exact != 0.0 else abs(d_ser)
-    return RegimeCoefficients(
-        regime=regime,
-        v_leading=v_lead,
-        v_series=v_ser,
-        D_leading=d_lead,
-        D_series=d_ser,
-        v_deviation=v_dev,
-        D_deviation=d_dev,
-    )

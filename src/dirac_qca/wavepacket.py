@@ -24,7 +24,6 @@ __all__ = [
     "build",
     "localized",
     "bandwidth",
-    "momentum_spread",
     "position_moments",
     "wrap_momentum",
 ]
@@ -154,20 +153,6 @@ def bandwidth(spectrum: ModeSpectrum, k0: float, sigma: float) -> BandwidthRepor
     offsets = wrap_momentum(spectrum.ks - k0)
     inside = weights[np.abs(offsets) <= sigma].sum()
     return BandwidthReport(sigma=float(sigma), epsilon=float(max(0.0, 1.0 - inside / total)))
-
-
-def momentum_spread(spectrum: ModeSpectrum) -> Tuple[float, float]:
-    """Circular mean and second-moment spread of the momentum distribution.
-
-    The mean is taken on the circle to avoid wraparound bias; offsets are
-    folded into [-pi, pi) before the second moment.
-    """
-    weights = spectrum.mode_weights()
-    weights = weights / weights.sum()
-    ks = spectrum.ks
-    mean = math.atan2(float(np.sum(weights * np.sin(ks))), float(np.sum(weights * np.cos(ks))))
-    offsets = wrap_momentum(ks - mean)
-    return mean, float(np.sqrt(np.sum(weights * offsets ** 2)))
 
 
 def position_moments(field: SpinorField) -> Tuple[float, float]:

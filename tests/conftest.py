@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dirac_qca import AutomatonParams, WavepacketSpec, build, cli
+from dirac_qca import AutomatonParams, WavepacketSpec, build, cli, dirac_omega, omega
+from dirac_qca.dispersion import sin_omega
 
 FIG4_COEFFS = (
     math.sqrt(1 / 3), 0.0, math.sqrt(4 / 9), 0.0, 0.0, 0.0, 0.0, math.sqrt(2 / 9),
@@ -26,6 +27,52 @@ def omega_longdouble(k, m):
     n = np.sqrt(np.longdouble(1.0) - m * m)
     delta = 2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + n)) * np.cos(k)
     return 2.0 * np.arcsin(np.sqrt(delta / 2.0))
+
+
+def hamiltonian_k(k, m):
+    """Generator of the step, exp(-i H) = U(k): (w / sin w) [[-n sin k, m], [m, n sin k]].
+
+    The massless case is the limit diag(-k, k), which also covers sin w -> 0.
+    """
+    if m == 0.0:
+        return np.diag([-k, k]).astype(complex)
+    n = math.sqrt(1.0 - m * m)
+    ratio = omega(k, m) / sin_omega(k, m)  # sin w > 0 strictly for m > 0
+    return ratio * np.array([[-n * math.sin(k), m], [m, n * math.sin(k)]], dtype=complex)
+
+
+def dirac_hamiltonian_k(k, m):
+    """Continuum generator [[-k, m], [m, k]]."""
+    return np.array([[-k, m], [m, k]], dtype=complex)
+
+
+def dispersion_correction(k, m):
+    """(omega_approx, omega - omega_approx), omega_approx = omega_D (1 - (m^2/6) (k^2 - m^2)/(k^2 + m^2)).
+
+    The residual is a fifth-order quantity near the origin.
+    """
+    approx = dirac_omega(k, m) * (1.0 - (m * m / 6.0) * (k * k - m * m) / (k * k + m * m))
+    return approx, omega(k, m) - approx
+
+
+def regime_series(k, m, regime):
+    """(v leading, v with first correction, D leading, D with first correction) in a named regime.
+
+    ``relativistic`` is the paper's series for k, m << 1 with k/m > 1,
+    ``nonrelativistic`` the one for k/m < 1.
+    """
+    lam2 = k * k + m * m
+    if regime == "relativistic":
+        v_lead, d_lead = k / math.sqrt(lam2), m * m / lam2 ** 1.5
+        return (
+            v_lead,
+            v_lead * (1.0 - m * m / 3.0 + (m * m * k * k) / (6.0 * lam2)),
+            d_lead,
+            d_lead * (1.0 + m * m * k * k / 3.0 - 0.5 * m * m * k ** 4 / lam2),
+        )
+    if regime == "nonrelativistic":
+        return k / m, k / m * (1.0 + m * m / 3.0), 1.0 / m, 1.0 / m * (1.0 + 5.0 * k * k / 6.0)
+    raise ValueError(f"unknown regime {regime!r}")
 
 
 def build_fig4(L: int = FIG4_L):

@@ -22,7 +22,6 @@ from dirac_qca import (
     alpha_beta,
     derivatives,
     dirac_omega,
-    dispersion_correction,
     evolve_momentum,
     evolve_position,
     extremal_alpha_beta,
@@ -41,7 +40,7 @@ from dirac_qca import (
 from dirac_qca.constants import PLANCK_TIME_SECONDS
 from dirac_qca.wavepacket import WavepacketSpec, build, position_moments
 
-from conftest import FIG4_X0
+from conftest import FIG4_X0, dispersion_correction
 
 
 def report(name, ok, detail=""):

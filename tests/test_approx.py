@@ -12,12 +12,17 @@ from dirac_qca import (
     omega,
     schrodinger_evolve,
 )
-from dirac_qca.approx import ApproxEvolutionParams, evolve_with_phase
+from dirac_qca.approx import ApproxEvolutionParams
 from dirac_qca.automaton import ModeSpectrum
 from dirac_qca.dispersion import derivatives
 from dirac_qca.wavepacket import wrap_momentum
 
 from conftest import FIG4_COEFFS, FIG4_K0
+
+
+def evolve_with_phase(spec, phase, s, t):
+    """Multiply mode j by exp(-i s phase[j] t), leaving spinor parts untouched."""
+    return ModeSpectrum(spec.modes * np.exp(-1j * s * phase * t)[:, None])
 
 
 def gaussian_state(m=0.0, k0=np.pi / 2, sigma_hat=10.0, L=256, s=+1):

@@ -313,13 +313,13 @@ class TestSymmetry:
             assert report.max_residual == 0.0
 
     def test_eigen_relation_against_spectral(self):
-        from dirac_qca import eigenpair
+        from dirac_qca.dispersion import branch_spinors, omega
 
         for m in (0.3, 0.6, 0.92):
             p = AutomatonParams(m)
             for k in np.linspace(-3.0, 3.0, 17):
                 u = unitary_k(p, k)
                 for s in (+1, -1):
-                    phase, spinor = eigenpair(s, k, m)
-                    residual = u @ spinor - np.exp(-1j * phase) * spinor
+                    spinor = branch_spinors(k, m, s)[0]
+                    residual = u @ spinor - np.exp(-1j * s * omega(k, m)) * spinor
                     assert np.max(np.abs(residual)) <= 1e-12

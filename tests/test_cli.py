@@ -287,6 +287,7 @@ class TestInputBoundaries:
             ["discriminate", "--m", "0.3", "--kbar", "0.5", "--t", "inf"],
             ["symcheck", "--k-samples", "0"],
             ["compare", "--preset", "fig4", "--sigma", "0"],  # not replaced by the default window
+            ["evolve", "--branch", "0", "--times", "0"],  # not replaced by the default branch
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):
@@ -316,6 +317,32 @@ class TestConfigHandling:
         config = tmp_path / "run.cfg"
         config.write_text("just some text\n")
         assert run(["dispersion", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, config, keys",
+        [
+            (["evolve", "--preset", "fig2", "--m", "0.3", "--L", "64"], "", "L, m"),
+            (["evolve", "--preset", "fig4", "--sigma-hat", "5", "--k0", "0.2"], "", "sigma_hat, k0"),
+            (["evolve", "--preset", "fig2-smooth"], "x0 = 10\n", "x0"),
+            (["dispersion", "--preset", "fig3", "--m", "0.2"], "", "m"),
+            (["dispersion", "--preset", "fig3"], "m = 0.2\n", "m"),
+        ],
+    )
+    def test_preset_rejects_keys_it_fixes(self, tmp_path, capsys, argv, config, keys):
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "config"
+        assert f"fixes {keys};" in record["error"]["message"]
+        assert not (tmp_path / "o" / (argv[0] + ".json")).exists()
+
+    def test_preset_keeps_branch_flag(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["evolve", "--preset", "fig2-smooth", "--branch", "-1", "--times", "0"]
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        assert load_json(out / "evolve.json")["params"]["branch"] == -1
 
     def test_usage_error_is_exit_1(self, capsys):
         assert run(["no-such-command"]) == 1

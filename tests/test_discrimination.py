@@ -10,25 +10,23 @@ from dirac_qca import (
     AutomatonParams,
     DiscriminationInput,
     ModeSpectrum,
-    MultiParticleSpec,
     alpha_beta,
-    dirac_hamiltonian_k,
     evolve_momentum,
     extremal_alpha_beta,
-    hamiltonian_k,
     mu,
-    multiparticle_phase,
     omega,
     pe_lower_bound,
     t_min_approx,
     t_min_exact,
     unitary_k,
-    unitary_pair_t,
     validate_bound_montecarlo,
 )
 from dirac_qca import discrimination
 from dirac_qca.discrimination import MC_BLOCK, _pairwise_trace_distance
+from dirac_qca.dispersion import dirac_axis, lattice_axis, su2_power
 from dirac_qca.errors import BoundViolationError, MonotonicityError, UnitarityLossError
+
+from conftest import dirac_hamiltonian_k, hamiltonian_k
 
 # frozen mpmath references (60-digit arithmetic, evaluated at the exact
 # float64 representations of the inputs; ALPHA_PROTON at 250 digits)
@@ -37,6 +35,12 @@ BETA_05_06 = 0.007923564932435428
 ALPHA_08_03 = 0.010583607770434625
 BETA_08_03 = 0.0014788196457598798
 ALPHA_PROTON = 1.6666666666666665e-47  # k = 1e-8, m = 1e-19
+
+
+def unitary_pair_t(k, m, t):
+    """[lattice, continuum] finite-time unitaries of one mode, from the closed-form SU(2) powers."""
+    pair = [su2_power(*axis(k, m), t) for axis in (lattice_axis, dirac_axis)]
+    return [np.array([[c + 1j * vs, -1j * us], [-1j * us, c - 1j * vs]]) for c, vs, us in pair]
 
 
 class TestUnitaryPair:
@@ -343,30 +347,6 @@ class TestTmin:
             t_min_approx(0.0, 0.5, 1)
         with pytest.raises(ValueError):
             t_min_exact(0.5, 0.0, 1)
-
-
-class TestMultiparticle:
-    def test_single_particle(self):
-        spec = MultiParticleSpec(momenta=(0.7,), branches=(+1,))
-        assert multiparticle_phase(spec, 0.6) == omega(0.7, 0.6)
-
-    def test_opposite_branches_cancel(self):
-        spec = MultiParticleSpec(momenta=(0.7, 0.7), branches=(+1, -1))
-        assert multiparticle_phase(spec, 0.6) == 0.0
-
-    def test_three_particles_brute_force(self):
-        rng = np.random.default_rng(7)
-        momenta = tuple(rng.uniform(-2.0, 2.0, 3))
-        branches = tuple(int(s) for s in rng.choice([-1, 1], 3))
-        spec = MultiParticleSpec(momenta=momenta, branches=branches)
-        brute = sum(s * omega(k, 0.4) for k, s in zip(momenta, branches))
-        assert multiparticle_phase(spec, 0.4) == pytest.approx(brute, abs=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MultiParticleSpec(momenta=(0.1, 0.2), branches=(+1,))
-        with pytest.raises(ValueError):
-            MultiParticleSpec(momenta=(0.1,), branches=(2,))
 
 
 class TestMonteCarlo:

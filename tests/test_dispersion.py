@@ -9,27 +9,23 @@ from dirac_qca import (
     AutomatonParams,
     FlytimeInput,
     ModeSpectrum,
+    SpinorField,
     accuracy_bound,
     broadening,
     derivatives,
-    dirac_hamiltonian_k,
     dirac_omega,
-    dispersion_correction,
-    eigenpair,
     evolve_momentum,
-    hamiltonian_k,
+    evolve_position,
     mu,
     omega,
-    regime_coefficients,
+    schrodinger_evolve,
     unitary_k,
-    unitary_pair_t,
 )
 from dirac_qca import dispersion
-from dirac_qca.approx import evolve_with_phase
 from dirac_qca.dispersion import branch_spinors, sin_omega
 from dirac_qca.errors import UnitarityLossError
 
-from conftest import omega_longdouble
+from conftest import dirac_hamiltonian_k, dispersion_correction, hamiltonian_k, omega_longdouble, regime_series
 
 
 def _time_entry_points():
@@ -38,9 +34,9 @@ def _time_entry_points():
     spec = ModeSpectrum(np.eye(8, 2, dtype=complex))
     return {
         "evolve_momentum": lambda t: evolve_momentum(spec, p, t),
-        "evolve_with_phase": lambda t: evolve_with_phase(spec, np.zeros(8), 1, t),
+        "evolve_position": lambda t: evolve_position(SpinorField(np.eye(8, 2, dtype=complex)), p, t),
+        "schrodinger_evolve": lambda t: schrodinger_evolve(spec, p, 0.3, 1, t),
         "accuracy_bound": lambda t: accuracy_bound(spec, p, 0.3, 0.5, t),
-        "unitary_pair_t": lambda t: unitary_pair_t(0.3, 0.5, t),
         "mu": lambda t: mu(0.3, 0.5, np.array([1.0, t])),  # times are checked entrywise
         "broadening": lambda t: broadening(FlytimeInput(m=0.5, k=0.3, sigma_hat=10.0), t),
     }
@@ -171,19 +167,21 @@ class TestDerivatives:
 
 
 class TestEigenpair:
+    """U(k) has the eigenphase s omega on branch s, with eigenvector ``branch_spinors``."""
+
     def test_eigen_relation_residual(self):
         for m in (0.1, 0.6, 0.92, 1.0):
             p = AutomatonParams(m)
             for k in np.linspace(-3.1, 3.1, 25):
                 u = unitary_k(p, k)
                 for s in (+1, -1):
-                    phase, spinor = eigenpair(s, k, m)
+                    phase, spinor = s * omega(k, m), branch_spinors(k, m, s)[0]
                     assert abs(np.linalg.norm(spinor) - 1.0) <= 1e-14
                     assert np.max(np.abs(u @ spinor - np.exp(-1j * phase) * spinor)) <= 1e-12
 
     def test_planck_mass_point(self):
         # oracle: numpy eigendecomposition of the explicit 2x2
-        phase, spinor = eigenpair(+1, 0.4, 1.0)
+        phase, spinor = omega(0.4, 1.0), branch_spinors(0.4, 1.0, +1)[0]
         assert phase == pytest.approx(np.pi / 2, rel=1e-15)
         vals, vecs = np.linalg.eig(unitary_k(AutomatonParams(1.0), 0.4))
         idx = int(np.argmin(np.abs(vals - np.exp(-1j * np.pi / 2))))
@@ -193,16 +191,13 @@ class TestEigenpair:
         assert np.max(np.abs(spinor - np.array([1.0, 1.0]) / math.sqrt(2))) <= 1e-12
 
     def test_massless_diagonal_branches(self):
-        phase_plus, spinor_plus = eigenpair(+1, np.pi / 4, 0.0)
-        assert phase_plus == pytest.approx(np.pi / 4)
-        assert np.array_equal(spinor_plus, np.array([0.0, 1.0], dtype=complex))
-        phase_minus, spinor_minus = eigenpair(-1, np.pi / 4, 0.0)
-        assert phase_minus == pytest.approx(-np.pi / 4)
-        assert np.array_equal(spinor_minus, np.array([1.0, 0.0], dtype=complex))
+        assert omega(np.pi / 4, 0.0) == pytest.approx(np.pi / 4)
+        assert np.array_equal(branch_spinors(np.pi / 4, 0.0, +1)[0], np.array([0.0, 1.0], dtype=complex))
+        assert np.array_equal(branch_spinors(np.pi / 4, 0.0, -1)[0], np.array([1.0, 0.0], dtype=complex))
 
     def test_degenerate_point_uses_canonical_basis(self):
-        _, plus = eigenpair(+1, 0.0, 0.0)
-        _, minus = eigenpair(-1, 0.0, 0.0)
+        plus = branch_spinors(0.0, 0.0, +1)[0]
+        minus = branch_spinors(0.0, 0.0, -1)[0]
         assert np.array_equal(plus, np.array([1.0, 0.0], dtype=complex))
         assert np.array_equal(minus, np.array([0.0, 1.0], dtype=complex))
 
@@ -210,15 +205,14 @@ class TestEigenpair:
         for m in (0.3, 0.9):
             for k in np.linspace(-3.0, 3.0, 13):
                 for s in (+1, -1):
-                    _, spinor = eigenpair(s, k, m)
+                    spinor = branch_spinors(k, m, s)[0]
                     assert spinor[0].real > 0.0 and spinor[0].imag == 0.0
 
     def test_vectorized_matches_scalar_bitwise(self):
         ks = np.linspace(-3.0, 3.0, 11)
         batch = branch_spinors(ks, 0.6, +1)
         for j, k in enumerate(ks):
-            _, single = eigenpair(+1, k, 0.6)
-            assert np.array_equal(batch[j], single)
+            assert np.array_equal(batch[j], branch_spinors(k, 0.6, +1)[0])
 
 
 class TestHamiltonians:
@@ -285,28 +279,27 @@ class TestDispersionCorrection:
 
 class TestRegimeCoefficients:
     def test_relativistic_collapse_at_proton_scale(self):
-        rc = regime_coefficients(1e-8, 1e-19, "relativistic")
         k, m = 1e-8, 1e-19
-        assert rc.v_leading == k / math.hypot(k, m)
-        assert rc.v_deviation < 1e-15
-        assert rc.D_deviation < 1e-10
+        v_leading, v_series, _, d_series = regime_series(k, m, "relativistic")
+        v_exact, d_exact, _ = derivatives(k, m)
+        assert v_leading == k / math.hypot(k, m)
+        assert abs(v_series - v_exact) / v_exact < 1e-15
+        assert abs(d_series - d_exact) / d_exact < 1e-10
 
     def test_relativistic_series_improves_drift(self):
-        rc = regime_coefficients(0.05, 0.005, "relativistic")
+        v_leading, v_series, _, d_series = regime_series(0.05, 0.005, "relativistic")
         v_exact, d_exact, _ = derivatives(0.05, 0.005)
-        assert abs(rc.v_series - v_exact) <= abs(rc.v_leading - v_exact) / 10.0
+        assert abs(v_series - v_exact) <= abs(v_leading - v_exact) / 10.0
         # the printed diffusion correction does NOT improve on its leading
-        # term here (it misses the O(m^2) factor of n); the deviation field
-        # reports this honestly rather than hiding it
-        assert rc.D_deviation == pytest.approx(abs(rc.D_series - d_exact) / d_exact, rel=1e-12)
-        assert rc.D_deviation < 1e-4
+        # term here (it misses the O(m^2) factor of n), but stays close
+        assert abs(d_series - d_exact) / d_exact < 1e-4
 
     def test_nonrelativistic_leading_terms(self):
-        rc = regime_coefficients(1e-3, 0.1, "nonrelativistic")
-        assert rc.D_leading == 10.0
+        v_leading, _, d_leading, _ = regime_series(1e-3, 0.1, "nonrelativistic")
+        assert d_leading == 10.0
         v_exact, _, _ = derivatives(1e-3, 0.1)
-        assert abs(rc.v_leading - v_exact) / v_exact <= 1e-2
+        assert abs(v_leading - v_exact) / v_exact <= 1e-2
 
     def test_unknown_regime_rejected(self):
         with pytest.raises(ValueError):
-            regime_coefficients(0.1, 0.1, "ultrarelativistic")
+            regime_series(0.1, 0.1, "ultrarelativistic")

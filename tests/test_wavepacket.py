@@ -6,9 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_qca import AutomatonParams, WavepacketSpec, bandwidth, build, localized, transform
 from dirac_qca.dispersion import branch_spinors
-from dirac_qca.wavepacket import momentum_spread, position_moments, wrap_momentum
+from dirac_qca.wavepacket import position_moments, wrap_momentum
 
 from conftest import FIG4_COEFFS
+
+
+def momentum_spread(spectrum):
+    """Circular mean and second-moment spread of the momentum distribution.
+
+    The mean is taken on the circle to avoid wraparound bias; offsets are
+    folded into [-pi, pi) before the second moment.
+    """
+    weights = spectrum.mode_weights()
+    weights = weights / weights.sum()
+    ks = spectrum.ks
+    mean = math.atan2(float(np.sum(weights * np.sin(ks))), float(np.sum(weights * np.cos(ks))))
+    return mean, float(np.sqrt(np.sum(weights * wrap_momentum(ks - mean) ** 2)))
 
 
 class TestSpecValidation:
