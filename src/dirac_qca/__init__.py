@@ -16,7 +16,7 @@ from .automaton import (
 )
 from .dispersion import Derivatives, derivatives, dirac_omega, omega
 from .wavepacket import BandwidthReport, WavepacketSpec, bandwidth, build, localized
-from .approx import AccuracyBound, ApproxEvolutionParams, accuracy_bound, fidelity, schrodinger_evolve
+from .approx import AccuracyBound, accuracy_bound, fidelity, schrodinger_evolve
 from .discrimination import (
     DiscriminationInput,
     DiscriminationReport,

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automaton import AutomatonParams, ModeSpectrum
-from .dispersion import _check_time, derivatives, omega
+from .dispersion import _check_branch, _check_time, derivatives, omega
 from .wavepacket import bandwidth, wrap_momentum
 
 __all__ = [
-    "ApproxEvolutionParams",
     "AccuracyBound",
     "schrodinger_evolve",
     "fidelity",
@@ -33,29 +32,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ApproxEvolutionParams:
-    """Frozen Taylor data at the expansion point: omega0, v, D and the branch."""
-
-    k0: float
-    omega0: float
-    v: float
-    D: float
-    s: int
-
-    @classmethod
-    def from_automaton(cls, params: AutomatonParams, k0: float, s: int) -> "ApproxEvolutionParams":
-        v, d, _ = derivatives(k0, params.m)
-        return cls(k0=float(k0), omega0=omega(k0, params.m), v=v, D=d, s=int(s))
-
-
 def schrodinger_evolve(spec: ModeSpectrum, params: AutomatonParams, k0: float, s: int, t: float) -> ModeSpectrum:
     """Multiply every mode by exp(-i s phase t), the quadratic-dispersion phase around k0."""
     _check_time(t)
-    ap = ApproxEvolutionParams.from_automaton(params, k0, s)
-    K = wrap_momentum(spec.ks - ap.k0)
-    phase = ap.omega0 + ap.v * K + 0.5 * ap.D * K * K
-    return ModeSpectrum(spec.modes * np.exp(-1j * ap.s * phase * t)[:, None])
+    s = _check_branch(s)
+    v, d, _ = derivatives(k0, params.m)
+    K = wrap_momentum(spec.ks - k0)
+    phase = omega(k0, params.m) + v * K + 0.5 * d * K * K
+    return ModeSpectrum(spec.modes * np.exp(-1j * s * phase * t)[:, None])
 
 
 def fidelity(a: ModeSpectrum, b: ModeSpectrum) -> float:
@@ -73,10 +57,7 @@ class AccuracyBound:
     gamma: float
     sigma: float
     t: float
-
-    @property
-    def bound(self) -> float:
-        return max(0.0, 1.0 - self.epsilon - self.gamma * self.sigma ** 3 * self.t)
+    bound: float
 
 
 def accuracy_bound(
@@ -92,4 +73,6 @@ def accuracy_bound(
     report = bandwidth(spec, k0, sigma)
     _, _, w3 = derivatives(k0, params.m)
     gamma = abs(w3) * (1.0 - report.epsilon)
-    return AccuracyBound(epsilon=report.epsilon, gamma=gamma, sigma=float(sigma), t=float(t))
+    sigma, t = float(sigma), float(t)
+    bound = max(0.0, 1.0 - report.epsilon - gamma * sigma ** 3 * t)
+    return AccuracyBound(epsilon=report.epsilon, gamma=gamma, sigma=sigma, t=t, bound=bound)

@@ -194,10 +194,7 @@ class SymmetryReport:
     parity: float
     time_reversal: float
     unitarity: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.parity, self.time_reversal, self.unitarity)
+    max_residual: float
 
 
 def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
@@ -229,4 +226,4 @@ def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
     res_lr = l @ r.conj().T
     unit = float(max(np.max(np.abs(res_complete)), np.max(np.abs(res_cross)), np.max(np.abs(res_lr))))
 
-    return SymmetryReport(parity=parity, time_reversal=trev, unitarity=unit)
+    return SymmetryReport(parity=parity, time_reversal=trev, unitarity=unit, max_residual=max(parity, trev, unit))

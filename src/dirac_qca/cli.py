@@ -8,8 +8,12 @@ Conventions shared by every subcommand:
   results, warnings: []}`` with keys sorted, floats serialized as their
   shortest round-trip decimal, infinities as the string "inf";
 * a config file (``--config``) holds flat ``key = value`` lines; command-line
-  flags override config keys, unknown keys are errors, and so is a key that
-  the chosen preset fixes (``PRESET_FIXED_KEYS``);
+  flags override config keys, unknown keys are errors;
+* ``PRESETS[command][name]`` holds the values a preset fixes: an empty or
+  unknown name is an error, and so is a flag or config key that the preset
+  fixes; the runner sees the params with the preset's values laid over them;
+* a command's ``results`` are its library report's fields
+  (``dataclasses.asdict``);
 * exit codes: 0 success, 1 usage/config error, 2 numerical-invariant failure.
 
 Re-running a command with the same configuration and seed produces
@@ -19,6 +23,7 @@ byte-identical files: nothing here reads the clock or ambient state.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -69,13 +74,9 @@ def _bool(text) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-PRESETS = {
-    "fig2": dict(kind="localized", L=128, m=0.92, x0=30.0),
-    "fig2-smooth": dict(
-        kind="packet", L=128, m=0.92, shape="gaussian", sigma_hat=3.0, k0=0.3 * math.pi, x0=30.0
-    ),
+_PACKETS = {
+    "fig2-smooth": dict(L=128, m=0.92, shape="gaussian", sigma_hat=3.0, k0=0.3 * math.pi, x0=30.0),
     "fig4": dict(
-        kind="packet",
         L=1024,
         m=0.6,
         shape="hermite",
@@ -85,11 +86,13 @@ PRESETS = {
         coeffs=(math.sqrt(1 / 3), 0.0, math.sqrt(4 / 9), 0.0, 0.0, 0.0, 0.0, math.sqrt(2 / 9)),
     ),
 }
-FIG3_MASSES = [0.0, 0.3, 0.6, 0.9]
-# per command: the presets that fix keys, and the keys they fix; giving one of those keys as well is an error
-PRESET_FIXED_KEYS = {
-    "dispersion": ({"fig3"}, ("m",)),
-    "evolve": (set(PRESETS), ("L", "m", "sigma_hat", "k0", "x0")),
+# per command and preset: the values the preset fixes; giving one of those keys as well is an error.
+# fig2 is one site: it fixes sigma_hat = 0 (read only by the wrap-around warning) and a k0 that is
+# never read, so that neither can be given beside it.
+PRESETS = {
+    "dispersion": {"fig3": dict(m=(0.0, 0.3, 0.6, 0.9))},
+    "evolve": {"fig2": dict(kind="localized", L=128, m=0.92, sigma_hat=0.0, k0=0.0, x0=30.0), **_PACKETS},
+    "compare": _PACKETS,
 }
 
 # per-command option registry: dest -> (coercion, default); used both for
@@ -206,11 +209,13 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
             given.add(dest)
     if args.seed is not None:
         merged["seed"] = args.seed
-    presets, fixed = PRESET_FIXED_KEYS.get(command, ((), ()))
-    clash = [key for key in fixed if key in given]
-    if merged.get("preset") in presets and clash:
-        name = merged["preset"]
-        raise ConfigError(f"preset {name!r} fixes {', '.join(clash)}; give the preset or these keys, not both")
+    name = merged.get("preset")
+    if name is not None:
+        if name not in PRESETS[command]:
+            raise ConfigError(f"unknown {command} preset {name!r}; known: {', '.join(PRESETS[command])}")
+        clash = [key for key in PRESETS[command][name] if key in given]
+        if clash:
+            raise ConfigError(f"preset {name!r} fixes {', '.join(clash)}; give the preset or these keys, not both")
     return merged
 
 
@@ -306,10 +311,8 @@ def _write_csv(path: str, header, columns):
 def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
     masses = params["m"]
     samples = params["samples"]
-    if params["preset"] == "fig3":
-        masses = list(FIG3_MASSES)
-    elif params["preset"]:
-        raise ConfigError(f"unknown dispersion preset {params['preset']!r}")
+    if not masses:
+        raise ConfigError("need at least one mass")
     if samples < 2:
         raise ConfigError("need at least 2 samples")
     ks = np.linspace(-math.pi, math.pi, samples)
@@ -336,42 +339,27 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
 
 
 def _build_state(params: dict):
-    if params["preset"]:
-        try:
-            preset = PRESETS[params["preset"]]
-        except KeyError:
-            raise ConfigError(f"unknown preset {params['preset']!r}") from None
-    else:
-        preset = dict(
-            kind="packet",
-            L=params["L"],
-            m=params["m"],
-            shape="gaussian",
-            sigma_hat=params["sigma_hat"],
-            k0=params["k0"],
-            x0=params["x0"],
-        )
-    auto = AutomatonParams(preset["m"])
-    if preset["kind"] == "localized":
+    """The initial state that ``params``, a preset's values laid over the flags, describe."""
+    auto = AutomatonParams(params["m"])
+    if params.get("kind") == "localized":
         spinor = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        field = wavepacket.localized(int(preset["x0"]), spinor, preset["L"])
-        return preset, auto, field, transform(field), None
+        field = wavepacket.localized(int(params["x0"]), spinor, params["L"])
+        return auto, field, transform(field), None
     spec = wavepacket.WavepacketSpec(
-        k0=preset["k0"],
-        sigma_hat=preset["sigma_hat"],
-        x0=preset["x0"],
+        k0=params["k0"],
+        sigma_hat=params["sigma_hat"],
+        x0=params["x0"],
         s=params.get("branch", 1),
-        shape=preset["shape"],
-        hermite_coeffs=preset.get("coeffs"),
+        shape=params.get("shape", "gaussian"),
+        hermite_coeffs=params.get("coeffs"),
     )
-    field, spectrum = wavepacket.build(spec, auto, preset["L"])
-    return preset, auto, field, spectrum, spec
+    field, spectrum = wavepacket.build(spec, auto, params["L"])
+    return auto, field, spectrum, spec
 
 
-def _wraparound_warning(preset: dict, times, warnings: list):
-    margin = min(preset["x0"], preset["L"] - preset["x0"])
-    sigma_hat = preset.get("sigma_hat", 0.0)
-    worst = max(times) + 6.0 * sigma_hat
+def _wraparound_warning(params: dict, times, warnings: list):
+    margin = min(params["x0"], params["L"] - params["x0"])
+    worst = max(times) + 6.0 * params["sigma_hat"]
     if margin < worst:
         warnings.append(
             f"packet support within {margin:g} sites of wraparound but t + 6*sigma_hat "
@@ -381,8 +369,9 @@ def _wraparound_warning(preset: dict, times, warnings: list):
 
 def _times(params: dict) -> list:
     times = params["times"]
-    if not times or not all(0.0 <= t < math.inf for t in times):
-        raise ConfigError(f"times must be a nonempty list of finite nonnegative numbers, got {times}")
+    if not times:
+        raise ConfigError("times must be a nonempty list")
+    dispersion._check_time(times)
     return [t + 0.0 for t in times]  # -0.0 + 0.0 is 0.0: one time, one file name
 
 
@@ -399,16 +388,16 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     state steps on from the previous time (bit-identical to restarting from
     t = 0), so the run costs ``max(times)`` steps.
     """
-    preset, auto, field, spectrum, spec = _build_state(params)
+    auto, field, spectrum, spec = _build_state(params)
     times = _times(params)
-    _wraparound_warning(preset, times, warnings)
+    _wraparound_warning(params, times, warnings)
     localized = spec is None
     if localized and any(t != int(t) for t in times):
         raise ConfigError("localized states evolve in position space: times must be integers")
     summaries = [None] * len(times)
     curves = [None] * len(times)
     written = set()
-    x = np.arange(preset["L"])
+    x = np.arange(params["L"])
     previous, elapsed = None, 0
     for i in sorted(range(len(times)), key=times.__getitem__):
         t = times[i]
@@ -445,11 +434,9 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
 
 
 def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
-    preset, auto, field, spectrum, spec = _build_state(params)
-    if spec is None:
-        raise ConfigError("compare needs a smooth packet preset")
+    auto, field, spectrum, spec = _build_state(params)
     times = _times(params)
-    _wraparound_warning(preset, times, warnings)
+    _wraparound_warning(params, times, warnings)
     sigma = params["sigma"] if params["sigma"] is not None else 3.0 / spec.sigma_hat
     rows = []
     for t in times:
@@ -457,30 +444,23 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
         approximate = approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t)
         fid = _checked_fidelity(approx.fidelity(exact, approximate), t)
         bound = approx.accuracy_bound(spectrum, auto, spec.k0, sigma, t)
-        rows.append((t, fid, bound.bound, bound.epsilon, bound.gamma, sigma))
+        rows.append({"fidelity": fid, **dataclasses.asdict(bound)})
+    header = ["t", "fidelity", "bound", "epsilon", "gamma", "sigma"]
+    columns = {key: [row[key] for row in rows] for key in header}
     path = os.path.join(out_dir, "compare.csv")
-    _write_csv(path, ["t", "fidelity", "bound", "epsilon", "gamma", "sigma"], list(zip(*rows)))
+    _write_csv(path, header, [columns[key] for key in header])
     files = [os.path.basename(path)]
     if params["svg"]:
         svg_path = os.path.join(out_dir, "compare.svg")
         svgplot.write_plot(
             svg_path,
-            [
-                ("fidelity", [row[0] for row in rows], [row[1] for row in rows]),
-                ("bound", [row[0] for row in rows], [row[2] for row in rows]),
-            ],
+            [("fidelity", columns["t"], columns["fidelity"]), ("bound", columns["t"], columns["bound"])],
             title="exact vs drift-diffusion evolution",
             xlabel="t",
             ylabel="overlap",
         )
         files.append(os.path.basename(svg_path))
-    return {
-        "files": files,
-        "rows": [
-            {"t": r[0], "fidelity": r[1], "bound": r[2], "epsilon": r[3], "gamma": r[4], "sigma": r[5]}
-            for r in rows
-        ],
-    }
+    return {"files": files, "rows": rows}
 
 
 def _require(params: dict, *keys):
@@ -494,22 +474,12 @@ def _run_discriminate(params: dict, out_dir: str, warnings: list) -> dict:
     inp = discrimination.DiscriminationInput(
         m=params["m"], k_bar=params["kbar"], N_bar=params["nbar"], t=params["t"]
     )
-    report = discrimination.pe_lower_bound(inp)
-    results = {
-        "alpha_bar": report.alpha_bar,
-        "beta_bar": report.beta_bar,
-        "f_limit": report.f_limit,
-        "hypotheses_ok": report.hypotheses_ok,
-        "g": report.g,
-        "pe_lower": report.pe_lower,
-    }
+    results = dataclasses.asdict(discrimination.pe_lower_bound(inp))
     if params["solve_tmin"]:
-        approx_t = discrimination.t_min_approx(params["m"], params["kbar"], params["nbar"])
-        exact_t = discrimination.t_min_exact(params["m"], params["kbar"], params["nbar"])
-        results["t_min"] = approx_t
-        results["t_min_exact"] = exact_t
-        results["t_min_seconds"] = planck_times_to_seconds(approx_t)
-    if not report.hypotheses_ok:
+        t_min = discrimination.t_min_approx(params["m"], params["kbar"], params["nbar"])
+        t_min_exact = discrimination.t_min_exact(params["m"], params["kbar"], params["nbar"])
+        results.update(t_min=t_min, t_min_exact=t_min_exact, t_min_seconds=planck_times_to_seconds(t_min))
+    if not results["hypotheses_ok"]:
         warnings.append("time-cap hypotheses do not hold: no error-probability bound at this t")
     return results
 
@@ -524,14 +494,7 @@ def _run_flytime(params: dict, out_dir: str, warnings: list) -> dict:
             f"visibility ratio {report.visibility_ratio:.3g} < {flytime.VISIBILITY_FLAG_RATIO:g}: "
             "packet spreading swamps the trajectory separation"
         )
-    return {
-        "t_general": report.t_general,
-        "t_relativistic": report.t_relativistic,
-        "broadening_at_t": report.broadening_at_t,
-        "visibility_ratio": report.visibility_ratio,
-        "t_seconds": report.t_seconds,
-        "low_visibility": report.low_visibility,
-    }
+    return dataclasses.asdict(report)
 
 
 def _run_validate_bound(params: dict, out_dir: str, warnings: list) -> dict:
@@ -542,26 +505,13 @@ def _run_validate_bound(params: dict, out_dir: str, warnings: list) -> dict:
     report = discrimination.validate_bound_montecarlo(
         inp, samples=params["samples"], seed=params["seed"], workers=params["workers"]
     )
-    return {
-        "samples": report.samples,
-        "seed": report.seed,
-        "workers": report.workers,
-        "bound": report.bound,
-        "max_observed": report.max_observed,
-        "margin": report.margin,
-    }
+    return dataclasses.asdict(report)
 
 
 def _run_symcheck(params: dict, out_dir: str, warnings: list) -> dict:
     ks = np.linspace(-math.pi, math.pi, params["k_samples"])
     report = symmetry_check(AutomatonParams(params["m"]), ks)
-    return {
-        "parity": report.parity,
-        "time_reversal": report.time_reversal,
-        "unitarity": report.unitarity,
-        "max_residual": report.max_residual,
-        "k_samples": params["k_samples"],
-    }
+    return {**dataclasses.asdict(report), "k_samples": params["k_samples"]}
 
 
 RUNNERS = {
@@ -588,7 +538,8 @@ def main(argv=None) -> int:
         out_dir = args.out_dir or "out"
         os.makedirs(out_dir, exist_ok=True)
         warnings: list = []
-        results = RUNNERS[args.command](params, out_dir, warnings)
+        preset = PRESETS.get(args.command, {}).get(params.get("preset"), {})
+        results = RUNNERS[args.command]({**params, **preset}, out_dir, warnings)
     except (ConfigError, ValueError) as exc:
         _emit_error("config", str(exc))
         return 1

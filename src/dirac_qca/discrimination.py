@@ -30,6 +30,7 @@ pieces that do not: alpha from one identity on each side of k = pi/2, beta as
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -61,6 +62,19 @@ CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample 
 MC_BLOCK_DRAWS = MC_BLOCK * CONFIGS_PER_STATE * 20  # particle draws per block: fewer samples for N_bar > 20
 
 
+def _check_k_bar(k_bar: float):
+    if not 0.0 <= k_bar < math.pi:  # also rejects nan
+        raise ValueError(f"momentum cap must lie in [0, pi), got {k_bar}")
+
+
+def _check_caps(m: float, k_bar: float, n_bar: int):
+    """The one check of the caps: 0 <= m <= 1, 0 <= k_bar < pi and N_bar a positive integer."""
+    _check_mass(m)
+    _check_k_bar(k_bar)
+    if not (isinstance(n_bar, numbers.Integral) and n_bar >= 1):
+        raise ValueError(f"particle cap must be a positive integer, got {n_bar!r}")
+
+
 @dataclass(frozen=True)
 class DiscriminationInput:
     """Physical caps and duration: mass, momentum cap, particle cap, time."""
@@ -71,11 +85,7 @@ class DiscriminationInput:
     t: float
 
     def __post_init__(self):
-        _check_mass(self.m)
-        if not (0.0 <= self.k_bar < math.pi):
-            raise ValueError("momentum cap must lie in [0, pi)")
-        if self.N_bar < 1:
-            raise ValueError("particle cap must be a positive integer")
+        _check_caps(self.m, self.k_bar, self.N_bar)
         _check_time(self.t)
 
 
@@ -225,8 +235,7 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     itself is not monotone: alpha starts negative at k = 0 and crosses zero,
     but a monotone function still attains its extreme modulus at an endpoint.)
     """
-    if not (0.0 <= k_bar < math.pi):
-        raise ValueError("momentum cap must lie in [0, pi)")
+    _check_k_bar(k_bar)
     ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
     alphas, betas = _alpha(ks, m), _beta(ks, m)
     alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
@@ -267,7 +276,8 @@ def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
 
 def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
     """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar)."""
-    if m <= 0.0 or k_bar <= 0.0:
+    _check_caps(m, k_bar, n_bar)
+    if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
     return 3.0 * math.pi / (m * m * k_bar * n_bar)
 
@@ -278,7 +288,8 @@ def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
     Returns None when pi/2 is unreachable: either the beta_bar hypothesis
     fails outright or alpha_bar = 0 (identical dispersions up to roundoff).
     """
-    if m <= 0.0 or k_bar <= 0.0:
+    _check_caps(m, k_bar, n_bar)
+    if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
     alpha_bar, beta_bar = extremal_alpha_beta(k_bar, m)
     if beta_bar > 1.0 - math.cos(math.pi / (2.0 * n_bar)) or alpha_bar == 0.0:

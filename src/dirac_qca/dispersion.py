@@ -53,6 +53,12 @@ def _check_mass(m: float) -> float:
     return m
 
 
+def _check_branch(s: int) -> int:
+    if s not in (+1, -1):
+        raise ValueError(f"branch label must be +1 or -1, got {s}")
+    return int(s)
+
+
 def _check_time(t):
     """Reject a time outside [0, inf), nan included; arrays are checked entrywise."""
     t_arr = np.asarray(t, dtype=float)
@@ -134,8 +140,7 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
     phase.  Degenerate modes (m = 0 with sin k = 0) fall back to the
     canonical basis, + branch first.
     """
-    if s not in (+1, -1):
-        raise ValueError(f"branch label must be +1 or -1, got {s}")
+    s = _check_branch(s)
     m = _check_mass(m)
     k = np.atleast_1d(np.asarray(k, dtype=float))
     n = math.sqrt(1.0 - m * m)

@@ -38,8 +38,8 @@ class FlytimeInput:
     def __post_init__(self):
         if _check_mass(self.m) == 0.0:
             raise ValueError("need 0 < m <= 1")
-        if not (self.k != 0.0 and math.isfinite(self.k)):
-            raise ValueError(f"need a finite k != 0, got {self.k}")
+        if not (self.k != 0.0 and abs(self.k) <= math.pi):  # also rejects nan
+            raise ValueError(f"need 0 < |k| <= pi, got {self.k}")
         if not 0.0 < self.sigma_hat < math.inf:
             raise ValueError(f"need a finite sigma_hat > 0, got {self.sigma_hat}")
 
@@ -53,9 +53,10 @@ def separation_time(inp: FlytimeInput) -> SeparationTimes:
     """Time for the two drift velocities to open a gap of one packet width.
 
     t_general = sigma_hat |6 (k^2+m^2)^{3/2} / (m^2 k^2 (2 m^2 + k))|; for
-    m << k this collapses to 6 sigma_hat / m^2.
+    m << k this collapses to 6 sigma_hat / m^2.  The step is parity
+    symmetric, so the time is even in k: the formula takes |k|.
     """
-    m, k, sh = inp.m, inp.k, inp.sigma_hat
+    m, k, sh = inp.m, abs(inp.k), inp.sigma_hat
     lam2 = k * k + m * m
     general = sh * abs(6.0 * lam2 * math.sqrt(lam2) / (m * m * k * k * (2.0 * m * m + k)))
     relativistic = 6.0 * sh / (m * m)
@@ -90,11 +91,7 @@ class FlytimeReport:
     broadening_at_t: float
     visibility_ratio: float
     t_seconds: float
-
-    @property
-    def low_visibility(self) -> bool:
-        """Flag raised when the separation is not comfortably visible."""
-        return self.visibility_ratio < VISIBILITY_FLAG_RATIO
+    low_visibility: bool  # the separation is not comfortably visible
 
 
 def visibility_report(inp: FlytimeInput) -> FlytimeReport:
@@ -108,4 +105,5 @@ def visibility_report(inp: FlytimeInput) -> FlytimeReport:
         broadening_at_t=spread,
         visibility_ratio=ratio,
         t_seconds=planck_times_to_seconds(times.t_general),
+        low_visibility=ratio < VISIBILITY_FLAG_RATIO,
     )

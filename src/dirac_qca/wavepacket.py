@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .automaton import AutomatonParams, ModeSpectrum, SpinorField, inverse_transform
-from .dispersion import branch_spinors
+from .dispersion import _check_branch, branch_spinors
 
 __all__ = [
     "WavepacketSpec",
@@ -61,8 +61,7 @@ class WavepacketSpec:
             raise ValueError(f"packet center must be finite, got {self.x0}")
         if not abs(self.k0) < math.pi:
             raise ValueError("peak momentum must satisfy |k0| < pi")
-        if self.s not in (+1, -1):
-            raise ValueError("branch label must be +1 or -1")
+        _check_branch(self.s)
         if self.shape not in ("gaussian", "hermite"):
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.shape == "hermite":

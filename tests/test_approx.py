@@ -12,7 +12,6 @@ from dirac_qca import (
     omega,
     schrodinger_evolve,
 )
-from dirac_qca.approx import ApproxEvolutionParams
 from dirac_qca.automaton import ModeSpectrum
 from dirac_qca.dispersion import derivatives
 from dirac_qca.wavepacket import wrap_momentum
@@ -53,6 +52,13 @@ class TestSchrodingerEvolve:
         )
         assert np.max(np.abs(joint.modes - stepped.modes)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [0, 2, -2])
+    def test_rejects_branch_other_than_plus_minus_one(self, s):
+        # s = 0 used to return the state unevolved, s = 2 with twice the phase
+        _, params, spectrum = gaussian_state(m=0.6, k0=0.3 * np.pi)
+        with pytest.raises(ValueError, match="branch"):
+            schrodinger_evolve(spectrum, params, 0.3 * np.pi, s, 100.0)
+
     def test_massless_positive_band_is_exact(self):
         # omega = k exactly on k > 0, so drift alone reproduces the evolution
         spec, params, spectrum = gaussian_state(m=0.0, k0=np.pi / 2, sigma_hat=10.0)
@@ -66,11 +72,11 @@ class TestSchrodingerEvolve:
     def test_per_mode_phase_error_within_taylor_remainder(self, fig4_state):
         # |omega(k0+K) - (w0 + vK + DK^2/2)| <= max |omega'''| |K|^3 / 6
         spec, params, _, spectrum = fig4_state
-        ap = ApproxEvolutionParams.from_automaton(params, spec.k0, spec.s)
+        v, d, _ = derivatives(spec.k0, params.m)
         K = wrap_momentum(spectrum.ks - spec.k0)
         window = np.abs(K) <= 0.6
         exact_phase = omega(spectrum.ks, params.m)
-        quad_phase = ap.omega0 + ap.v * K + 0.5 * ap.D * K * K
+        quad_phase = omega(spec.k0, params.m) + v * K + 0.5 * d * K * K
         for kk, remainder in zip(K[window], np.abs(exact_phase - quad_phase)[window]):
             grid = np.linspace(spec.k0 - abs(kk), spec.k0 + abs(kk), 31)
             w3_max = np.max(np.abs(derivatives(grid, params.m).omega3)) if abs(kk) > 0 else 0.0
@@ -86,9 +92,9 @@ class TestSchrodingerEvolve:
         spec, params, _, spectrum = fig4_state
         exact = evolve_momentum(spectrum, params, 200.0)
         taylor = schrodinger_evolve(spectrum, params, spec.k0, spec.s, 200.0)
-        ap = ApproxEvolutionParams.from_automaton(params, spec.k0, spec.s)
-        K = wrap_momentum(spectrum.ks - ap.k0)
-        printed = evolve_with_phase(spectrum, ap.omega0 + ap.v * K - 0.5 * ap.D * K * K, ap.s, 200.0)
+        v, d, _ = derivatives(spec.k0, params.m)
+        K = wrap_momentum(spectrum.ks - spec.k0)
+        printed = evolve_with_phase(spectrum, omega(spec.k0, params.m) + v * K - 0.5 * d * K * K, spec.s, 200.0)
         assert fidelity(exact, taylor) > fidelity(exact, printed)
         assert fidelity(exact, taylor) >= 0.999
 
@@ -124,13 +130,14 @@ class TestQuadraticExactness:
     def test_quadratic_dispersion_gives_unit_fidelity(self):
         # replace the true dispersion by its second-order Taylor polynomial:
         # the drift-diffusion evolver then matches it exactly for all t
-        _, params, spectrum = gaussian_state(m=0.6, k0=0.3 * np.pi, L=512)
-        ap = ApproxEvolutionParams.from_automaton(params, 0.3 * np.pi, +1)
-        K = wrap_momentum(spectrum.ks - ap.k0)
-        taylor_phase = ap.omega0 + ap.v * K + 0.5 * ap.D * K * K
+        k0 = 0.3 * np.pi
+        _, params, spectrum = gaussian_state(m=0.6, k0=k0, L=512)
+        v, d, _ = derivatives(k0, params.m)
+        K = wrap_momentum(spectrum.ks - k0)
+        taylor_phase = omega(k0, params.m) + v * K + 0.5 * d * K * K
         for t in (10.0, 100.0, 1000.0):
             reference = evolve_with_phase(spectrum, taylor_phase, +1, t)
-            approx = schrodinger_evolve(spectrum, params, ap.k0, +1, t)
+            approx = schrodinger_evolve(spectrum, params, k0, +1, t)
             assert fidelity(reference, approx) >= 1.0 - 1e-10
 
 

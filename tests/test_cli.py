@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirac_qca import SpinorField, approx, cli, derivatives, dirac_omega, dispersion, omega
 
@@ -288,12 +292,105 @@ class TestInputBoundaries:
             ["symcheck", "--k-samples", "0"],
             ["compare", "--preset", "fig4", "--sigma", "0"],  # not replaced by the default window
             ["evolve", "--branch", "0", "--times", "0"],  # not replaced by the default branch
+            ["compare", "--preset", ""],  # used to crash with KeyError: 'L'
+            ["evolve", "--preset", "", "--times", "0"],  # used to mean "no preset"
+            ["dispersion", "--preset", "", "--samples", "8"],
+            ["dispersion", "--m", ",", "--samples", "8"],  # no mass: used to write no table and exit 0
+            ["flytime", "--m", "0.5", "--k", "100", "--sigma-hat", "10"],  # outside the Brillouin zone
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):
         assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
         assert not (tmp_path / "o" / (argv[0] + ".json")).exists()
+
+
+def _floats(lo, hi, **bounds):
+    return st.floats(lo, hi, **bounds).map(repr)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+NEGATIVE = _floats(-1e300, -5e-324)
+# input -> (argv before the flag, flag, good values, out-of-range values); the good ranges stop at
+# 1e-19 for masses and momenta and at 1e+-100 for widths, where products of squares still fit a double
+INPUTS = {
+    "mass": (
+        ["symcheck", "--k-samples", "4"], "--m", _floats(0.0, 1.0), NEGATIVE | _floats(1.0, 1e300, exclude_min=True)
+    ),
+    "momentum": (
+        ["flytime", "--m", "0.5", "--sigma-hat", "10"],
+        "--k",
+        _floats(1e-19, math.pi) | _floats(-math.pi, -1e-19),
+        st.just("0.0") | _floats(math.pi, 1e300, exclude_min=True) | _floats(-1e300, -math.pi, exclude_max=True),
+    ),
+    "momentum cap": (
+        ["discriminate", "--m", "0.3"],
+        "--kbar",
+        _floats(0.0, math.pi, exclude_max=True),
+        NEGATIVE | _floats(math.pi, 1e300),
+    ),
+    "time": (["discriminate", "--m", "0.3", "--kbar", "0.5"], "--t", _floats(0.0, 1e300), NEGATIVE),
+    "times": (
+        ["evolve", "--L", "16", "--sigma-hat", "1", "--x0", "8"],
+        "--times",
+        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=3).map(lambda ts: ",".join(map(repr, ts))),
+        NEGATIVE.map(lambda t: "0," + t),
+    ),
+    "width": (["flytime", "--m", "0.5", "--k", "1"], "--sigma-hat", _floats(1e-100, 1e100), _floats(-1e300, 0.0)),
+    "samples": (["dispersion", "--m", "0.5"], "--samples", _ints(2, 64), _ints(-10**6, 1)),
+    "workers": (
+        ["validate-bound", "--m", "0.3", "--kbar", "0.8", "--nbar", "2", "--t", "50", "--samples", "8"],
+        "--workers",
+        _ints(1, 4),
+        _ints(-10**6, 0),
+    ),
+    "k-samples": (["symcheck"], "--k-samples", _ints(1, 64), _ints(-10**6, 0)),
+}
+
+
+def _run_input(name, value):
+    """Exit code, printed record and whether a summary was written, for one value of one input."""
+    prefix, flag, _, _ = INPUTS[name]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as printed:
+        out = os.path.join(tmp, "o")
+        code = run(prefix + [f"{flag}={value}", "--out-dir", out])
+        summary = os.path.exists(os.path.join(out, prefix[0].replace("-", "_") + ".json"))
+    return code, printed.getvalue(), summary
+
+
+def _assert_rejected(name, value):
+    code, printed, summary = _run_input(name, value)
+    assert code == 1, (name, value)
+    assert json.loads(printed)["error"]["type"] == "config"
+    assert not summary
+
+
+class TestInputProperties:
+    """One property per rejected input class: a bad draw is exit 1, a config record and no summary."""
+
+    @given(name=st.sampled_from(sorted(INPUTS)), value=st.sampled_from(["nan", "inf", "-inf"]))
+    @settings(max_examples=30, deadline=None)
+    def test_nonfinite_input_is_rejected(self, name, value):
+        _assert_rejected(name, value)
+
+    @given(draw=st.one_of([st.tuples(st.just(name), spec[3]) for name, spec in sorted(INPUTS.items())]))
+    @settings(max_examples=60, deadline=None)
+    def test_out_of_range_input_is_rejected(self, draw):
+        _assert_rejected(*draw)
+
+    @given(name=st.sampled_from(sorted(INPUTS)), value=st.sampled_from(["", ",", ",,", " "]))
+    @settings(max_examples=40, deadline=None)
+    def test_empty_input_is_rejected(self, name, value):
+        _assert_rejected(name, value)
+
+    @given(draw=st.one_of([st.tuples(st.just(name), spec[2]) for name, spec in sorted(INPUTS.items())]))
+    @settings(max_examples=60, deadline=None)
+    def test_good_input_runs(self, draw):
+        code, printed, summary = _run_input(*draw)
+        assert (code, printed, summary) == (0, "", True), draw
 
 
 class TestConfigHandling:
@@ -326,6 +423,7 @@ class TestConfigHandling:
             (["evolve", "--preset", "fig2-smooth"], "x0 = 10\n", "x0"),
             (["dispersion", "--preset", "fig3", "--m", "0.2"], "", "m"),
             (["dispersion", "--preset", "fig3"], "m = 0.2\n", "m"),
+            (["evolve", "--preset", "fig2", "--k0", "0.2", "--sigma-hat", "5"], "", "sigma_hat, k0"),
         ],
     )
     def test_preset_rejects_keys_it_fixes(self, tmp_path, capsys, argv, config, keys):
@@ -337,6 +435,24 @@ class TestConfigHandling:
         assert record["error"]["type"] == "config"
         assert f"fixes {keys};" in record["error"]["message"]
         assert not (tmp_path / "o" / (argv[0] + ".json")).exists()
+
+    @pytest.mark.parametrize("command", ["dispersion", "evolve", "compare"])
+    def test_empty_preset_in_config_is_rejected(self, tmp_path, capsys, command):
+        (tmp_path / "run.cfg").write_text("preset =\n")
+        assert run([command, "--config", str(tmp_path / "run.cfg"), "--out-dir", str(tmp_path / "o")]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "config"
+        assert f"unknown {command} preset ''" in record["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, known",
+        [(["dispersion", "--preset", "fig4"], "fig3"), (["compare", "--preset", "fig2"], "fig2-smooth, fig4")],
+    )
+    def test_unknown_preset_names_the_known_ones(self, tmp_path, capsys, argv, known):
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "config"
+        assert record["error"]["message"].endswith(f"known: {known}")
 
     def test_preset_keeps_branch_flag(self, tmp_path):
         out = tmp_path / "o"

@@ -348,6 +348,27 @@ class TestTmin:
         with pytest.raises(ValueError):
             t_min_exact(0.5, 0.0, 1)
 
+    @pytest.mark.parametrize(
+        "solver, m, k_bar, n_bar, message",
+        [
+            (t_min_approx, 0.5, 0.5, 0, "particle cap"),  # used to raise ZeroDivisionError
+            (t_min_exact, 0.5, 0.5, 0, "particle cap"),
+            (t_min_approx, 0.5, 0.5, -1, "particle cap"),  # used to return -75.4
+            (t_min_exact, 0.5, 0.5, -1, "particle cap"),
+            (t_min_approx, 0.5, 0.5, 1.5, "particle cap"),
+            (t_min_exact, 0.5, 0.5, 1.5, "particle cap"),
+            (t_min_approx, 0.5, 5.0, 1, "momentum cap"),
+            (t_min_approx, 2.0, 0.5, 1, "mass"),
+            (t_min_exact, 2.0, 0.5, 1, "mass"),  # used to raise "math domain error"
+            (lambda m, k, n: DiscriminationInput(m=m, k_bar=k, N_bar=n, t=1.0), 0.5, 0.5, 1.5, "particle cap"),
+        ],
+        ids=["approx-n0", "exact-n0", "approx-n-1", "exact-n-1", "approx-n1.5", "exact-n1.5",
+             "approx-k5", "approx-m2", "exact-m2", "input-n1.5"],
+    )
+    def test_rejects_caps_outside_their_range(self, solver, m, k_bar, n_bar, message):
+        with pytest.raises(ValueError, match=message):
+            solver(m, k_bar, n_bar)
+
 
 class TestMonteCarlo:
     def _input(self, t_fraction=0.8, m=0.3, k_bar=0.8, n_bar=2):

@@ -41,6 +41,13 @@ class TestSeparationTime:
             assert 0 < times.t_general < math.inf
             assert 0 < times.t_relativistic < math.inf
 
+    @pytest.mark.parametrize("m, k", [(0.5, 0.5), (0.1, 0.02), (1e-10, 1e-4)])
+    def test_even_in_momentum(self, m, k):
+        # k = 2 m^2 once divided by 2 m^2 - k = 0 when taken as -k
+        assert separation_time(FlytimeInput(m=m, k=-k, sigma_hat=3.0)) == separation_time(
+            FlytimeInput(m=m, k=k, sigma_hat=3.0)
+        )
+
 
 class TestBroadening:
     def test_zero_time(self):
@@ -104,3 +111,8 @@ class TestValidation:
             FlytimeInput(m=0.1, k=0.0, sigma_hat=1.0)
         with pytest.raises(ValueError):
             FlytimeInput(m=0.1, k=0.1, sigma_hat=0.0)
+
+    @pytest.mark.parametrize("k", [math.pi + 1e-15, -4.0, 100.0, math.inf, math.nan])
+    def test_momentum_outside_the_zone_rejected(self, k):
+        with pytest.raises(ValueError, match="pi"):
+            FlytimeInput(m=0.1, k=k, sigma_hat=1.0)
