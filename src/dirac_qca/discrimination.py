@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dispersion import _check_mass, _check_time, dirac_axis, dirac_omega, lattice_axis, omega, sin_omega, su2_power
+from .dispersion import _check_mass, _check_time, _mode, _over, dirac_axis, dirac_omega, lattice_axis, omega, su2_power
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
 __all__ = [
@@ -99,38 +99,25 @@ class DiscriminationReport:
     pe_lower: Optional[float] = None
 
 
-def _mu_components(k, m, t):
-    """(cos mu, sin mu) of V = U_cont^t U_latt^{t,dagger}, vectorized over k.
+def mu(k, m, t):
+    """Relative rotation angle arccos(Re Tr V / 2) in [0, pi], vectorized in k.
 
     Both powers come from ``dispersion.su2_power`` as
     U^t = [[c + i vs, -i us], [-i us, c - i vs]], so V has the SU(2) shape
     [[V00, V01], [-conj(V01), conj(V00)]] and cos mu = Re V00 = Re Tr V / 2,
     sin mu = sqrt(Im(V00)^2 + |V01|^2).  The products are expanded into real
-    arithmetic, in the order complex multiplication would take them.
-    """
-    ca, vs, us = su2_power(*lattice_axis(k, m), t)
-    cd, ws, xs = su2_power(*dirac_axis(k, m), t)
-    re00 = cd * ca + ws * vs + xs * us
-    im00 = ws * ca - cd * vs
-    re01 = xs * vs - ws * us
-    im01 = cd * us - xs * ca
-    return re00, np.sqrt(im00 ** 2 + re01 ** 2 + im01 ** 2)
-
-
-def mu(k, m, t):
-    """Relative rotation angle arccos(Re Tr V / 2) in [0, pi], vectorized in k.
-
-    Evaluated as atan2(sin mu, cos mu): identical to the arccos of the
-    half-trace but without the square-root noise floor of arccos near
-    mu = 0, which matters when comparing against a vanishing bound.
+    arithmetic, in the order complex multiplication would take them.  mu is
+    atan2(sin mu, cos mu): identical to the arccos of the half-trace but
+    without the square-root noise floor of arccos near mu = 0, which matters
+    when comparing against a vanishing bound.
     """
     _check_time(t)
-    cos_mu, sin_mu = _mu_components(k, m, t)
-    c_arr = np.asarray(cos_mu)
-    if np.any(np.abs(c_arr) > 1.0 + MU_CLAMP_TOL):
-        raise UnitarityLossError(
-            f"|Re Tr V / 2| = {float(np.max(np.abs(c_arr)))} exceeds 1 beyond tolerance"
-        )
+    ca, vs, us = su2_power(*lattice_axis(k, m), t)
+    cd, ws, xs = su2_power(*dirac_axis(k, m), t)
+    cos_mu = cd * ca + ws * vs + xs * us
+    if np.any(np.abs(cos_mu) > 1.0 + MU_CLAMP_TOL):
+        raise UnitarityLossError(f"|Re Tr V / 2| = {float(np.max(np.abs(cos_mu)))} exceeds 1 beyond tolerance")
+    sin_mu = np.sqrt((ws * ca - cd * vs) ** 2 + (xs * vs - ws * us) ** 2 + (cd * us - xs * ca) ** 2)
     result = np.arctan2(sin_mu, cos_mu)
     return result if result.ndim else float(result)
 
@@ -143,9 +130,9 @@ _PI_LOW = 1.2246467991473532e-16  # pi - math.pi: the part of pi that math.pi dr
 
 
 def _k_minus_sin(k):
-    """k - sin k to full relative precision: the series (Horner form) below |k| = 1."""
-    k2 = k * k
-    return np.where(np.abs(k) < 1.0, k * k2 * np.polyval(_K_MINUS_SIN_SERIES, k2), k - np.sin(k))
+    """k - sin k to full relative precision: the series (Horner form) below |k| = 1, each side on its own k."""
+    sides = [lambda k: k * (k * k) * np.polyval(_K_MINUS_SIN_SERIES, k * k), lambda k: k - np.sin(k)]
+    return np.piecewise(k, [np.abs(k) < 1.0], sides)
 
 
 def _one_minus_sinc(x):
@@ -161,26 +148,27 @@ def _alpha(k, m):
     with e = (lambda - k)/2 = m^2/(2(lambda + k)) and h = (lambda + k)/2, so h e = m^2/4.
     From pi/2 on, with kappa = pi - k, alpha = (lambda - k) + (w(kappa) - kappa) adds the
     nonnegative m^2/(lambda + k) and 2 asin(m^2 cos kappa / (2(1+n) sin((w(kappa) + kappa)/2))).
-    m = 0 gives alpha = 0 exactly.
+    Each identity is evaluated only on its own half.  m = 0 gives alpha = 0 exactly.
     """
     k = np.abs(np.asarray(k, dtype=float))
     m2 = m * m
-    if m2 == 0.0:
-        result = np.zeros_like(k)
-    else:
-        n1 = 1.0 + math.sqrt(1.0 - m2)
+    n1 = 1.0 + math.sqrt(1.0 - m2)
+
+    def below(k):
         lam = dirac_omega(k, m)
         s_e = _one_minus_sinc(m2 / (2.0 * (lam + k)))
         s_h = _one_minus_sinc((lam + k) / 2.0)
         b = (4.0 * np.sin(k / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
+        return 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + omega(k, m)) / 2.0)))
+
+    def above(k):
         kappa = (math.pi - k) + _PI_LOW  # pi - k exactly, then rounded once
         w_kappa = omega(kappa, m)
-        with np.errstate(divide="ignore", invalid="ignore"):  # each side is kept only on its own half
-            below = 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + omega(k, m)) / 2.0)))
-            above = m2 / (lam + k) + 2.0 * np.arcsin(
-                m2 * np.cos(kappa) / (2.0 * n1 * np.sin((w_kappa + kappa) / 2.0))
-            )
-        result = np.where(k < math.pi / 2.0, below, above)
+        return m2 / (dirac_omega(k, m) + k) + 2.0 * np.arcsin(
+            m2 * np.cos(kappa) / (2.0 * n1 * np.sin((w_kappa + kappa) / 2.0))
+        )
+
+    result = np.zeros_like(k) if m2 == 0.0 else np.piecewise(k, [k < math.pi / 2.0], [below, above])
     return result if result.ndim else float(result)
 
 
@@ -194,17 +182,19 @@ def _beta(k, m):
         d = m (lambda - sin w)/(lambda sin w),
         lambda - sin w = [(k - sin k)(k + sin k) + m^2 sin^2 k]/(lambda + sin w),
 
-    which adds only positive terms for 0 < |k| <= pi (v + v_c > 0 there).
+    which adds only positive terms for 0 < |k| <= pi (v + v_c > 0 there).  beta(0) = 0.
     """
-    k = np.abs(np.asarray(k, dtype=float))
-    _, v, u_x = lattice_axis(k, m)
-    lam, v_c, u_xc = dirac_axis(k, m)
-    sw = sin_omega(k, m)
-    sk = np.sin(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+    def positive(k):
+        sk, _, _, sw, v = _mode(k, m)
+        lam, v_c, u_xc = dirac_axis(k, m)
         gap = (_k_minus_sin(k) * (k + sk) + m * m * sk ** 2) / (lam + sw)  # lambda - sin w
-        d = m * gap / (lam * sw)
-        result = np.where(k == 0.0, 0.0, 0.5 * d * d * (1.0 + ((u_x + u_xc) / (v + v_c)) ** 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = m * gap / (lam * sw)
+            return 0.5 * d * d * (1.0 + ((_over(m, sw) + u_xc) / (v + v_c)) ** 2)
+
+    k = np.abs(np.asarray(k, dtype=float))
+    result = np.piecewise(k, [k > 0.0], [positive])
     return result if result.ndim else float(result)
 
 
@@ -220,6 +210,7 @@ def alpha_beta(k: float, m: float) -> Tuple[float, float]:
     """
     if not abs(k) <= math.pi:  # also rejects nan
         raise ValueError(f"momentum must be finite with |k| <= pi, got {k}")
+    _check_mass(m)
     if k == 0.0 and m == 0.0:
         raise ValueError("alpha/beta undefined at (k, m) = (0, 0)")
     return _alpha(k, m), _beta(k, m)
@@ -236,6 +227,7 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     but a monotone function still attains its extreme modulus at an endpoint.)
     """
     _check_k_bar(k_bar)
+    _check_mass(m)
     ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
     alphas, betas = _alpha(ks, m), _beta(ks, m)
     alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0

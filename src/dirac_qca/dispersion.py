@@ -66,9 +66,24 @@ def _check_time(t):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
-def _sin2_omega(k, m):
-    """sin^2 omega = sin^2 k + m^2 cos^2 k, free of the cancellation in 1 - n^2 cos^2 k."""
-    return np.sin(k) ** 2 + m * m * np.cos(k) ** 2
+def _over(x, r, scale=1.0):
+    """scale * x / r, and 0 where r = 0: the zero axis that stands in where a rotation angle vanishes."""
+    ok = r > 0.0
+    out = np.multiply(scale, x, out=np.zeros(np.shape(r)), where=ok)
+    return np.divide(out, r, out=out, where=ok)
+
+
+def _mode(k, m):
+    """(sin k, cos k, sin^2 w, sin w, v): the per-k pieces of U(k) = exp(-i omega u.sigma).
+
+    sin^2 w = sin^2 k + m^2 cos^2 k is exact, free of the cancellation in 1 - n^2 cos^2 k.
+    The axis u = (u_x, 0, -v) = (m, 0, -n sin k) / sin w is zero where sin w = 0: in
+    floating point at k = 0 for m = 0, and for k and m both below about 1e-162.
+    """
+    sk, ck = np.sin(k), np.cos(k)
+    s2 = sk ** 2 + m * m * ck ** 2
+    sw = np.sqrt(s2)
+    return sk, ck, s2, sw, _over(sk, sw, math.sqrt(1.0 - m * m))
 
 
 def omega(k, m):
@@ -91,8 +106,7 @@ def omega(k, m):
 
 def sin_omega(k, m):
     """sin(omega(k, m)) via the exact identity sin^2 w = sin^2 k + m^2 cos^2 k."""
-    m = _check_mass(m)
-    result = np.sqrt(_sin2_omega(np.asarray(k, dtype=float), m))
+    result = _mode(np.asarray(k, dtype=float), _check_mass(m))[3]
     return result if result.ndim else float(result)
 
 
@@ -118,18 +132,18 @@ def derivatives(k, m) -> Derivatives:
     m = _check_mass(m)
     k_arr = np.asarray(k, dtype=float)
     n = math.sqrt(1.0 - m * m)
-    s2 = _sin2_omega(k_arr, m)
-    if np.any(s2 == 0.0):
-        if m == 0.0:
-            raise ValueError("derivatives undefined at k = 0 for the massless automaton")
-        raise ValueError("degenerate mode encountered")  # unreachable for m > 0
-    sw = np.sqrt(s2)
-    v = n * np.sin(k_arr) / sw
-    d = n * m * m * np.cos(k_arr) / (s2 * sw)
-    w3 = -n * m * m * np.sin(k_arr) * (1.0 + 2.0 * n * n * np.cos(k_arr) ** 2) / (s2 * s2 * sw)
-    if k_arr.ndim:
-        return Derivatives(v, d, w3)
-    return Derivatives(float(v), float(d), float(w3))
+    sk, ck, s2, sw, v = _mode(k_arr, m)
+    if not np.all(sw > 0.0):
+        raise ValueError("derivatives undefined where sin omega = 0 (k = 0 at m = 0, or k and m below ~1e-162)")
+    # in place where the closed forms' roundings allow, so at most six arrays are alive at once
+    s5 = s2 * s2 * sw
+    s2 *= sw
+    del sw
+    d = n * m * m * ck / s2
+    del s2
+    sk *= -n * m * m
+    w3 = sk * (1.0 + 2.0 * n * n * ck ** 2) / s5
+    return Derivatives(v, d, w3) if k_arr.ndim else Derivatives(float(v), float(d), float(w3))
 
 
 def branch_spinors(k, m, s: int) -> np.ndarray:
@@ -137,23 +151,17 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
 
     For m > 0 the closed form ((sqrt(1 - s v), s sqrt(1 + s v)) / sqrt(2)) is
     used; its first component is strictly positive, which fixes the global
-    phase.  Degenerate modes (m = 0 with sin k = 0) fall back to the
+    phase.  Degenerate modes (sin omega = 0, see ``_mode``) fall back to the
     canonical basis, + branch first.
     """
     s = _check_branch(s)
     m = _check_mass(m)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    n = math.sqrt(1.0 - m * m)
-    s2 = _sin2_omega(k, m)
-    degenerate = s2 == 0.0
-    v = np.where(degenerate, 0.0, n * np.sin(k) / np.sqrt(np.where(degenerate, 1.0, s2)))
+    sw, v = _mode(np.atleast_1d(np.asarray(k, dtype=float)), m)[3:]
     sv = np.clip(s * v, -1.0, 1.0)
-    out = np.empty((k.size, 2), dtype=complex)
+    out = np.empty((v.size, 2), dtype=complex)
     out[:, 0] = np.sqrt((1.0 - sv) / 2.0)
     out[:, 1] = s * np.sqrt((1.0 + sv) / 2.0)
-    if np.any(degenerate):
-        out[degenerate, 0] = 1.0 if s == +1 else 0.0
-        out[degenerate, 1] = 0.0 if s == +1 else 1.0
+    out[sw == 0.0] = (1.0, 0.0) if s == +1 else (0.0, 1.0)
     return out
 
 
@@ -161,16 +169,13 @@ def lattice_axis(k, m):
     """(omega, v, u_x): angle and rotation axis of U(k) = exp(-i omega u.sigma).
 
     u = (m, 0, -n sin k) / sin(omega), so v is the group velocity.  Where
-    sin(omega) = 0 (in floating point only k = 0 at m = 0, where omega = 0)
-    the axis is zero, which makes every power cos(omega t) I.
+    sin(omega) = 0 the axis is zero (see ``_mode``), which makes every power
+    cos(omega t) I.
     """
     m = _check_mass(m)
     k = np.asarray(k, dtype=float)
-    sw = np.sqrt(_sin2_omega(k, m))
-    ok = sw > 0.0
-    safe = np.where(ok, sw, 1.0)
-    v = np.where(ok, math.sqrt(1.0 - m * m) * np.sin(k) / safe, 0.0)
-    return omega(k, m), v, np.where(ok, m / safe, 0.0)
+    sw, v = _mode(k, m)[3:]
+    return omega(k, m), v, _over(m, sw)
 
 
 def dirac_axis(k, m):
@@ -180,9 +185,7 @@ def dirac_axis(k, m):
     """
     k = np.asarray(k, dtype=float)
     lam = np.asarray(dirac_omega(k, m))
-    ok = lam > 0.0
-    safe = np.where(ok, lam, 1.0)
-    return lam, np.where(ok, k / safe, 0.0), np.where(ok, m / safe, 0.0)
+    return lam, _over(k, lam), _over(m, lam)
 
 
 def su2_power(angle, v, u_x, t):
