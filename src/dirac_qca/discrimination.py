@@ -24,7 +24,8 @@ equal-prior guess between the two dynamics.
 alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
 proton scale), where their defining differences cancel, so both are built from
 pieces that do not: alpha from one identity on each side of k = pi/2, beta as
-|u - u_c|^2 / 2 over the two rotation axes.  See ``_alpha`` and ``_beta``.
+|u - u_c|^2 / 2 = hypot(d, d (u_x + u_x^c)/(v + v_c))^2 / 2 over the two rotation
+axes, with d = u_x - u_x^c.  See ``_alpha`` and ``_beta``.
 """
 
 from __future__ import annotations
@@ -178,20 +179,22 @@ def _beta(k, m):
     For the unit axes u = (u_x, 0, -v), u_c = (u_x^c, 0, -v_c) of the lattice
     and continuum steps, v - v_c = -d (u_x + u_x^c)/(v + v_c) with d = u_x - u_x^c:
 
-        beta = |u - u_c|^2 / 2 = d^2/2 [1 + ((u_x + u_x^c)/(v + v_c))^2],
+        beta = |u - u_c|^2 / 2 = hypot(d, d (u_x + u_x^c)/(v + v_c))^2 / 2,
         d = m (lambda - sin w)/(lambda sin w),
         lambda - sin w = [(k - sin k)(k + sin k) + m^2 sin^2 k]/(lambda + sin w),
 
-    which adds only positive terms for 0 < |k| <= pi (v + v_c > 0 there).  beta(0) = 0.
+    which adds only positive terms for 0 < |k| <= pi (v + v_c > 0 there).  hypot multiplies
+    d in before dividing by v + v_c ~ k, so nothing under- or overflows at tiny k.
+    beta(0) = 0; where sin w underflows to 0 (k and m below about 1e-162) beta is nan.
     """
 
     def positive(k):
         sk, _, _, sw, v = _mode(k, m)
         lam, v_c, u_xc = dirac_axis(k, m)
         gap = (_k_minus_sin(k) * (k + sk) + m * m * sk ** 2) / (lam + sw)  # lambda - sin w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = m * gap / (lam * sw)
-            return 0.5 * d * d * (1.0 + ((_over(m, sw) + u_xc) / (v + v_c)) ** 2)
+        den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan
+        d = np.divide(m * gap, den, out=np.full_like(k, math.nan), where=den > 0.0)
+        return 0.5 * np.hypot(d, d * (_over(m, sw) + u_xc) / (v + v_c)) ** 2
 
     k = np.abs(np.asarray(k, dtype=float))
     result = np.piecewise(k, [k > 0.0], [positive])
@@ -232,9 +235,10 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     alphas, betas = _alpha(ks, m), _beta(ks, m)
     alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
     alpha_slack, beta_slack = MONOTONE_REL_TOL * alpha_bar, MONOTONE_REL_TOL * beta_bar
-    if np.any(np.diff(alphas) < -alpha_slack) or np.any(np.diff(betas) < -beta_slack):
-        raise MonotonicityError(f"alpha/beta monotonicity violated on [0, {k_bar}] at m = {m}")
-    if np.max(np.abs(alphas)) > alpha_bar + alpha_slack or np.max(betas) > beta_bar + beta_slack:
+    # written so that a nan anywhere on the grid fails them
+    if not (np.all(np.diff(alphas) >= -alpha_slack) and np.all(np.diff(betas) >= -beta_slack)):
+        raise MonotonicityError(f"alpha/beta not finite and nondecreasing on [0, {k_bar}] at m = {m}")
+    if not (np.max(np.abs(alphas)) <= alpha_bar + alpha_slack and np.max(betas) <= beta_bar + beta_slack):
         raise MonotonicityError("interior grid maximum exceeded the endpoint values")
     return float(alpha_bar), float(beta_bar)
 

@@ -229,6 +229,20 @@ class TestDiscriminateCommand:
         alpha_bar = load_json(out / "discriminate.json")["results"]["alpha_bar"]
         assert alpha_bar == pytest.approx(9.738320342213932e-05, rel=1e-15, abs=0)  # 250-digit mpmath
 
+    def test_tiny_momentum_cap_gives_finite_beta(self, tmp_path):
+        # (u_x + u_xc)/(v + v_c) ~ 1/k overflows when squared below k ~ 1e-154
+        out = tmp_path / "o"
+        assert run(["discriminate", "--m", "0.3", "--kbar", "1e-200", "--out-dir", str(out)]) == 0
+        results = load_json(out / "discriminate.json")["results"]
+        assert results["beta_bar"] == 0.0 and math.isfinite(results["f_limit"])
+
+    def test_nan_on_the_monotonicity_grid_is_exit_2(self, tmp_path, capsys):
+        # sin^2 omega underflows to 0 at the smallest grid momenta, where beta is nan
+        assert run(["discriminate", "--m", "1e-200", "--kbar", "1e-160", "--out-dir", str(tmp_path / "o")]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "numerical-invariant"
+        assert not (tmp_path / "o" / "discriminate.json").exists()
+
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run(["discriminate", "--kbar", "0.5", "--out-dir", str(tmp_path / "o")]) == 1
         assert "--m" in json.loads(capsys.readouterr().out)["error"]["message"]

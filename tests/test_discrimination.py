@@ -280,6 +280,21 @@ class TestExtremal:
         with pytest.raises(MonotonicityError):
             extremal_alpha_beta(1e-8, 1e-19)
 
+    @pytest.mark.parametrize("name", ["_alpha", "_beta"])
+    @pytest.mark.parametrize("index", [0, 100, -1])
+    def test_nan_on_the_grid_is_caught(self, monkeypatch, name, index):
+        # nan compares false, so a check written as "violation found" would let it through
+        exact = getattr(discrimination, name)
+
+        def holed(k, m):
+            values = np.array(exact(k, m), dtype=float)
+            values[index] = math.nan
+            return values
+
+        monkeypatch.setattr(discrimination, name, holed)
+        with pytest.raises(MonotonicityError):
+            extremal_alpha_beta(0.8, 0.3)
+
 
 class TestPeLowerBound:
     def test_identical_theories_are_indistinguishable(self):

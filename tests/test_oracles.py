@@ -130,11 +130,15 @@ def _sweep_points():
     return points
 
 
+# momenta so small that ((u_x + u_xc)/(v + v_c))^2 ~ (m/k)^2 leaves the double range
+TINY_K_POINTS = [(k, m) for k in (1e-20, 1e-60, 1e-100) for m in (1e-3, 0.3, 1.0)]
+
+
 class TestAlphaBetaOracles:
     """alpha and beta against 250-digit mpmath."""
 
     def test_beta_full_precision_everywhere(self):
-        worst = max(_rel(alpha_beta(k, m)[1], mp_beta(k, m)) for k, m in _sweep_points())
+        worst = max(_rel(alpha_beta(k, m)[1], mp_beta(k, m)) for k, m in _sweep_points() + TINY_K_POINTS)
         assert worst <= 1e-14
 
     def test_alpha_full_precision_everywhere(self):
@@ -180,10 +184,16 @@ class TestAlphaBetaOracles:
             (1e-4, np.geomspace(1e-2, 3.1, 40)),  # across k = pi/2
             (0.3, np.linspace(0.0, math.pi, 41)),  # k = pi/2 exactly, and beta's k - sin k switch
             (1.0, np.geomspace(1e-9, math.pi, 41)),
+            (0.3, np.array([])),
+            (0.3, np.array(0.7)),  # 0-d
+            # both sides of |k| = 1 (the k - sin k series) and of pi/2 (the alpha identities), signs mixed
+            (1e-3, np.array([-3.0, -1.0, *_sides(1.0), -0.5, 0.0, *_sides(math.pi / 2.0), -math.pi / 2.0, 2.0])),
         ],
     )
     def test_array_and_scalar_forms_agree(self, m, ks):
-        scalar = np.array([alpha_beta(k, m) for k in ks])
+        scalar = np.array([alpha_beta(k, m) for k in np.ravel(ks)]).reshape(-1, 2)
         tol = 4 * np.spacing(np.abs(scalar))
-        assert np.all(np.abs(_alpha(ks, m) - scalar[:, 0]) <= tol[:, 0])
-        assert np.all(np.abs(_beta(ks, m) - scalar[:, 1]) <= tol[:, 1])
+        alphas, betas = _alpha(ks, m), _beta(ks, m)
+        assert np.shape(alphas) == np.shape(betas) == np.shape(ks)
+        assert np.all(np.abs(np.ravel(alphas) - scalar[:, 0]) <= tol[:, 0])
+        assert np.all(np.abs(np.ravel(betas) - scalar[:, 1]) <= tol[:, 1])
