@@ -168,10 +168,10 @@ def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> Spin
 def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> ModeSpectrum:
     """Multiply each mode by U(k_j)^t; ``t`` may be any nonnegative real."""
     _check_time(t)
+    out = np.empty_like(spec.modes)  # before the per-mode temporaries, which would fragment the heap under it
     c, vs, us = su2_power(*lattice_axis(spec.ks, params.m), float(t))
     a, b = c + 1j * vs, -1j * us  # U^t = [[a, b], [b, conj(a)]]
     psi_r, psi_l = spec.modes[:, 0], spec.modes[:, 1]
-    out = np.empty_like(spec.modes)
     out[:, 0] = a * psi_r + b * psi_l
     out[:, 1] = b * psi_r + np.conj(a) * psi_l
     return ModeSpectrum(out)

@@ -67,7 +67,7 @@ def _check_time(t):
 
 
 def _over(x, r, scale=1.0):
-    """scale * x / r, and 0 where r = 0: the zero axis that stands in where a rotation angle vanishes."""
+    """scale x / r, and 0 (the zero axis) where the angle r = 0; scale x is formed in the output buffer."""
     ok = r > 0.0
     out = np.multiply(scale, x, out=np.zeros(np.shape(r)), where=ok)
     return np.divide(out, r, out=out, where=ok)
@@ -133,7 +133,7 @@ def derivatives(k, m) -> Derivatives:
     k_arr = np.asarray(k, dtype=float)
     n = math.sqrt(1.0 - m * m)
     sk, ck, s2, sw, v = _mode(k_arr, m)
-    if not np.all(sw > 0.0):
+    if np.any(sw == 0.0):
         raise ValueError("derivatives undefined where sin omega = 0 (k = 0 at m = 0, or k and m below ~1e-162)")
     # in place where the closed forms' roundings allow, so at most six arrays are alive at once
     s5 = s2 * s2 * sw
