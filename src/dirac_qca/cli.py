@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import approx, discrimination, dispersion, flytime, svgplot, wavepacket
-from .automaton import AutomatonParams, evolve_momentum, evolve_position, inverse_transform, symmetry_check, transform
+from .automaton import AutomatonParams, evolve_momentum, evolve_position, inverse_transform, symmetry_check
 from .constants import planck_times_to_seconds
 from .errors import NumericalInvariantError
 from .textfile import write_text
@@ -163,9 +163,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--config", dest="config", default=None)
         p.add_argument("--seed", dest="seed", type=int, default=None)
-        for dest in options:
+        for dest, (coerce, _) in options.items():
             flag = "--" + dest.replace("_", "-")
-            if dest == "svg" or dest == "solve_tmin":
+            if coerce is _bool:
                 p.add_argument(flag, dest=dest, action="store_const", const=True, default=None)
             else:
                 p.add_argument(flag, dest=dest, type=str, default=None)
@@ -308,6 +308,16 @@ def _write_csv(path: str, header, columns):
 
 # -- subcommand runners ----------------------------------------------------
 
+def _file_names(pattern: str, values) -> list:
+    """``pattern.format(value)`` per value; distinct values that share a name are a ConfigError."""
+    owners = {}
+    for value in values:
+        owner = owners.setdefault(pattern.format(value), value)
+        if owner != value:
+            raise ConfigError(f"{owner!r} and {value!r} would share the output file {pattern.format(value)}")
+    return [pattern.format(value) for value in values]
+
+
 def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
     masses = params["m"]
     samples = params["samples"]
@@ -316,19 +326,17 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
     if samples < 2:
         raise ConfigError("need at least 2 samples")
     ks = np.linspace(-math.pi, math.pi, samples)
-    files = []
+    files = _file_names("dispersion_m{:g}.csv", masses)
     curves = []
-    for m in masses:
+    for m, name in zip(masses, files):
         w = dispersion.omega(ks, m)
         cone = (ks == 0.0) & (m == 0.0)  # omega has a cone there: no derivatives
         derivs = np.full((3, samples), math.nan)
         derivs[:, ~cone] = dispersion.derivatives(ks[~cone], m)
         if cone.any() and not any("derivative" in w for w in warnings):
             warnings.append("derivatives are undefined at k = 0 for m = 0; affected rows carry nan")
-        path = os.path.join(out_dir, f"dispersion_m{m:g}.csv")
         columns = [ks, w, dispersion.dirac_omega(ks, m), *derivs]
-        _write_csv(path, ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
-        files.append(os.path.basename(path))
+        _write_csv(os.path.join(out_dir, name), ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
         if params["svg"]:
             curves.append((f"m={m:g}", ks, w))
     if params["svg"]:
@@ -344,7 +352,7 @@ def _build_state(params: dict):
     if params.get("kind") == "localized":
         spinor = np.array([1.0, 1.0]) / math.sqrt(2.0)
         field = wavepacket.localized(int(params["x0"]), spinor, params["L"])
-        return auto, field, transform(field), None
+        return auto, field, None, None
     spec = wavepacket.WavepacketSpec(
         k0=params["k0"],
         sigma_hat=params["sigma_hat"],
@@ -390,13 +398,13 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     """
     auto, field, spectrum, spec = _build_state(params)
     times = _times(params)
+    files = _file_names("evolve_t{:g}.csv", times)
     _wraparound_warning(params, times, warnings)
     localized = spec is None
     if localized and any(t != int(t) for t in times):
         raise ConfigError("localized states evolve in position space: times must be integers")
     summaries = [None] * len(times)
     curves = [None] * len(times)
-    written = set()
     x = np.arange(params["L"])
     previous, elapsed = None, 0
     for i in sorted(range(len(times)), key=times.__getitem__):
@@ -417,15 +425,11 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
                 raise NumericalInvariantError(f"norm {norm!r} at t = {t:g} is more than {NORM_TOL:g} from 1")
             density = state.density()
             mean_x, var_x = wavepacket.position_moments(state)
+            _write_csv(os.path.join(out_dir, files[i]), ["x", "density"], (x, density))
             previous = t
-        name = f"evolve_t{t:g}.csv"
-        if name not in written:
-            _write_csv(os.path.join(out_dir, name), ["x", "density"], (x, density))
-            written.add(name)
         summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
         if params["svg"]:
             curves[i] = (f"t={t:g}", x, density)
-    files = [f"evolve_t{t:g}.csv" for t in times]
     if params["svg"]:
         path = os.path.join(out_dir, "evolve.svg")
         svgplot.write_plot(path, curves, title="probability density", xlabel="x", ylabel="density")
@@ -471,9 +475,7 @@ def _require(params: dict, *keys):
 
 def _run_discriminate(params: dict, out_dir: str, warnings: list) -> dict:
     _require(params, "m", "kbar")
-    inp = discrimination.DiscriminationInput(
-        m=params["m"], k_bar=params["kbar"], N_bar=params["nbar"], t=params["t"]
-    )
+    inp = discrimination.DiscriminationInput(params["m"], params["kbar"], params["nbar"], params["t"])
     results = dataclasses.asdict(discrimination.pe_lower_bound(inp))
     if params["solve_tmin"]:
         t_min = discrimination.t_min_approx(params["m"], params["kbar"], params["nbar"])
@@ -499,9 +501,7 @@ def _run_flytime(params: dict, out_dir: str, warnings: list) -> dict:
 
 def _run_validate_bound(params: dict, out_dir: str, warnings: list) -> dict:
     _require(params, "m", "kbar", "t")
-    inp = discrimination.DiscriminationInput(
-        m=params["m"], k_bar=params["kbar"], N_bar=params["nbar"], t=params["t"]
-    )
+    inp = discrimination.DiscriminationInput(params["m"], params["kbar"], params["nbar"], params["t"])
     report = discrimination.validate_bound_montecarlo(
         inp, samples=params["samples"], seed=params["seed"], workers=params["workers"]
     )

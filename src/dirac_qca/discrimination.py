@@ -16,10 +16,11 @@ values alpha_bar, beta_bar over {0, k_bar} give
 
     g = N_bar * arccos(cos(alpha_bar t) - beta_bar)
 
-and, while beta_bar <= 1 - cos(pi / 2 N_bar) and t <= f (the time cap that
-keeps g <= pi/2), every admissible state has trace distance at most
-sqrt(1 - cos^2 g), hence error probability at least (1 - sin g)/2 for the
-equal-prior guess between the two dynamics.
+and, while beta_bar <= 1 - cos(pi / 2 N_bar) and t <= f, every admissible
+state has trace distance at most sqrt(1 - cos^2 g), hence error probability at
+least (1 - sin g)/2 for the equal-prior guess between the two dynamics.  The
+time cap f is the root of g(f) = pi/2, so it is also the perfect-discrimination
+time ``t_min_exact``.
 
 alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
 proton scale), where their defining differences cancel, so both are built from
@@ -57,7 +58,6 @@ __all__ = [
 MU_CLAMP_TOL = 1e-9
 GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
 MONOTONE_REL_TOL = 1e-12  # slack of that grid check, relative to the endpoint values
-T_MIN_REL_TOL = 1e-9  # relative bracket width at which t_min_exact stops bisecting
 MC_BLOCK = 1024  # samples per Monte Carlo block at N_bar <= 20: fixes the stream layout, bounds memory
 CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample state
 MC_BLOCK_DRAWS = MC_BLOCK * CONFIGS_PER_STATE * 20  # particle draws per block: fewer samples for N_bar > 20
@@ -243,26 +243,26 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     return float(alpha_bar), float(beta_bar)
 
 
-def _time_cap(alpha_bar: float, beta_bar: float, n_bar: int) -> float:
-    edge = math.cos(math.pi / (2.0 * n_bar)) + beta_bar
-    if edge > 1.0:
-        return 0.0  # hypotheses already broken
+def _time_cap(alpha_bar: float, beta_bar: float, n_bar: int) -> Optional[float]:
+    """The root f of g(f) = pi/2: None if beta_bar > 1 - cos(pi/2N_bar), inf at alpha_bar = 0."""
+    cos_cap = math.cos(math.pi / (2.0 * n_bar))
+    if beta_bar > 1.0 - cos_cap:
+        return None
     if alpha_bar == 0.0:
         return math.inf
-    return math.acos(edge) / alpha_bar
+    return math.acos(min(1.0, cos_cap + beta_bar)) / alpha_bar  # min: a rounding at the edge stays in the domain
 
 
 def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
     """Error-probability floor for guessing lattice vs continuum dynamics.
 
-    Outside the hypotheses (beta_bar too large, or t beyond the cap f) no
-    bound is produced and ``hypotheses_ok`` is False.
+    Outside the hypotheses (beta_bar too large, where ``f_limit`` is 0.0, or t
+    beyond the cap f) no bound is produced and ``hypotheses_ok`` is False.
     """
     alpha_bar, beta_bar = extremal_alpha_beta(inp.k_bar, inp.m)
     f = _time_cap(alpha_bar, beta_bar, inp.N_bar)
-    hyp = beta_bar <= 1.0 - math.cos(math.pi / (2.0 * inp.N_bar)) and inp.t <= f
-    if not hyp:
-        return DiscriminationReport(alpha_bar=alpha_bar, beta_bar=beta_bar, f_limit=f, hypotheses_ok=False)
+    if f is None or not inp.t <= f:
+        return DiscriminationReport(alpha_bar=alpha_bar, beta_bar=beta_bar, f_limit=f or 0.0, hypotheses_ok=False)
     g = inp.N_bar * math.acos(min(1.0, math.cos(alpha_bar * inp.t) - beta_bar))
     pe = 0.5 * (1.0 - math.sin(g))
     return DiscriminationReport(
@@ -270,42 +270,33 @@ def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
     )
 
 
+def _finite_time(t: float) -> float:
+    if t == math.inf:
+        raise ValueError("the perfect-discrimination time lies beyond the double range")
+    return t
+
+
 def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
-    """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar)."""
+    """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar); ValueError beyond the double range."""
     _check_caps(m, k_bar, n_bar)
     if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
-    return 3.0 * math.pi / (m * m * k_bar * n_bar)
+    rate = m * m * k_bar * n_bar  # 0 where it underflows
+    return _finite_time(3.0 * math.pi / rate if rate > 0.0 else math.inf)
 
 
 def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
-    """Root of g(t) = pi/2 inside the validity window, by bisection.
+    """The root of g(t) = pi/2, which is the time cap f of ``pe_lower_bound``.
 
-    Returns None when pi/2 is unreachable: either the beta_bar hypothesis
-    fails outright or alpha_bar = 0 (identical dispersions up to roundoff).
+    None when pi/2 is unreachable: the beta_bar hypothesis fails outright or
+    alpha_bar = 0 (identical dispersions up to roundoff).  An f that overflows is a ValueError.
     """
     _check_caps(m, k_bar, n_bar)
     if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
     alpha_bar, beta_bar = extremal_alpha_beta(k_bar, m)
-    if beta_bar > 1.0 - math.cos(math.pi / (2.0 * n_bar)) or alpha_bar == 0.0:
-        return None
-
-    def g_of(t: float) -> float:
-        return n_bar * math.acos(max(-1.0, math.cos(alpha_bar * t) - beta_bar))
-
-    # bracket: g is increasing up to t_dom, where its argument reaches -1
-    t_dom = math.acos(max(-1.0, beta_bar - 1.0)) / alpha_bar
-    lo, hi = 0.0, t_dom
-    if g_of(hi) < math.pi / 2.0:
-        return None
-    while (hi - lo) > T_MIN_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if g_of(mid) < math.pi / 2.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    f = _time_cap(alpha_bar, beta_bar, n_bar)
+    return None if f is None or alpha_bar == 0.0 else _finite_time(f)
 
 
 def _pairwise_trace_distance(phases: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -362,16 +353,16 @@ def validate_bound_montecarlo(
     [-k_bar, k_bar], branch signs uniform, and spherically drawn amplitudes.
 
     Samples are drawn in blocks of min(``MC_BLOCK``, ``MC_BLOCK_DRAWS`` //
-    (``CONFIGS_PER_STATE`` N_bar)) samples, at least one, so a block holds
-    at most ``MC_BLOCK_DRAWS`` particle draws whatever N_bar; block i draws
-    from the i-th child of numpy's ``SeedSequence(seed).spawn(n_blocks)``,
+    (``CONFIGS_PER_STATE`` N_bar)) samples, at least one, so a block holds at
+    most max(``MC_BLOCK_DRAWS``, ``CONFIGS_PER_STATE`` N_bar) particle draws;
+    block i draws from the i-th child of ``SeedSequence(seed).spawn(n_blocks)``,
     so results depend only on (seed, samples, N_bar).  ``workers`` only sets
     parallelism: the blocks run on min(workers, os.cpu_count(), n_blocks)
-    threads (numpy releases the GIL in its loops), two blocks per thread at
-    a time, so memory is bounded by workers x block whatever the sample
-    count and N_bar.  Block maxima are reduced in block order; the first
-    block with a sample exceeding the bound by more than 1e-9 raises
-    :class:`BoundViolationError` -- that would falsify the analytic cap.
+    threads (numpy releases the GIL in its loops), two blocks per thread at a
+    time, so memory is bounded by workers x block whatever the sample count.
+    Block maxima are reduced in block order; the first block with a sample
+    exceeding the bound by more than 1e-9 raises :class:`BoundViolationError`
+    -- that would falsify the analytic cap.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")

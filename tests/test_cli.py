@@ -311,6 +311,12 @@ class TestInputBoundaries:
             ["dispersion", "--preset", "", "--samples", "8"],
             ["dispersion", "--m", ",", "--samples", "8"],  # no mass: used to write no table and exit 0
             ["flytime", "--m", "0.5", "--k", "100", "--sigma-hat", "10"],  # outside the Brillouin zone
+            # distinct values that share an output file name: the second used to overwrite or skip the first
+            ["evolve", "--L", "64", "--sigma-hat", "2", "--x0", "32", "--times", "1000000,1000001"],
+            ["dispersion", "--m", "0.1234561,0.1234562", "--samples", "4"],
+            # t_min beyond the double range: used to raise ZeroDivisionError, and to report "inf"
+            ["discriminate", "--m", "1e-160", "--kbar", "1e-8", "--solve-tmin"],
+            ["discriminate", "--m", "1e-155", "--kbar", "1e-8", "--solve-tmin"],
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):
@@ -350,7 +356,9 @@ INPUTS = {
     "times": (
         ["evolve", "--L", "16", "--sigma-hat", "1", "--x0", "8"],
         "--times",
-        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=3).map(lambda ts: ",".join(map(repr, ts))),
+        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=3)
+        .filter(lambda ts: len({f"{t:g}" for t in ts}) == len(set(ts)))  # distinct times, distinct file names
+        .map(lambda ts: ",".join(map(repr, ts))),
         NEGATIVE.map(lambda t: "0," + t),
     ),
     "width": (["flytime", "--m", "0.5", "--k", "1"], "--sigma-hat", _floats(1e-100, 1e100), _floats(-1e300, 0.0)),

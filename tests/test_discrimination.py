@@ -357,6 +357,32 @@ class TestTmin:
     def test_unreachable_when_beta_hypothesis_fails(self):
         assert t_min_exact(0.9, 3.0, 50) is None
 
+    def test_exact_time_is_the_time_cap(self):
+        # g(t) = pi/2 defines both: t_min_exact returns the report's f_limit bit for bit
+        for m in (1e-19, 1e-6, 0.01, 0.3, 0.9):
+            for k_bar in (1e-8, 1e-3, 0.5, 2.5):
+                for n_bar in (1, 3, 64):
+                    t = t_min_exact(m, k_bar, n_bar)
+                    if t is not None:
+                        assert t == pe_lower_bound(DiscriminationInput(m, k_bar, n_bar, 0.0)).f_limit, (m, k_bar, n_bar)
+
+    @pytest.mark.parametrize("m, n_bar", [(0.9, 50), (0.6, 8), (0.5, 4), (0.3, 2)])
+    def test_beta_hypothesis_edge_is_one_test(self, m, n_bar):
+        # bisect k_bar down to the two adjacent doubles where beta_bar crosses 1 - cos(pi / 2 N_bar)
+        edge = 1.0 - math.cos(math.pi / (2.0 * n_bar))
+        lo, hi = 1e-3, 3.0
+        assert extremal_alpha_beta(lo, m)[1] <= edge < extremal_alpha_beta(hi, m)[1]
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if extremal_alpha_beta(mid, m)[1] <= edge else (lo, mid)
+        for k_bar in (lo, hi):
+            report = pe_lower_bound(DiscriminationInput(m, k_bar, n_bar, 0.0))
+            t = t_min_exact(m, k_bar, n_bar)
+            if not report.hypotheses_ok:  # at t = 0 only the beta_bar test can fail
+                assert report.f_limit == 0.0 and t is None
+            else:
+                assert t == report.f_limit
+
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             t_min_approx(0.0, 0.5, 1)
@@ -375,10 +401,12 @@ class TestTmin:
             (t_min_approx, 0.5, 5.0, 1, "momentum cap"),
             (t_min_approx, 2.0, 0.5, 1, "mass"),
             (t_min_exact, 2.0, 0.5, 1, "mass"),  # used to raise "math domain error"
+            (t_min_approx, 1e-160, 1e-8, 1, "double range"),  # m^2 k_bar N_bar underflows: used to divide by 0
+            (t_min_exact, 1e-150, 1e-8, 1, "double range"),  # alpha_bar > 0, but f overflows
             (lambda m, k, n: DiscriminationInput(m=m, k_bar=k, N_bar=n, t=1.0), 0.5, 0.5, 1.5, "particle cap"),
         ],
         ids=["approx-n0", "exact-n0", "approx-n-1", "exact-n-1", "approx-n1.5", "exact-n1.5",
-             "approx-k5", "approx-m2", "exact-m2", "input-n1.5"],
+             "approx-k5", "approx-m2", "exact-m2", "approx-overflow", "exact-overflow", "input-n1.5"],
     )
     def test_rejects_caps_outside_their_range(self, solver, m, k_bar, n_bar, message):
         with pytest.raises(ValueError, match=message):
