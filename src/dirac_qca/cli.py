@@ -244,15 +244,10 @@ def _write_json(path: str, payload: dict):
     write_text(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _csv_rows(columns):
-    """The rows of the equal-length ``columns`` as text, each float as its shortest repr."""
-    cells = [map(repr, np.asarray(column, dtype=float).tolist()) for column in columns]
-    return map(",".join, zip(*cells))
-
-
 def _csv_chunk(columns) -> str:
-    """One chunk of rows, each ended by a newline; runs on a pool worker."""
-    return "\n".join(_csv_rows(columns)) + "\n"
+    """The rows of the equal-length float arrays ``columns``: shortest reprs, each row ended by a newline."""
+    cells = [map(repr, column.tolist()) for column in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _usable_cpus() -> int:
@@ -282,27 +277,27 @@ def _csv_pool():
 def _write_csv(path: str, header, columns):
     """One row per entry of the equal-length ``columns``, each float as its shortest repr.
 
-    A table of more than ``CSV_CHUNK_ROWS`` rows, on a machine with at least
-    two usable CPUs, is formatted in row chunks on ``_csv_pool``; the chunks
-    are joined in row order, so the bytes are those of the serial path.  A
-    failed worker raises ``OSError`` before anything is written.
+    The rows are formatted in chunks of ``CSV_CHUNK_ROWS``, joined in row
+    order: in this process when there is one chunk or fewer than two usable
+    CPUs, else on ``_csv_pool``.  A failed worker raises ``OSError`` before
+    anything is written.
     """
     rows = min(map(len, columns), default=0)
-    if rows <= CSV_CHUNK_ROWS or _usable_cpus() < 2:
-        write_text(path, "\n".join([",".join(header), *_csv_rows(columns)]) + "\n")
-        return
     columns = [np.asarray(column, dtype=float) for column in columns]
     chunks = [[column[i : i + CSV_CHUNK_ROWS] for column in columns] for i in range(0, rows, CSV_CHUNK_ROWS)]
-    pool = _csv_pool()
-    try:
-        parts = list(pool.map(_csv_chunk, chunks))
-    except Exception as exc:
-        from concurrent.futures import BrokenExecutor
+    if len(chunks) <= 1 or _usable_cpus() < 2:
+        parts = map(_csv_chunk, chunks)
+    else:
+        pool = _csv_pool()
+        try:
+            parts = list(pool.map(_csv_chunk, chunks))
+        except Exception as exc:
+            from concurrent.futures import BrokenExecutor
 
-        if isinstance(exc, BrokenExecutor):  # a broken pool takes no more work: the next table builds a new one
-            pool.shutdown(wait=False)
-            _csv_pool.cache_clear()
-        raise OSError(f"formatting {path} on worker processes failed: {exc!r}") from exc
+            if isinstance(exc, BrokenExecutor):  # a broken pool takes no more work: the next table builds a new one
+                pool.shutdown(wait=False)
+                _csv_pool.cache_clear()
+            raise OSError(f"formatting {path} on worker processes failed: {exc!r}") from exc
     write_text(path, "".join([",".join(header) + "\n", *parts]))
 
 

@@ -34,12 +34,13 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .dispersion import _check_mass, _check_time, _mode, _over, dirac_axis, dirac_omega, lattice_axis, omega, su2_power
+from .dispersion import _check_mass, _check_time, _mode, _over, dirac_axis, dirac_omega, lattice_axis, su2_power
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
 __all__ = [
@@ -69,11 +70,11 @@ def _check_k_bar(k_bar: float):
 
 
 def _check_caps(m: float, k_bar: float, n_bar: int):
-    """The one check of the caps: 0 <= m <= 1, 0 <= k_bar < pi and N_bar a positive integer."""
+    """The one check of the caps: 0 <= m <= 1, 0 <= k_bar < pi and N_bar a positive integer that a double holds."""
     _check_mass(m)
     _check_k_bar(k_bar)
-    if not (isinstance(n_bar, numbers.Integral) and n_bar >= 1):
-        raise ValueError(f"particle cap must be a positive integer, got {n_bar!r}")
+    if not (isinstance(n_bar, numbers.Integral) and 1 <= n_bar <= sys.float_info.max):
+        raise ValueError(f"particle cap must be a positive integer no larger than the largest double, got {n_bar!r}")
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,13 @@ def _alpha(k, m):
         s_e = _one_minus_sinc(m2 / (2.0 * (lam + k)))
         s_h = _one_minus_sinc((lam + k) / 2.0)
         b = (4.0 * np.sin(k / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
-        return 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + omega(k, m)) / 2.0)))
+        return 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + _mode(k, m)[5]) / 2.0)))
 
     def above(k):
         kappa = (math.pi - k) + _PI_LOW  # pi - k exactly, then rounded once
-        w_kappa = omega(kappa, m)
-        return m2 / (dirac_omega(k, m) + k) + 2.0 * np.arcsin(
-            m2 * np.cos(kappa) / (2.0 * n1 * np.sin((w_kappa + kappa) / 2.0))
-        )
+        _, c_kappa, _, _, _, w_kappa = _mode(kappa, m)
+        half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((w_kappa + kappa) / 2.0)))
+        return m2 / (dirac_omega(k, m) + k) + 2.0 * half
 
     result = np.zeros_like(k) if m2 == 0.0 else np.piecewise(k, [k < math.pi / 2.0], [below, above])
     return result if result.ndim else float(result)
@@ -189,7 +189,7 @@ def _beta(k, m):
     """
 
     def positive(k):
-        sk, _, _, sw, v = _mode(k, m)
+        sk, _, _, sw, v, _ = _mode(k, m)
         lam, v_c, u_xc = dirac_axis(k, m)
         gap = (_k_minus_sin(k) * (k + sk) + m * m * sk ** 2) / (lam + sw)  # lambda - sin w
         den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan

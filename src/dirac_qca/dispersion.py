@@ -13,8 +13,9 @@ closed form (cross-checked against finite differences in the test suite):
 
 using the exact identity sin(omega)^2 = sin^2 k + m^2 cos^2 k, which avoids
 the catastrophic cancellation of 1 - n^2 cos^2 k at small k.  omega itself is
-evaluated through a half-angle form so it keeps full relative precision down
-to k, m ~ 1e-19 where a direct arccos would return 0.
+computed in ``_mode``, the one per-mode kernel that every reader calls once,
+through a half-angle form so it keeps full relative precision down to
+k, m ~ 1e-19 where a direct arccos would return 0.
 
 Both the lattice step and the continuum evolution of one mode are SU(2)
 rotations exp(-i angle u.sigma), u = (u_x, 0, -v): ``lattice_axis`` and
@@ -74,33 +75,26 @@ def _over(x, r, scale=1.0):
 
 
 def _mode(k, m):
-    """(sin k, cos k, sin^2 w, sin w, v): the per-k pieces of U(k) = exp(-i omega u.sigma).
+    """(sin k, cos k, sin^2 w, sin w, v, w): the per-k pieces of U(k) = exp(-i omega u.sigma), free of cancellation.
 
-    sin^2 w = sin^2 k + m^2 cos^2 k is exact, free of the cancellation in 1 - n^2 cos^2 k.
-    The axis u = (u_x, 0, -v) = (m, 0, -n sin k) / sin w is zero where sin w = 0: in
-    floating point at k = 0 for m = 0, and for k and m both below about 1e-162.
+    w = 2 asin(sqrt(delta/2)), delta = 1 - n cos k = 2 sin^2(k/2) + m^2 cos k / (1 + n), raises where delta/2 is
+    more than ``ARCCOS_CLAMP_TOL`` outside [0, 1]; sin^2 w = sin^2 k + m^2 cos^2 k.  The axis u = (u_x, 0, -v) =
+    (m, 0, -n sin k) / sin w is zero where sin w = 0: at k = 0 for m = 0, and for k, m both below about 1e-162.
     """
+    n = math.sqrt(1.0 - m * m)
     sk, ck = np.sin(k), np.cos(k)
+    w = (2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + n)) * ck) / 2.0  # delta/2; w reuses the name, which frees it
+    if np.any(w < -ARCCOS_CLAMP_TOL) or np.any(w > 1.0 + ARCCOS_CLAMP_TOL):
+        raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
+    w = 2.0 * np.arcsin(np.sqrt(np.clip(w, 0.0, 1.0)))
     s2 = sk ** 2 + m * m * ck ** 2
     sw = np.sqrt(s2)
-    return sk, ck, s2, sw, _over(sk, sw, math.sqrt(1.0 - m * m))
+    return sk, ck, s2, sw, _over(sk, sw, n), w
 
 
 def omega(k, m):
-    """Automaton dispersion arccos(n cos k), branch in [0, pi].
-
-    Computed as 2*arcsin(sqrt(delta/2)) with delta = 1 - n cos k assembled
-    from the cancellation-free pieces 2 sin^2(k/2) and m^2 cos k / (1 + n).
-    Arguments drifting past the domain edge by more than 1e-12 raise.
-    """
-    m = _check_mass(m)
-    k = np.asarray(k, dtype=float)
-    n = math.sqrt(1.0 - m * m)
-    delta = 2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + n)) * np.cos(k)
-    arg = delta / 2.0
-    if np.any(arg < -ARCCOS_CLAMP_TOL) or np.any(arg > 1.0 + ARCCOS_CLAMP_TOL):
-        raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
-    result = 2.0 * np.arcsin(np.sqrt(np.clip(arg, 0.0, 1.0)))
+    """Automaton dispersion arccos(n cos k), branch in [0, pi], in the half-angle form of ``_mode``."""
+    result = _mode(np.asarray(k, dtype=float), _check_mass(m))[5]
     return result if result.ndim else float(result)
 
 
@@ -132,17 +126,11 @@ def derivatives(k, m) -> Derivatives:
     m = _check_mass(m)
     k_arr = np.asarray(k, dtype=float)
     n = math.sqrt(1.0 - m * m)
-    sk, ck, s2, sw, v = _mode(k_arr, m)
+    sk, ck, s2, sw, v, _ = _mode(k_arr, m)
     if np.any(sw == 0.0):
         raise ValueError("derivatives undefined where sin omega = 0 (k = 0 at m = 0, or k and m below ~1e-162)")
-    # in place where the closed forms' roundings allow, so at most six arrays are alive at once
-    s5 = s2 * s2 * sw
-    s2 *= sw
-    del sw
-    d = n * m * m * ck / s2
-    del s2
-    sk *= -n * m * m
-    w3 = sk * (1.0 + 2.0 * n * n * ck ** 2) / s5
+    d = n * m * m * ck / (s2 * sw)
+    w3 = -n * m * m * sk * (1.0 + 2.0 * n * n * ck ** 2) / (s2 * s2 * sw)
     return Derivatives(v, d, w3) if k_arr.ndim else Derivatives(float(v), float(d), float(w3))
 
 
@@ -156,7 +144,7 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
     """
     s = _check_branch(s)
     m = _check_mass(m)
-    sw, v = _mode(np.atleast_1d(np.asarray(k, dtype=float)), m)[3:]
+    sw, v = _mode(np.atleast_1d(np.asarray(k, dtype=float)), m)[3:5]
     sv = np.clip(s * v, -1.0, 1.0)
     out = np.empty((v.size, 2), dtype=complex)
     out[:, 0] = np.sqrt((1.0 - sv) / 2.0)
@@ -173,9 +161,8 @@ def lattice_axis(k, m):
     cos(omega t) I.
     """
     m = _check_mass(m)
-    k = np.asarray(k, dtype=float)
-    sw, v = _mode(k, m)[3:]
-    return omega(k, m), v, _over(m, sw)
+    sw, v, w = _mode(np.asarray(k, dtype=float), m)[3:]
+    return w, v, _over(m, sw)
 
 
 def dirac_axis(k, m):

@@ -44,6 +44,13 @@ class FlytimeInput:
             raise ValueError(f"need a finite sigma_hat > 0, got {self.sigma_hat}")
 
 
+def _in_range(value: float, product: str) -> float:
+    """value, or a ValueError naming the ``product`` that under- or overflowed out of the double range."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{product} = {value!r} left the double range")
+    return value
+
+
 class SeparationTimes(NamedTuple):
     t_general: float
     t_relativistic: float
@@ -58,14 +65,17 @@ def separation_time(inp: FlytimeInput) -> SeparationTimes:
     """
     m, k, sh = inp.m, abs(inp.k), inp.sigma_hat
     lam2 = k * k + m * m
-    general = sh * abs(6.0 * lam2 * math.sqrt(lam2) / (m * m * k * k * (2.0 * m * m + k)))
-    relativistic = 6.0 * sh / (m * m)
+    den = _in_range(m * m * k * k * (2.0 * m * m + k), "m^2 k^2 (2 m^2 + k)")
+    general = _in_range(sh * (6.0 * lam2 * math.sqrt(lam2) / den), "6 sigma_hat lambda^3 / (m^2 k^2 (2 m^2 + k))")
+    relativistic = _in_range(6.0 * sh / (m * m), "t_relativistic = 6 sigma_hat / m^2")  # den > 0, so m^2 > 0
     return SeparationTimes(general, relativistic)
 
 
 def _spread_term(rate: float, t: float, sigma_hat: float) -> float:
     # sqrt(1 + x^2) - 1 evaluated as x^2/(1 + sqrt(1 + x^2)): no cancellation
-    x = rate * t / (2.0 * sigma_hat * sigma_hat)
+    x = rate * t / _in_range(2.0 * sigma_hat * sigma_hat, "2 sigma_hat^2")
+    if x * x == math.inf:
+        raise ValueError(f"(D t / 2 sigma_hat^2)^2 = {x * x!r} left the double range")
     return x * x / (1.0 + math.sqrt(1.0 + x * x))
 
 
@@ -79,9 +89,8 @@ def broadening(inp: FlytimeInput, t: float) -> float:
     _, d_lattice, _ = derivatives(inp.k, inp.m)
     lam2 = inp.k * inp.k + inp.m * inp.m
     d_cont = inp.m * inp.m / lam2 ** 1.5
-    return inp.sigma_hat * (
-        _spread_term(abs(d_lattice), t, inp.sigma_hat) + _spread_term(d_cont, t, inp.sigma_hat)
-    )
+    spread = _spread_term(abs(d_lattice), t, inp.sigma_hat) + _spread_term(d_cont, t, inp.sigma_hat)
+    return inp.sigma_hat * spread
 
 
 @dataclass(frozen=True)

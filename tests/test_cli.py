@@ -317,6 +317,15 @@ class TestInputBoundaries:
             # t_min beyond the double range: used to raise ZeroDivisionError, and to report "inf"
             ["discriminate", "--m", "1e-160", "--kbar", "1e-8", "--solve-tmin"],
             ["discriminate", "--m", "1e-155", "--kbar", "1e-8", "--solve-tmin"],
+            # a particle cap beyond the double range: used to raise OverflowError
+            ["discriminate", "--m", "0.3", "--kbar", "0.5", "--nbar", "1" + "0" * 400],
+            # products that leave the double range: used to raise ZeroDivisionError (2 sigma_hat^2, m^2 k^2),
+            # to blame an input time (sigma_hat 1e308), or to report a nan broadening (sigma_hat 1e-155)
+            ["flytime", "--m", "0.5", "--k", "1", "--sigma-hat", "1e-200"],
+            ["flytime", "--m", "0.05", "--k=-1e-260", "--sigma-hat", "1"],
+            ["flytime", "--m", "5e-324", "--k", "1", "--sigma-hat", "1"],
+            ["flytime", "--m", "0.5", "--k", "1", "--sigma-hat", "1e308"],
+            ["flytime", "--m", "0.5", "--k", "1", "--sigma-hat", "1e-155"],
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):

@@ -93,6 +93,27 @@ class TestOmega:
             omega(0.5, 0.6)
 
 
+class TestKernelReaders:
+    """The readers of the one per-mode kernel ``dispersion._mode`` agree bit for bit."""
+
+    # k = 0, +-pi and both neighbours of +-pi/2
+    KS = np.array([-np.pi, -np.nextafter(np.pi / 2, 4), -np.nextafter(np.pi / 2, 0), -0.3, 0.0, 1e-8,
+                   np.nextafter(np.pi / 2, 0), np.pi / 2, np.nextafter(np.pi / 2, 4), 2.0, np.pi])
+
+    @pytest.mark.parametrize("m", [0.0, 1e-19, 0.6, 1.0])
+    def test_lattice_axis_angle_is_omega(self, m):
+        assert np.array_equal(dispersion.lattice_axis(self.KS, m)[0], omega(self.KS, m))
+        for k in self.KS:
+            assert dispersion.lattice_axis(k, m)[0] == omega(k, m)
+
+    @pytest.mark.parametrize("m", [0.0, 1e-19, 0.6, 1.0])
+    def test_lattice_axis_velocity_is_derivatives_v(self, m):
+        ks = self.KS[self.KS != 0.0] if m == 0.0 else self.KS  # no derivative on the cone at (0, 0)
+        assert np.array_equal(dispersion.lattice_axis(ks, m)[1], derivatives(ks, m).v)
+        for k in ks:
+            assert dispersion.lattice_axis(k, m)[1] == derivatives(k, m).v
+
+
 class TestDiracOmega:
     def test_examples(self):
         assert dirac_omega(0.0, 0.37) == 0.37

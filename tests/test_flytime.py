@@ -116,3 +116,18 @@ class TestValidation:
     def test_momentum_outside_the_zone_rejected(self, k):
         with pytest.raises(ValueError, match="pi"):
             FlytimeInput(m=0.1, k=k, sigma_hat=1.0)
+
+    @pytest.mark.parametrize(
+        "m, k, sigma_hat, product",
+        [
+            (0.5, 1.0, 1e-200, "2 sigma_hat^2"),
+            (0.05, -1e-260, 1.0, "m^2 k^2 (2 m^2 + k)"),
+            (5e-324, 1.0, 1.0, "m^2 k^2 (2 m^2 + k)"),
+            (0.5, 1.0, 1e308, "6 sigma_hat lambda^3 / (m^2 k^2 (2 m^2 + k))"),
+            (0.5, 1.0, 1e-155, "(D t / 2 sigma_hat^2)^2"),
+        ],
+    )
+    def test_product_outside_the_double_range_is_named(self, m, k, sigma_hat, product):
+        with pytest.raises(ValueError, match="left the double range") as raised:
+            visibility_report(FlytimeInput(m=m, k=k, sigma_hat=sigma_hat))
+        assert str(raised.value).startswith(product + " = ")
