@@ -246,8 +246,8 @@ def _write_json(path: str, payload: dict):
 
 def _csv_chunk(columns) -> str:
     """The rows of the equal-length float arrays ``columns``: shortest reprs, each row ended by a newline."""
-    cells = [map(repr, column.tolist()) for column in columns]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    # the float lists are freed before the join starts; the empty last row ends the text with a newline
+    return "\n".join([*map(",".join, zip(*[map(repr, column.tolist()) for column in columns])), ""])
 
 
 def _usable_cpus() -> int:
