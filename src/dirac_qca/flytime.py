@@ -67,7 +67,7 @@ def separation_time(inp: FlytimeInput) -> SeparationTimes:
     lam2 = k * k + m * m
     den = _in_range(m * m * k * k * (2.0 * m * m + k), "m^2 k^2 (2 m^2 + k)")
     general = _in_range(sh * (6.0 * lam2 * math.sqrt(lam2) / den), "6 sigma_hat lambda^3 / (m^2 k^2 (2 m^2 + k))")
-    relativistic = _in_range(6.0 * sh / (m * m), "t_relativistic = 6 sigma_hat / m^2")  # den > 0, so m^2 > 0
+    relativistic = _in_range(6.0 * sh / (m * m), "6 sigma_hat / m^2")  # den > 0, so m^2 > 0
     return SeparationTimes(general, relativistic)
 
 
@@ -75,7 +75,7 @@ def _spread_term(rate: float, t: float, sigma_hat: float) -> float:
     # sqrt(1 + x^2) - 1 evaluated as x^2/(1 + sqrt(1 + x^2)): no cancellation
     x = rate * t / _in_range(2.0 * sigma_hat * sigma_hat, "2 sigma_hat^2")
     if x * x == math.inf:
-        raise ValueError(f"(D t / 2 sigma_hat^2)^2 = {x * x!r} left the double range")
+        raise ValueError("(D t / 2 sigma_hat^2)^2 = inf left the double range")
     return x * x / (1.0 + math.sqrt(1.0 + x * x))
 
 
