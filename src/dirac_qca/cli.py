@@ -342,12 +342,11 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
 
 
 def _build_state(params: dict):
-    """The initial state that ``params``, a preset's values laid over the flags, describe."""
+    """Automaton, initial state (localized: ``SpinorField``, else ``ModeSpectrum``) and packet spec (or None)."""
     auto = AutomatonParams(params["m"])
     if params.get("kind") == "localized":
         spinor = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        field = wavepacket.localized(int(params["x0"]), spinor, params["L"])
-        return auto, field, None, None
+        return auto, wavepacket.localized(int(params["x0"]), spinor, params["L"]), None
     spec = wavepacket.WavepacketSpec(
         k0=params["k0"],
         sigma_hat=params["sigma_hat"],
@@ -356,8 +355,7 @@ def _build_state(params: dict):
         shape=params.get("shape", "gaussian"),
         hermite_coeffs=params.get("coeffs"),
     )
-    field, spectrum = wavepacket.build(spec, auto, params["L"])
-    return auto, field, spectrum, spec
+    return auto, wavepacket.build(spec, auto, params["L"]), spec
 
 
 def _wraparound_warning(params: dict, times, warnings: list):
@@ -378,10 +376,13 @@ def _times(params: dict) -> list:
     return [t + 0.0 for t in times]  # -0.0 + 0.0 is 0.0: one time, one file name
 
 
-def _checked_fidelity(fid: float, t: float) -> float:
+def _exact_and_fidelity(spectrum, auto, spec, t: float):
+    """``spectrum`` evolved exactly to ``t``, and its checked fidelity with the drift-diffusion evolution."""
+    exact = evolve_momentum(spectrum, auto, t)
+    fid = approx.fidelity(exact, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
     if not 0.0 <= fid <= 1.0 + FIDELITY_TOL:
         raise NumericalInvariantError(f"fidelity {fid!r} at t = {t:g} is outside [0, 1 + {FIDELITY_TOL:g}]")
-    return fid
+    return exact, fid
 
 
 def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
@@ -391,7 +392,7 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     state steps on from the previous time (bit-identical to restarting from
     t = 0), so the run costs ``max(times)`` steps.
     """
-    auto, field, spectrum, spec = _build_state(params)
+    auto, initial, spec = _build_state(params)
     times = _times(params)
     files = _file_names("evolve_t{:g}.csv", times)
     _wraparound_warning(params, times, warnings)
@@ -401,19 +402,17 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     summaries = [None] * len(times)
     curves = [None] * len(times)
     x = np.arange(params["L"])
-    previous, elapsed = None, 0
+    state, previous, elapsed = initial, None, 0
     for i in sorted(range(len(times)), key=times.__getitem__):
         t = times[i]
         if t != previous:
             fid = None
             if localized:
-                state = field = evolve_position(field, auto, int(t) - elapsed)
+                state = evolve_position(state, auto, int(t) - elapsed)
                 elapsed = int(t)
             else:
-                evolved = evolve_momentum(spectrum, auto, t)
+                evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
                 state = inverse_transform(evolved)
-                fid = approx.fidelity(evolved, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
-                fid = _checked_fidelity(fid, t)
                 del evolved  # not needed while the CSV is built
             norm = state.norm()
             if not abs(norm - 1.0) <= NORM_TOL:
@@ -433,15 +432,13 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
 
 
 def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
-    auto, field, spectrum, spec = _build_state(params)
+    auto, spectrum, spec = _build_state(params)
     times = _times(params)
     _wraparound_warning(params, times, warnings)
     sigma = params["sigma"] if params["sigma"] is not None else 3.0 / spec.sigma_hat
     rows = []
     for t in times:
-        exact = evolve_momentum(spectrum, auto, t)
-        approximate = approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t)
-        fid = _checked_fidelity(approx.fidelity(exact, approximate), t)
+        _, fid = _exact_and_fidelity(spectrum, auto, spec, t)
         bound = approx.accuracy_bound(spectrum, auto, spec.k0, sigma, t)
         rows.append({"fidelity": fid, **dataclasses.asdict(bound)})
     header = ["t", "fidelity", "bound", "epsilon", "gamma", "sigma"]

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .automaton import AutomatonParams, ModeSpectrum, SpinorField, inverse_transform
+from .automaton import AutomatonParams, ModeSpectrum, SpinorField
 from .dispersion import _check_branch, branch_spinors
 
 __all__ = [
@@ -102,25 +102,29 @@ def _envelope(spec: WavepacketSpec, displacement: np.ndarray) -> np.ndarray:
     return gauss * poly
 
 
-def build(spec: WavepacketSpec, params: AutomatonParams, L: int) -> Tuple[SpinorField, ModeSpectrum]:
-    """Construct the packet; returns the position and momentum pictures.
+def build(spec: WavepacketSpec, params: AutomatonParams, L: int) -> ModeSpectrum:
+    """Construct the packet in the momentum picture.
 
     The support precondition 6 * sigma_hat < L keeps the wrapped envelope
-    tails negligible on the ring.
+    tails negligible on the ring; the centre x0 must lie in [0, L).
     """
     if 6.0 * spec.sigma_hat >= L:
         raise ValueError(
             f"packet does not fit the ring: need 6 * sigma_hat < L, got sigma_hat={spec.sigma_hat}, L={L}"
         )
+    if not 0.0 <= spec.x0 < L:
+        raise ValueError(f"packet center must satisfy 0 <= x0 < L, got x0={spec.x0}, L={L}")
     x = np.arange(L, dtype=float)
     displacement = (x - spec.x0 + L / 2.0) % L - L / 2.0
     scalar = np.exp(1j * spec.k0 * x) * _envelope(spec, displacement)
     g = np.fft.fft(scalar) / math.sqrt(L)
     ks = 2.0 * np.pi * np.fft.fftfreq(L)
     modes = g[:, None] * branch_spinors(ks, params.m, spec.s)
-    modes /= np.linalg.norm(modes)
-    spectrum = ModeSpectrum(modes)
-    return inverse_transform(spectrum), spectrum
+    norm = np.linalg.norm(modes)
+    if norm < math.sqrt(np.finfo(float).tiny):  # below this, the squared norm is no normal double
+        raise ValueError(f"packet envelope underflows: sigma_hat={spec.sigma_hat} is too narrow for x0={spec.x0}")
+    modes /= norm
+    return ModeSpectrum(modes)
 
 
 def localized(x0: int, spinor: Sequence[complex], L: int) -> SpinorField:

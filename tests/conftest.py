@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac_qca import AutomatonParams, WavepacketSpec, build, cli, dirac_omega, omega
+from dirac_qca import AutomatonParams, WavepacketSpec, build, cli, dirac_omega, inverse_transform, omega
 from dirac_qca.dispersion import sin_omega
 
 FIG4_COEFFS = (
@@ -85,8 +85,8 @@ def build_fig4(L: int = FIG4_L):
         hermite_coeffs=FIG4_COEFFS,
     )
     params = AutomatonParams(FIG4_M)
-    field, spectrum = build(spec, params, L)
-    return spec, params, field, spectrum
+    spectrum = build(spec, params, L)
+    return spec, params, inverse_transform(spectrum), spectrum
 
 
 @pytest.fixture(scope="session")

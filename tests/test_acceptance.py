@@ -229,7 +229,7 @@ class TestCriterion9BackendEquivalence:
         L, t = 256, 100
         params = AutomatonParams(m)
         spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=12.0, x0=L / 2)
-        field, _ = build(spec, params, L)
+        field = inverse_transform(build(spec, params, L))
         via_position = evolve_position(field, params, t)
         via_momentum = inverse_transform(evolve_momentum(transform(field), params, float(t)))
         residual = float(np.max(np.abs(via_position.sites - via_momentum.sites)))

@@ -27,7 +27,7 @@ def evolve_with_phase(spec, phase, s, t):
 def gaussian_state(m=0.0, k0=np.pi / 2, sigma_hat=10.0, L=256, s=+1):
     spec = WavepacketSpec(k0=k0, sigma_hat=sigma_hat, x0=L / 2, s=s)
     params = AutomatonParams(m)
-    _, spectrum = build(spec, params, L)
+    spectrum = build(spec, params, L)
     return spec, params, spectrum
 
 
@@ -177,7 +177,7 @@ class TestAccuracyBound:
                 spec = WavepacketSpec(
                     k0=k0, sigma_hat=sigma_hat, x0=L / 2, s=+1, shape=shape, hermite_coeffs=coeffs
                 )
-                _, spectrum = build(spec, params, L)
+                spectrum = build(spec, params, L)
                 sigma = 3.0 / sigma_hat
                 for t in (10.0, 100.0, 600.0):
                     exact = evolve_momentum(spectrum, params, t)

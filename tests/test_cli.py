@@ -23,6 +23,19 @@ def load_json(path):
         return json.load(handle)
 
 
+def count_ifft(monkeypatch):
+    """A list that gains one entry per ``np.fft.ifft`` call from now on."""
+    calls = []
+    original = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return calls
+
+
 class TestDispersionCommand:
     def test_row_count_and_columns(self, tmp_path):
         out = tmp_path / "o"
@@ -105,6 +118,11 @@ class TestEvolveCommand:
         monkeypatch.setattr(cli, "evolve_momentum", counted)
         assert run(["evolve", "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 0
         assert calls == [0.0, 100.0]
+
+    def test_one_inverse_fft_per_distinct_time(self, tmp_path, monkeypatch):
+        calls = count_ifft(monkeypatch)
+        assert run(["evolve", "--preset", "fig4", "--times", "0,100,100", "--out-dir", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2
 
     def test_unsorted_and_repeated_times_match_single_time_runs(self, tmp_path):
         times = [7500.0, 0.0, 2500.0, 2500.0, 10000.0, 1.0]
@@ -192,6 +210,11 @@ class TestCompareCommand:
     def test_rejects_localized_preset(self, tmp_path, capsys):
         assert run(["compare", "--preset", "fig2", "--out-dir", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
+
+    def test_makes_no_inverse_fft(self, tmp_path, monkeypatch):
+        calls = count_ifft(monkeypatch)
+        assert run(["compare", "--preset", "fig4", "--out-dir", str(tmp_path / "o")]) == 0
+        assert calls == []
 
 
 class TestFidelityPostcondition:
@@ -326,6 +349,12 @@ class TestInputBoundaries:
             ["flytime", "--m", "5e-324", "--k", "1", "--sigma-hat", "1"],
             ["flytime", "--m", "0.5", "--k", "1", "--sigma-hat", "1e308"],
             ["flytime", "--m", "0.5", "--k", "1", "--sigma-hat", "1e-155"],
+            # a centre off the ring: used to wrap silently, or to give a flat density
+            ["evolve", "--L", "1024", "--x0", "1e300", "--times", "0,100"],
+            ["evolve", "--L", "1024", "--x0", "5000", "--times", "0,100"],
+            # an envelope whose squared norm underflows between the sites: used to end in a nan fidelity, exit 2
+            ["evolve", "--L", "64", "--sigma-hat", "0.01", "--x0", "8.5", "--times", "0"],
+            ["evolve", "--L", "64", "--sigma-hat", "1e-100", "--x0", "8.5", "--times", "0"],
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):
@@ -369,6 +398,12 @@ INPUTS = {
         .filter(lambda ts: len({f"{t:g}" for t in ts}) == len(set(ts)))  # distinct times, distinct file names
         .map(lambda ts: ",".join(map(repr, ts))),
         NEGATIVE.map(lambda t: "0," + t),
+    ),
+    "centre": (
+        ["evolve", "--L", "16", "--sigma-hat", "1", "--times", "0"],
+        "--x0",
+        _floats(0.0, 16.0, exclude_max=True),
+        NEGATIVE | _floats(16.0, 1e300),
     ),
     "width": (["flytime", "--m", "0.5", "--k", "1"], "--sigma-hat", _floats(1e-100, 1e100), _floats(-1e300, 0.0)),
     "samples": (["dispersion", "--m", "0.5"], "--samples", _ints(2, 64), _ints(-10**6, 1)),

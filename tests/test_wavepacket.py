@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_qca import AutomatonParams, WavepacketSpec, bandwidth, build, localized, transform
+from dirac_qca import AutomatonParams, WavepacketSpec, bandwidth, build, inverse_transform, localized, transform
+from dirac_qca.automaton import ModeSpectrum
 from dirac_qca.dispersion import branch_spinors
 from dirac_qca.wavepacket import position_moments, wrap_momentum
 
@@ -62,9 +63,14 @@ class TestLocalized:
 
 
 class TestBuild:
+    def test_returns_the_momentum_picture(self):
+        spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=3.0, x0=30.0)
+        assert isinstance(build(spec, AutomatonParams(0.92), 128), ModeSpectrum)
+
     def test_fig2_bottom_panel_state(self):
         spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=3.0, x0=30.0)
-        field, spectrum = build(spec, AutomatonParams(0.92), 128)
+        spectrum = build(spec, AutomatonParams(0.92), 128)
+        field = inverse_transform(spectrum)
         assert field.norm() == pytest.approx(1.0, abs=1e-12)
         mean, _ = position_moments(field)
         assert mean == pytest.approx(30.0, abs=0.2)
@@ -79,7 +85,7 @@ class TestBuild:
     def test_wide_packet_concentrates_on_few_modes(self):
         L = 128
         spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=L / 8, x0=64.0)
-        _, spectrum = build(spec, AutomatonParams(0.6), L)
+        spectrum = build(spec, AutomatonParams(0.6), L)
         weights = spectrum.mode_weights()
         heavy = np.argsort(weights)[::-1][:5]
         assert weights[heavy].sum() >= 0.999
@@ -99,7 +105,7 @@ class TestBuild:
     @pytest.mark.parametrize("sigma_hat", [10.0, 20.0, 40.0])
     def test_gaussian_momentum_spread(self, sigma_hat):
         spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=sigma_hat, x0=512.0)
-        _, spectrum = build(spec, AutomatonParams(0.6), 1024)
+        spectrum = build(spec, AutomatonParams(0.6), 1024)
         _, spread = momentum_spread(spectrum)
         assert spread == pytest.approx(1.0 / (2.0 * sigma_hat), rel=0.05)
 
@@ -113,7 +119,8 @@ class TestBuild:
     @settings(max_examples=30, deadline=None)
     def test_built_states_are_normalized(self, k0, sigma_hat, x0, m, s):
         spec = WavepacketSpec(k0=k0, sigma_hat=sigma_hat, x0=x0, s=s)
-        field, spectrum = build(spec, AutomatonParams(m), 256)
+        spectrum = build(spec, AutomatonParams(m), 256)
+        field = inverse_transform(spectrum)
         assert field.norm() == pytest.approx(1.0, abs=1e-12)
         assert spectrum.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -125,7 +132,7 @@ class TestBandwidth:
 
     def test_vanishing_window_misses_everything(self):
         spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=10.0, x0=128.0)
-        _, spectrum = build(spec, AutomatonParams(0.6), 256)
+        spectrum = build(spec, AutomatonParams(0.6), 256)
         assert bandwidth(spectrum, 0.3 * np.pi, 1e-12).epsilon >= 0.9
 
     def test_gaussian_window_masses(self):
@@ -133,7 +140,7 @@ class TestBandwidth:
         # against the measured spread 1/(2 sigma_hat) it is ~2.7e-3, against
         # the nominal width 1/sigma_hat the leak is far below 1e-3
         spec = WavepacketSpec(k0=0.3 * np.pi, sigma_hat=20.0, x0=512.0)
-        _, spectrum = build(spec, AutomatonParams(0.6), 1024)
+        spectrum = build(spec, AutomatonParams(0.6), 1024)
         eps_std = bandwidth(spectrum, 0.3 * np.pi, 3.0 / (2 * 20.0)).epsilon
         assert 1e-3 <= eps_std <= 5e-3
         eps_nominal = bandwidth(spectrum, 0.3 * np.pi, 3.0 / 20.0).epsilon
