@@ -25,9 +25,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -41,8 +43,7 @@ from .textfile import write_text
 SCHEMA_VERSION = 1
 NORM_TOL = 1e-12  # largest |norm - 1| an evolved state may show
 FIDELITY_TOL = 1e-12  # largest excess over 1 a fidelity may show
-CSV_CHUNK_ROWS = 8192  # a CSV table with more rows is formatted in chunks of this many on worker processes
-CSV_MAX_WORKERS = 8  # the chunk pool has one worker per usable CPU, at most this many
+CSV_BLOCK_ROWS = 2048  # a CSV table is formatted and written this many rows at a time
 
 
 class ConfigError(ValueError):
@@ -244,61 +245,52 @@ def _write_json(path: str, payload: dict):
     write_text(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _csv_chunk(columns) -> str:
-    """The rows of the equal-length float arrays ``columns``: shortest reprs, each row ended by a newline."""
-    # the float lists are freed before the join starts; the empty last row ends the text with a newline
-    return "\n".join([*map(",".join, zip(*[map(repr, column.tolist()) for column in columns])), ""])
+# orjson's spelling of a float where it differs from repr's: a positive exponent without its sign ("1e16"),
+# a one-digit exponent ("1.5e-7"; a number ends at "," or "]"), and 1e-5 <= |x| < 1e-4 in fixed point
+_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d[,\]])")
+_FIXED_POINT_BAND = re.compile(rb"0\.0000(\d)(\d*)")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+def _band_to_exponent(match) -> bytes:
+    """A ``_FIXED_POINT_BAND`` match in exponent form where it starts a number (after "[", "," or their "-")."""
+    before = match.string[match.start() - 2 : match.start()]
+    if before[1:] not in (b"[", b",") and before not in (b"[-", b",-"):
+        return match[0]  # the tail of a larger number, as in 10.00001
+    lead, rest = match.groups()
+    return lead + (b"." + rest if rest else b"") + b"e-05"
 
 
-@functools.cache
-def _csv_pool():
-    """The process pool that formats large CSV tables, built on first use.
+def _csv_rows(table):
+    """The rows of the 2-D float array ``table``, ``CSV_BLOCK_ROWS`` at a time, each float as its shortest repr.
 
-    Workers start with the "fork" method where the platform has it (Linux,
-    where it is Python 3.11's default), else with the platform's default.
-    Chunks travel to them pickled, so a worker relies on no state shared
-    with this process.  The pool lives until the process exits.
+    orjson writes the shortest round-trip digits of each float, as ``repr``
+    does; only its spelling of exponents, of the [1e-5, 1e-4) band and of
+    nan and inf (``null``) is rewritten here.  Each row ends with a newline.
     """
-    import multiprocessing  # kept off the CLI import path
-    from concurrent.futures import ProcessPoolExecutor
+    import orjson  # kept off the CLI import path
 
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    workers = min(CSV_MAX_WORKERS, _usable_cpus())
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start : start + CSV_BLOCK_ROWS]
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        text = _POSITIVE_EXPONENT.sub(b"e+", text)  # 1e16 -> 1e+16
+        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", text)  # 1.5e-7 -> 1.5e-07
+        text = _FIXED_POINT_BAND.sub(_band_to_exponent, text)  # 0.000015 -> 1.5e-05
+        nonfinite = block[~np.isfinite(block)]
+        if nonfinite.size:  # orjson writes each as null
+            spelled = [repr(value).encode() for value in nonfinite.tolist()] + [b""]
+            text = b"".join([piece for pair in zip(text.split(b"null"), spelled) for piece in pair])
+        yield text[2:-2].replace(b"],[", b"\n").decode("ascii") + "\n"
 
 
 def _write_csv(path: str, header, columns):
     """One row per entry of the equal-length ``columns``, each float as its shortest repr.
 
-    The rows are formatted in chunks of ``CSV_CHUNK_ROWS``, joined in row
-    order: in this process when there is one chunk or fewer than two usable
-    CPUs, else on ``_csv_pool``.  A failed worker raises ``OSError`` before
-    anything is written.
+    The table is formatted and written ``CSV_BLOCK_ROWS`` rows at a time;
+    a failure on the way leaves ``path`` as it was.
     """
-    rows = min(map(len, columns), default=0)
-    columns = [np.asarray(column, dtype=float) for column in columns]
-    chunks = [[column[i : i + CSV_CHUNK_ROWS] for column in columns] for i in range(0, rows, CSV_CHUNK_ROWS)]
-    if len(chunks) <= 1 or _usable_cpus() < 2:
-        parts = map(_csv_chunk, chunks)
-    else:
-        pool = _csv_pool()
-        try:
-            parts = list(pool.map(_csv_chunk, chunks))
-        except Exception as exc:
-            from concurrent.futures import BrokenExecutor
-
-            if isinstance(exc, BrokenExecutor):  # a broken pool takes no more work: the next table builds a new one
-                pool.shutdown(wait=False)
-                _csv_pool.cache_clear()
-            raise OSError(f"formatting {path} on worker processes failed: {exc!r}") from exc
-    write_text(path, "".join([",".join(header) + "\n", *parts]))
+    table = np.column_stack([np.asarray(column, dtype=float) for column in columns])
+    write_text(path, itertools.chain([",".join(header) + "\n"], _csv_rows(table)))
 
 
 # -- subcommand runners ----------------------------------------------------

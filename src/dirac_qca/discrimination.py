@@ -228,12 +228,17 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     (max |alpha| and beta(k_bar)) raises :class:`MonotonicityError`.  (|alpha|
     itself is not monotone: alpha starts negative at k = 0 and crosses zero,
     but a monotone function still attains its extreme modulus at an endpoint.)
+    A positive ``m`` and ``k_bar`` whose ``alpha_bar`` falls below the normal
+    double range (zero or subnormal) raise ``ValueError``.
     """
     _check_k_bar(k_bar)
     _check_mass(m)
     ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
     alphas, betas = _alpha(ks, m), _beta(ks, m)
     alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
+    finite = np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))  # a nan on the grid fails below, as exit 2
+    if finite and m > 0.0 and k_bar > 0.0 and alpha_bar < sys.float_info.min:
+        raise ValueError(f"alpha_bar = {float(alpha_bar)!r} at m = {m!r} lies below the normal double range")
     alpha_slack, beta_slack = MONOTONE_REL_TOL * alpha_bar, MONOTONE_REL_TOL * beta_bar
     # written so that a nan anywhere on the grid fails them
     if not (np.all(np.diff(alphas) >= -alpha_slack) and np.all(np.diff(betas) >= -beta_slack)):

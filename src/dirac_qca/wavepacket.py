@@ -82,6 +82,9 @@ class BandwidthReport:
     epsilon: float
 
 
+ENVELOPE_REACH = 2.0 * math.sqrt(746.0)  # exp(-746) rounds to 0: the Gaussian is 0 beyond this many sigma_hat
+
+
 def _hermite_values(order: int, y: np.ndarray) -> list:
     """Physicists' Hermite polynomials H_0..H_order by the three-term recurrence."""
     values = [np.ones_like(y)]
@@ -93,12 +96,23 @@ def _hermite_values(order: int, y: np.ndarray) -> list:
 
 
 def _envelope(spec: WavepacketSpec, displacement: np.ndarray) -> np.ndarray:
-    gauss = np.exp(-(displacement ** 2) / (4.0 * spec.sigma_hat ** 2))
+    """The packet's scalar envelope at ``displacement`` from its centre, 1 at the centre.
+
+    Beyond ``ENVELOPE_REACH * sigma_hat`` the Gaussian is 0 in double
+    precision, and so is the envelope: neither factor is evaluated there, so
+    a very narrow packet neither overflows nor divides 0 by 0.
+    """
+    near = np.abs(displacement) <= ENVELOPE_REACH * spec.sigma_hat
+    off_centre = near & (displacement != 0.0)
+    exponent = np.where(near, 0.0, -np.inf)  # exp(-inf) is the 0 far out; exp(0) the 1 at the centre
+    exponent[off_centre] = -(displacement[off_centre] ** 2) / (4.0 * spec.sigma_hat ** 2)
+    gauss = np.exp(exponent)
     if spec.shape == "gaussian":
         return gauss
-    y = displacement / (2.0 * spec.sigma_hat)
+    y = displacement[near] / (2.0 * spec.sigma_hat)
     hermites = _hermite_values(len(spec.hermite_coeffs) - 1, y)
-    poly = sum(c * h for c, h in zip(spec.hermite_coeffs, hermites) if c != 0.0)
+    poly = np.zeros_like(displacement)
+    poly[near] = sum(c * h for c, h in zip(spec.hermite_coeffs, hermites) if c != 0.0)
     return gauss * poly
 
 
@@ -121,7 +135,7 @@ def build(spec: WavepacketSpec, params: AutomatonParams, L: int) -> ModeSpectrum
     ks = 2.0 * np.pi * np.fft.fftfreq(L)
     modes = g[:, None] * branch_spinors(ks, params.m, spec.s)
     norm = np.linalg.norm(modes)
-    if norm < math.sqrt(np.finfo(float).tiny):  # below this, the squared norm is no normal double
+    if not norm >= math.sqrt(np.finfo(float).tiny):  # below this, the squared norm is no normal double; nan fails too
         raise ValueError(f"packet envelope underflows: sigma_hat={spec.sigma_hat} is too narrow for x0={spec.x0}")
     modes /= norm
     return ModeSpectrum(modes)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirac_qca import AutomatonParams, WavepacketSpec, build, cli, dirac_omega, inverse_transform, omega
+from dirac_qca import AutomatonParams, WavepacketSpec, build, dirac_omega, inverse_transform, omega
 from dirac_qca.dispersion import sin_omega
 
 FIG4_COEFFS = (
@@ -92,17 +92,3 @@ def build_fig4(L: int = FIG4_L):
 @pytest.fixture(scope="session")
 def fig4_state():
     return build_fig4()
-
-
-def shutdown_csv_pool():
-    """Stop the CSV formatting pool's workers and forget the pool, if one was built."""
-    if cli._csv_pool.cache_info().currsize:
-        cli._csv_pool().shutdown(wait=True)
-        cli._csv_pool.cache_clear()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _no_leftover_csv_workers():
-    # cli keeps its pool for the life of the process; a test run leaves no workers behind
-    yield
-    shutdown_csv_pool()

@@ -355,12 +355,37 @@ class TestInputBoundaries:
             # an envelope whose squared norm underflows between the sites: used to end in a nan fidelity, exit 2
             ["evolve", "--L", "64", "--sigma-hat", "0.01", "--x0", "8.5", "--times", "0"],
             ["evolve", "--L", "64", "--sigma-hat", "1e-100", "--x0", "8.5", "--times", "0"],
+            ["evolve", "--L", "64", "--sigma-hat", "1e-170", "--x0", "8.5", "--times", "0"],
+            # an alpha_bar below the normal double range: used to fail the monotonicity check as exit 2,
+            # or to report a zero or subnormal alpha_bar with f_limit "inf"
+            ["discriminate", "--m", "1e-152", "--kbar", "1e-8"],
+            ["discriminate", "--m", "1e-154", "--kbar", "1e-8"],
+            ["discriminate", "--m", "1e-155", "--kbar", "1"],
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):
         assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"
         assert not (tmp_path / "o" / (argv[0] + ".json")).exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # an envelope on one site, with sigma_hat**2 subnormal or 0: used to overflow, or to end in a nan fidelity
+            ["evolve", "--L", "64", "--sigma-hat", "1e-155", "--x0", "8", "--times", "0"],
+            ["evolve", "--L", "64", "--sigma-hat", "1e-170", "--x0", "8", "--times", "0"],
+        ],
+    )
+    def test_narrowest_packets_are_normalized(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert load_json(out / "evolve.json")["results"]["summaries"][0]["norm"] == 1.0
+
+    def test_smallest_normal_alpha_bar_is_reported(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["discriminate", "--m", "1e-150", "--kbar", "1", "--out-dir", str(out)]) == 0
+        assert load_json(out / "discriminate.json")["results"]["alpha_bar"] == pytest.approx(1.79e-301, rel=1e-3)
 
 
 def _floats(lo, hi, **bounds):

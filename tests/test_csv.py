@@ -1,24 +1,24 @@
-"""The chunked CSV writer against the serial writer it grew from, byte for byte."""
+"""The block-wise CSV writer against the serial ``repr`` writer it replaced, byte for byte."""
 
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import shutdown_csv_pool
 from dirac_qca import cli
 
-C = cli.CSV_CHUNK_ROWS
+B = cli.CSV_BLOCK_ROWS
 SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3, 1e-30, -1.5, 1e300]
+SMALL_B = 7  # a block size that puts block edges inside small tables
 
 
 def reference_csv(header, columns) -> bytes:
-    """Oracle: the serial two-line body of ``cli._write_csv`` before large tables were chunked."""
+    """Oracle: the serial two-line body of ``cli._write_csv`` before large tables were split."""
     cells = [map(repr, np.asarray(column, dtype=float).tolist()) for column in columns]
     return ("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n").encode("utf-8")
 
@@ -37,41 +37,39 @@ def density_columns(rows, seed=0):
     return np.arange(rows), density
 
 
-@pytest.fixture
-def forced_pool(monkeypatch):
-    """Chunks of 7 rows on a pool of at least two workers, whatever the machine."""
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-
-
-def _failing_chunk(columns):
-    raise ValueError("synthetic worker failure")
-
-
-def _dying_chunk(columns):
-    os._exit(3)
-
-
-@pytest.mark.parametrize("rows", [1, C - 1, C, C + 1, 3 * C + 5, 65536])
+@pytest.mark.parametrize("rows", [1, 4 * B - 1, 4 * B, 4 * B + 1, 12 * B + 5, 65536])
 def test_row_counts_match_serial_writer(tmp_path, rows):
     columns = density_columns(rows)
     assert written(tmp_path, ["x", "density"], columns) == reference_csv(["x", "density"], columns)
-    if rows > C and cli._usable_cpus() >= 2:
-        assert cli._csv_pool.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 3 * 7 + 5])
-def test_forced_pool_matches_serial_writer(tmp_path, forced_pool, rows):
-    columns = density_columns(rows, seed=rows)
-    assert written(tmp_path, ["x", "density"], columns) == reference_csv(["x", "density"], columns)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_blocks_match_serial_writer(tmp_path, monkeypatch, data):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    rows = data.draw(st.sampled_from([0, 1, SMALL_B - 1, SMALL_B, SMALL_B + 1, 3 * SMALL_B + 5]))
+    width = data.draw(st.integers(1, 6))
+    # st.floats() draws nan, +-inf, signed zeros and subnormals as well
+    columns = [data.draw(st.lists(st.floats(), min_size=rows, max_size=rows)) for _ in range(width)]
+    header = [f"c{i}" for i in range(width)]
+    assert written(tmp_path, header, columns) == reference_csv(header, columns)
 
 
-@pytest.mark.parametrize("chunked", [False, True])
-def test_special_values_and_column_types(tmp_path, monkeypatch, chunked):
-    if chunked:
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    rows = 3 * 7 + 5
+def test_powers_of_ten_and_the_fixed_point_band(tmp_path):
+    powers = 10.0 ** np.arange(-323, 309)
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
+    band = np.concatenate([np.geomspace(1e-5, np.nextafter(1e-4, 0.0), 4001), [1.5e-5, 2e-5, 9.99e-5]])
+    tails = [10.00001, 100.000015, 1.00001, 1e-6, 1.5e-7, 1e15, 1e16, 9999999999999998.0]  # no band number
+    values = np.concatenate([neighbours, band, tails])
+    columns = [values, -values[::-1]]
+    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
+
+
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_special_values_and_column_types(tmp_path, monkeypatch, small_blocks):
+    if small_blocks:
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    rows = 3 * SMALL_B + 5
     values = np.resize(np.array(SPECIALS), rows)
     columns = [
         values,  # signed zeros, nan, +-inf, subnormals
@@ -83,39 +81,50 @@ def test_special_values_and_column_types(tmp_path, monkeypatch, chunked):
     assert written(tmp_path, header, columns) == reference_csv(header, columns)
 
 
+def test_failure_mid_stream_writes_nothing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    argv = ["evolve", "--preset", "fig2", "--times", "10", "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    rows = cli._csv_rows
+
+    def failing_rows(table):
+        blocks = rows(table)
+        yield next(blocks)
+        raise OSError("synthetic failure after the first block")
+
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
+    # neither a new CSV, nor a .tmp, nor a new summary: the files of the first run are as they were
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def _fresh_process(code, *args) -> list:
+    """The words ``code`` prints, run in a fresh interpreter: imports belong to the process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 def test_dispersion_tables_never_build_the_pool(tmp_path):
-    # run in a fresh process: the pool and its imports belong to the process
+    # tables are formatted in the calling process: no process machinery is loaded
     code = (
         "import sys; from dirac_qca import cli\n"
         "code = cli.main(['dispersion', '--preset', 'fig3', '--samples', '4096', '--svg', '--out-dir', sys.argv[1]])\n"
-        "print(code, cli._csv_pool.cache_info().currsize, 'multiprocessing' in sys.modules,"
-        " 'concurrent.futures' in sys.modules)\n"
+        "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules, 'orjson' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
-    assert done.stdout.split() == ["0", "0", "False", "False"], done.stderr
+    assert _fresh_process(code, str(tmp_path)) == ["0", "False", "False", "True"]
 
 
-@pytest.mark.parametrize("chunk", [_failing_chunk, _dying_chunk])
-def test_worker_failure_is_exit_1_and_writes_nothing(tmp_path, capsys, monkeypatch, forced_pool, chunk):
-    monkeypatch.setattr(cli, "_csv_chunk", chunk)
-    out = tmp_path / "out"
-    assert cli.main(["evolve", "--preset", "fig2", "--times", "10", "--out-dir", str(out)]) == 1
-    record = json.loads(capsys.readouterr().out)
-    assert record["error"]["type"] == "io"
-    assert "worker" in record["error"]["message"]
-    assert list(out.iterdir()) == []  # neither the CSV, nor a .tmp, nor the summary
-    monkeypatch.undo()
-    # a broken pool is replaced: the next large table is written as usual
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    columns = density_columns(40)
-    assert written(tmp_path / "again", ["x", "density"], columns) == reference_csv(["x", "density"], columns)
-
-
-def test_shutdown_leaves_no_worker_processes(tmp_path, forced_pool):
-    written(tmp_path, ["x", "density"], density_columns(20))
-    assert cli._csv_pool.cache_info().currsize == 1
-    shutdown_csv_pool()
-    assert cli._csv_pool.cache_info().currsize == 0
-    assert multiprocessing.active_children() == []
+def test_commands_without_tables_never_import_orjson(tmp_path):
+    code = (
+        "import sys; from dirac_qca import cli\n"
+        "imported = 'orjson' in sys.modules\n"
+        "code = cli.main(['discriminate', '--m', '0.3', '--kbar', '0.5', '--solve-tmin', '--out-dir', sys.argv[1]])\n"
+        "print(code, imported, 'orjson' in sys.modules)\n"
+    )
+    assert _fresh_process(code, str(tmp_path)) == ["0", "False", "False"]
