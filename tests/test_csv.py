@@ -1,5 +1,6 @@
 """The block-wise CSV writer against the serial ``repr`` writer it replaced, byte for byte."""
 
+import errno
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from dirac_qca import cli
 B = cli.CSV_BLOCK_ROWS
 SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3, 1e-30, -1.5, 1e300]
 SMALL_B = 7  # a block size that puts block edges inside small tables
+CSV_ROWS = cli._csv_rows  # the real block formatter, for the failure tests that replace it
 
 
 def reference_csv(header, columns) -> bytes:
@@ -40,6 +42,14 @@ def density_columns(rows, seed=0):
 @pytest.mark.parametrize("rows", [1, 4 * B - 1, 4 * B, 4 * B + 1, 12 * B + 5, 65536])
 def test_row_counts_match_serial_writer(tmp_path, rows):
     columns = density_columns(rows)
+    assert written(tmp_path, ["x", "density"], columns) == reference_csv(["x", "density"], columns)
+
+
+@pytest.mark.parametrize("rows", [0, 1, SMALL_B - 1, SMALL_B, SMALL_B + 1, 3 * SMALL_B + 5])
+def test_forced_pool_matches_serial_writer(tmp_path, monkeypatch, rows):
+    # named for the worker pool these small tables once forced; now they put block edges at every row count
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    columns = density_columns(rows, seed=rows)
     assert written(tmp_path, ["x", "density"], columns) == reference_csv(["x", "density"], columns)
 
 
@@ -81,25 +91,37 @@ def test_special_values_and_column_types(tmp_path, monkeypatch, small_blocks):
     assert written(tmp_path, header, columns) == reference_csv(header, columns)
 
 
-def test_failure_mid_stream_writes_nothing(tmp_path, capsys, monkeypatch):
+def _failing_chunk(table):
+    """Fails before the first row is formatted."""
+    raise OSError("synthetic failure before the first block")
+    yield
+
+
+def _dying_chunk(table):
+    """Dies part way: one block is written, then the disk is full."""
+    yield next(CSV_ROWS(table))
+    raise OSError(errno.ENOSPC, "synthetic full disk after the first block")
+
+
+@pytest.mark.parametrize("chunk", [_failing_chunk, _dying_chunk])
+def test_worker_failure_is_exit_1_and_writes_nothing(tmp_path, capsys, monkeypatch, chunk):
+    # named for the worker processes that once formatted the chunks; a failure in the stream stands for them
     out = tmp_path / "out"
     argv = ["evolve", "--preset", "fig2", "--times", "10", "--out-dir", str(out)]
     assert cli.main(argv) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
-    rows = cli._csv_rows
-
-    def failing_rows(table):
-        blocks = rows(table)
-        yield next(blocks)
-        raise OSError("synthetic failure after the first block")
-
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
-    monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+    monkeypatch.setattr(cli, "_csv_rows", chunk)
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
     # neither a new CSV, nor a .tmp, nor a new summary: the files of the first run are as they were
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    monkeypatch.undo()
+    # nothing is left broken: the next table is written as usual
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    columns = density_columns(40)
+    assert written(tmp_path / "again", ["x", "density"], columns) == reference_csv(["x", "density"], columns)
 
 
 def _fresh_process(code, *args) -> list:
