@@ -20,7 +20,6 @@ from .approx import AccuracyBound, accuracy_bound, fidelity, schrodinger_evolve
 from .discrimination import (
     DiscriminationInput,
     DiscriminationReport,
-    alpha_beta,
     extremal_alpha_beta,
     mu,
     pe_lower_bound,

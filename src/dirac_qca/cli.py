@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from . import approx, discrimination, dispersion, flytime, svgplot, wavepacket
-from .automaton import AutomatonParams, evolve_momentum, evolve_position, inverse_transform, symmetry_check
+from .automaton import AutomatonParams, evolve_momentum, inverse_transform, symmetry_check, transform
 from .constants import planck_times_to_seconds
 from .errors import NumericalInvariantError
 from .textfile import write_text
@@ -334,11 +334,11 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
 
 
 def _build_state(params: dict):
-    """Automaton, initial state (localized: ``SpinorField``, else ``ModeSpectrum``) and packet spec (or None)."""
+    """Automaton, initial ``ModeSpectrum`` and packet spec (None for the localized state)."""
     auto = AutomatonParams(params["m"])
     if params.get("kind") == "localized":
         spinor = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        return auto, wavepacket.localized(int(params["x0"]), spinor, params["L"]), None
+        return auto, transform(wavepacket.localized(int(params["x0"]), spinor, params["L"])), None
     spec = wavepacket.WavepacketSpec(
         k0=params["k0"],
         sigma_hat=params["sigma_hat"],
@@ -369,8 +369,10 @@ def _times(params: dict) -> list:
 
 
 def _exact_and_fidelity(spectrum, auto, spec, t: float):
-    """``spectrum`` evolved exactly to ``t``, and its checked fidelity with the drift-diffusion evolution."""
+    """``spectrum`` evolved exactly to ``t``, and its checked fidelity with the drift-diffusion evolution (or None)."""
     exact = evolve_momentum(spectrum, auto, t)
+    if spec is None:
+        return exact, None
     fid = approx.fidelity(exact, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
     if not 0.0 <= fid <= 1.0 + FIDELITY_TOL:
         raise NumericalInvariantError(f"fidelity {fid!r} at t = {t:g} is outside [0, 1 + {FIDELITY_TOL:g}]")
@@ -380,9 +382,11 @@ def _exact_and_fidelity(spectrum, auto, spec, t: float):
 def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     """Densities and summaries per requested time, in the requested order.
 
-    Each distinct time is evolved once, in increasing order.  A localized
-    state steps on from the previous time (bit-identical to restarting from
-    t = 0), so the run costs ``max(times)`` steps.
+    Each distinct time is evolved once, in closed form from t = 0, so a run
+    costs one transform plus one ``evolve_momentum`` and one inverse
+    transform per distinct time, whatever the times are.  The localized
+    state's light cone is strict: every site farther than t from x0 around
+    the ring is set to exactly 0, where the closed form leaves roundoff.
     """
     auto, initial, spec = _build_state(params)
     times = _times(params)
@@ -390,27 +394,27 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     _wraparound_warning(params, times, warnings)
     localized = spec is None
     if localized and any(t != int(t) for t in times):
-        raise ConfigError("localized states evolve in position space: times must be integers")
+        raise ConfigError("the localized state's light cone needs integer times")
     summaries = [None] * len(times)
     curves = [None] * len(times)
     x = np.arange(params["L"])
-    state, previous, elapsed = initial, None, 0
+    if localized:  # each site's distance from x0 around the ring: the time at which the light cone reaches it
+        distance = np.minimum((x - int(params["x0"])) % params["L"], (int(params["x0"]) - x) % params["L"])
+    previous = None
     for i in sorted(range(len(times)), key=times.__getitem__):
         t = times[i]
         if t != previous:
-            fid = None
-            if localized:
-                state = evolve_position(state, auto, int(t) - elapsed)
-                elapsed = int(t)
-            else:
-                evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
-                state = inverse_transform(evolved)
-                del evolved  # not needed while the CSV is built
+            evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
+            state = inverse_transform(evolved)
+            del evolved  # not needed while the CSV is built
+            if localized:  # the closed form leaves roundoff outside the cone, which is empty once 2t + 1 >= L
+                state.sites[distance > t] = 0.0
             norm = state.norm()
             if not abs(norm - 1.0) <= NORM_TOL:
                 raise NumericalInvariantError(f"norm {norm!r} at t = {t:g} is more than {NORM_TOL:g} from 1")
             density = state.density()
             mean_x, var_x = wavepacket.position_moments(state)
+            del state  # not needed while the CSV is built or the next time is evolved
             _write_csv(os.path.join(out_dir, files[i]), ["x", "density"], (x, density))
             previous = t
         summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}

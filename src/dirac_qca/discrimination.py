@@ -40,7 +40,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dispersion import _check_mass, _check_time, _mode, _over, dirac_axis, dirac_omega, lattice_axis, su2_power
+from .dispersion import (
+    _check_mass, _check_time, _half_angle, _mode, _over, dirac_axis, dirac_omega, lattice_axis, su2_power,
+)
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "DiscriminationReport",
     "MonteCarloReport",
     "mu",
-    "alpha_beta",
     "extremal_alpha_beta",
     "pe_lower_bound",
     "t_min_approx",
@@ -161,12 +162,12 @@ def _alpha(k, m):
         s_e = _one_minus_sinc(m2 / (2.0 * (lam + k)))
         s_h = _one_minus_sinc((lam + k) / 2.0)
         b = (4.0 * np.sin(k / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
-        return 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + _mode(k, m)[5]) / 2.0)))
+        return 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + _half_angle(k, np.cos(k), m)) / 2.0)))
 
     def above(k):
         kappa = (math.pi - k) + _PI_LOW  # pi - k exactly, then rounded once
-        _, c_kappa, _, _, _, w_kappa = _mode(kappa, m)
-        half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((w_kappa + kappa) / 2.0)))
+        c_kappa = np.cos(kappa)
+        half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((_half_angle(kappa, c_kappa, m) + kappa) / 2.0)))
         return m2 / (dirac_omega(k, m) + k) + 2.0 * half
 
     result = np.zeros_like(k) if m2 == 0.0 else np.piecewise(k, [k < math.pi / 2.0], [below, above])
@@ -189,7 +190,7 @@ def _beta(k, m):
     """
 
     def positive(k):
-        sk, _, _, sw, v, _ = _mode(k, m)
+        sk, _, _, sw, v = _mode(k, m)
         lam, v_c, u_xc = dirac_axis(k, m)
         gap = (_k_minus_sin(k) * (k + sk) + m * m * sk ** 2) / (lam + sw)  # lambda - sin w
         den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan
@@ -199,24 +200,6 @@ def _beta(k, m):
     k = np.abs(np.asarray(k, dtype=float))
     result = np.piecewise(k, [k > 0.0], [positive])
     return result if result.ndim else float(result)
-
-
-def alpha_beta(k: float, m: float) -> Tuple[float, float]:
-    """Phase mismatch rate alpha and velocity mismatch beta for one momentum.
-
-    alpha is signed (the lattice eigenphase can overtake the continuum one);
-    beta >= 0 always, and beta = 0 exactly at k = 0 or m = 0.  Note: the
-    inequality cos(mu) >= cos(alpha t) - beta holds with this beta; a halved
-    variant breaks the trace identity and the inequality with it.  A scalar
-    wrapper over the array forms ``_alpha`` (a half-angle identity below
-    k = pi/2, the sum (lambda - k) + (k - omega) from pi/2 on) and ``_beta``.
-    """
-    if not abs(k) <= math.pi:  # also rejects nan
-        raise ValueError(f"momentum must be finite with |k| <= pi, got {k}")
-    _check_mass(m)
-    if k == 0.0 and m == 0.0:
-        raise ValueError("alpha/beta undefined at (k, m) = (0, 0)")
-    return _alpha(k, m), _beta(k, m)
 
 
 def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:

@@ -12,9 +12,9 @@ closed form (cross-checked against finite differences in the test suite):
     w3 = -n m^2 sin k (1 + 2 n^2 cos^2 k) / sin(omega)^5
 
 using the exact identity sin(omega)^2 = sin^2 k + m^2 cos^2 k, which avoids
-the catastrophic cancellation of 1 - n^2 cos^2 k at small k.  omega itself is
-computed in ``_mode``, the one per-mode kernel that every reader calls once,
-through a half-angle form so it keeps full relative precision down to
+the catastrophic cancellation of 1 - n^2 cos^2 k at small k; ``_mode`` is the
+one kernel of these pieces.  omega itself, for the readers that need it, is
+``_half_angle``'s form, which keeps full relative precision down to
 k, m ~ 1e-19 where a direct arccos would return 0.
 
 Both the lattice step and the continuum evolution of one mode are SU(2)
@@ -75,26 +75,30 @@ def _over(x, r, scale=1.0):
 
 
 def _mode(k, m):
-    """(sin k, cos k, sin^2 w, sin w, v, w): the per-k pieces of U(k) = exp(-i omega u.sigma), free of cancellation.
+    """(sin k, cos k, sin^2 w, sin w, v): the per-k pieces of U(k) = exp(-i omega u.sigma) that come from cos k.
 
-    w = 2 asin(sqrt(delta/2)), delta = 1 - n cos k = 2 sin^2(k/2) + m^2 cos k / (1 + n), raises where delta/2 is
-    more than ``ARCCOS_CLAMP_TOL`` outside [0, 1]; sin^2 w = sin^2 k + m^2 cos^2 k.  The axis u = (u_x, 0, -v) =
-    (m, 0, -n sin k) / sin w is zero where sin w = 0: at k = 0 for m = 0, and for k, m both below about 1e-162.
+    sin^2 w = sin^2 k + m^2 cos^2 k, free of cancellation.  The axis u = (u_x, 0, -v) = (m, 0, -n sin k) / sin w
+    is zero where sin w = 0: at k = 0 for m = 0, and for k, m both below about 1e-162.
     """
     n = math.sqrt(1.0 - m * m)
     sk, ck = np.sin(k), np.cos(k)
-    w = (2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + n)) * ck) / 2.0  # delta/2; w reuses the name, which frees it
-    if np.any(w < -ARCCOS_CLAMP_TOL) or np.any(w > 1.0 + ARCCOS_CLAMP_TOL):
-        raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
-    w = 2.0 * np.arcsin(np.sqrt(np.clip(w, 0.0, 1.0)))
     s2 = sk ** 2 + m * m * ck ** 2
     sw = np.sqrt(s2)
-    return sk, ck, s2, sw, _over(sk, sw, n), w
+    return sk, ck, s2, sw, _over(sk, sw, n)
+
+
+def _half_angle(k, ck, m):
+    """omega = 2 asin(sqrt(delta/2)), delta = 1 - n ck = 2 sin^2(k/2) + m^2 ck / (1 + n), from k and ck = cos k."""
+    h = (2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + math.sqrt(1.0 - m * m))) * ck) / 2.0
+    if np.any(h < -ARCCOS_CLAMP_TOL) or np.any(h > 1.0 + ARCCOS_CLAMP_TOL):
+        raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
+    return 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
 def omega(k, m):
-    """Automaton dispersion arccos(n cos k), branch in [0, pi], in the half-angle form of ``_mode``."""
-    result = _mode(np.asarray(k, dtype=float), _check_mass(m))[5]
+    """Automaton dispersion arccos(n cos k), branch in [0, pi], in the half-angle form of ``_half_angle``."""
+    k = np.asarray(k, dtype=float)
+    result = _half_angle(k, np.cos(k), _check_mass(m))
     return result if result.ndim else float(result)
 
 
@@ -126,7 +130,7 @@ def derivatives(k, m) -> Derivatives:
     m = _check_mass(m)
     k_arr = np.asarray(k, dtype=float)
     n = math.sqrt(1.0 - m * m)
-    sk, ck, s2, sw, v, _ = _mode(k_arr, m)
+    sk, ck, s2, sw, v = _mode(k_arr, m)
     if np.any(sw == 0.0):
         raise ValueError("derivatives undefined where sin omega = 0 (k = 0 at m = 0, or k and m below ~1e-162)")
     d = n * m * m * ck / (s2 * sw)
@@ -144,7 +148,7 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
     """
     s = _check_branch(s)
     m = _check_mass(m)
-    sw, v = _mode(np.atleast_1d(np.asarray(k, dtype=float)), m)[3:5]
+    sw, v = _mode(np.atleast_1d(np.asarray(k, dtype=float)), m)[3:]
     sv = np.clip(s * v, -1.0, 1.0)
     out = np.empty((v.size, 2), dtype=complex)
     out[:, 0] = np.sqrt((1.0 - sv) / 2.0)
@@ -161,8 +165,9 @@ def lattice_axis(k, m):
     cos(omega t) I.
     """
     m = _check_mass(m)
-    sw, v, w = _mode(np.asarray(k, dtype=float), m)[3:]
-    return w, v, _over(m, sw)
+    k = np.asarray(k, dtype=float)
+    _, ck, _, sw, v = _mode(k, m)
+    return _half_angle(k, ck, m), v, _over(m, sw)
 
 
 def dirac_axis(k, m):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dirac_qca import AutomatonParams, WavepacketSpec, build, dirac_omega, inverse_transform, omega
-from dirac_qca.dispersion import sin_omega
+from dirac_qca.discrimination import _alpha, _beta
+from dirac_qca.dispersion import _check_mass, sin_omega
 
 FIG4_COEFFS = (
     math.sqrt(1 / 3), 0.0, math.sqrt(4 / 9), 0.0, 0.0, 0.0, 0.0, math.sqrt(2 / 9),
@@ -27,6 +28,24 @@ def omega_longdouble(k, m):
     n = np.sqrt(np.longdouble(1.0) - m * m)
     delta = 2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + n)) * np.cos(k)
     return 2.0 * np.arcsin(np.sqrt(delta / 2.0))
+
+
+def alpha_beta(k, m):
+    """Phase mismatch rate alpha and velocity mismatch beta for one momentum: the scalar oracle of the array forms.
+
+    alpha is signed (the lattice eigenphase can overtake the continuum one);
+    beta >= 0 always, and beta = 0 exactly at k = 0 or m = 0.  Note: the
+    inequality cos(mu) >= cos(alpha t) - beta holds with this beta; a halved
+    variant breaks the trace identity and the inequality with it.  A scalar
+    wrapper over ``discrimination._alpha`` (a half-angle identity below
+    k = pi/2, the sum (lambda - k) + (k - omega) from pi/2 on) and ``_beta``.
+    """
+    if not abs(k) <= math.pi:  # also rejects nan
+        raise ValueError(f"momentum must be finite with |k| <= pi, got {k}")
+    _check_mass(m)
+    if k == 0.0 and m == 0.0:
+        raise ValueError("alpha/beta undefined at (k, m) = (0, 0)")
+    return _alpha(k, m), _beta(k, m)
 
 
 def hamiltonian_k(k, m):

@@ -19,7 +19,6 @@ from dirac_qca import (
     AutomatonParams,
     DiscriminationInput,
     accuracy_bound,
-    alpha_beta,
     derivatives,
     dirac_omega,
     evolve_momentum,
@@ -40,7 +39,7 @@ from dirac_qca import (
 from dirac_qca.constants import PLANCK_TIME_SECONDS
 from dirac_qca.wavepacket import WavepacketSpec, build, position_moments
 
-from conftest import FIG4_X0, dispersion_correction
+from conftest import FIG4_X0, alpha_beta, dispersion_correction
 
 
 def report(name, ok, detail=""):

@@ -7,11 +7,12 @@ import subprocess
 import sys
 import tempfile
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_qca import SpinorField, approx, cli, derivatives, dirac_omega, dispersion, omega
+from dirac_qca import SpinorField, approx, automaton, cli, derivatives, dirac_omega, dispersion, omega
 
 
 def run(argv):
@@ -139,21 +140,23 @@ class TestEvolveCommand:
             (summary,) = load_json(single / "evolve.json")["results"]["summaries"]
             assert all(s == summary for s in results["summaries"] if s["t"] == t)
 
-    def test_localized_run_costs_max_time_steps(self, tmp_path, monkeypatch):
-        steps = []
-        original = cli.evolve_position
+    def test_localized_run_evolves_each_time_in_closed_form(self, tmp_path, monkeypatch):
+        steps, evolved = [], []
+        original = cli.evolve_momentum
 
-        def counted(field, params, t):
-            steps.append(t)
-            return original(field, params, t)
+        def counted(*args):
+            evolved.append(args[2])
+            return original(*args)
 
-        monkeypatch.setattr(cli, "evolve_position", counted)
+        monkeypatch.setattr(automaton, "evolve_position", lambda *args: steps.append(args))
+        monkeypatch.setattr(cli, "evolve_momentum", counted)
         assert run(["evolve", "--preset", "fig2", "--times", "60,0,15,15,45", "--out-dir", str(tmp_path / "o")]) == 0
-        assert steps == [0, 15, 30, 15]
+        assert steps == []
+        assert evolved == [0.0, 15.0, 45.0, 60.0]
 
     @pytest.mark.parametrize("preset, norm", [("fig2", 1.0 + 2e-12), ("fig4", 1.0 - 2e-12), ("fig2", math.nan)])
     def test_norm_drift_is_exit_2(self, tmp_path, capsys, monkeypatch, preset, norm):
-        # fig2 takes the position path, fig4 the momentum path
+        # both take the momentum path; fig2's state is checked after its zeros outside the light cone are set
         monkeypatch.setattr(SpinorField, "norm", lambda self: norm)
         assert run(["evolve", "--preset", preset, "--times", "0,30", "--out-dir", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().out)
@@ -196,6 +199,66 @@ class TestEvolveCommand:
         text = (out / "evolve.svg").read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+
+def fig2_density_oracle(t, L=128, m=0.92, x0=30, dps=40):
+    """The fig2 density at integer time t, evolved per mode in ``dps``-digit arithmetic.
+
+    The state (1, 1)/sqrt(2) at x0 has the mode amplitudes (1, 1) e^{-i k x0} / sqrt(2 L); each mode is
+    multiplied by U(k)^t = [[c + i s n sin k, -i s m], [-i s m, c - i s n sin k]], c = cos(w t),
+    s = sin(w t) / sin w, w = arccos(n cos k), with n = sqrt(1 - m^2) exact for the double m.
+    """
+    with mp.workdps(dps):
+        m = mp.mpf(m)
+        n = mp.sqrt(1 - m * m)
+        roots = [mp.expjpi(mp.mpf(2 * q) / L) for q in range(L)]
+        modes = []
+        for j in range(L):
+            k = 2 * mp.pi * j / L
+            w = mp.acos(n * mp.cos(k))
+            c, s = mp.cos(w * t), mp.sin(w * t) / mp.sin(w)
+            a, b = mp.mpc(c, s * n * mp.sin(k)), mp.mpc(0, -s * m)
+            modes.append(((a + b) / mp.sqrt(2), (b + mp.conj(a)) / mp.sqrt(2)))
+        density = []
+        for x in range(L):
+            phases = [roots[(j * (x - x0)) % L] for j in range(L)]
+            psi_r = mp.fsum(mode[0] * phase for mode, phase in zip(modes, phases)) / L
+            psi_l = mp.fsum(mode[1] * phase for mode, phase in zip(modes, phases)) / L
+            density.append(float(abs(psi_r) ** 2 + abs(psi_l) ** 2))
+    return np.array(density)
+
+
+class TestLocalizedClosedForm:
+    """fig2's localized state, evolved in closed form per mode and zeroed outside its light cone."""
+
+    @pytest.mark.parametrize("t", [50000, 100000, 1000000])
+    def test_norm_holds_at_long_times(self, tmp_path, t):
+        # the position-space stencil drifts by about 2.1e-17 per step and left the tolerance near t = 47000
+        out = tmp_path / "o"
+        assert run(["evolve", "--preset", "fig2", "--times", str(t), "--out-dir", str(out)]) == 0
+        (summary,) = load_json(out / "evolve.json")["results"]["summaries"]
+        assert abs(summary["norm"] - 1.0) <= 1e-12
+
+    # measured largest |density error|: 1.53e-16 at t = 15 and 6.89e-14 at t = 1e4 (peak density 0.059);
+    # each tolerance is about three times that
+    @pytest.mark.parametrize("t, tol", [(15, 5e-16), (10000, 2e-13)])
+    def test_density_matches_mpmath_oracle(self, tmp_path, t, tol):
+        out = tmp_path / "o"
+        assert run(["evolve", "--preset", "fig2", "--times", str(t), "--out-dir", str(out)]) == 0
+        table = np.loadtxt(out / f"evolve_t{t}.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(table[:, 1] - fig2_density_oracle(t))) <= tol
+
+    def test_strict_light_cone_on_cli_output(self, tmp_path):
+        # criterion 3: after t steps every site farther than t from x0 = 30 around the ring holds exactly 0
+        out = tmp_path / "o"
+        times = range(61)
+        assert run(["evolve", "--preset", "fig2", "--times", ",".join(map(str, times)), "--out-dir", str(out)]) == 0
+        x = np.arange(128)
+        offset = (x - 30) % 128
+        for t in times:
+            density = np.loadtxt(out / f"evolve_t{t}.csv", delimiter=",", skiprows=1)[:, 1]
+            outside = np.minimum(offset, 128 - offset) > t
+            assert np.all(density[outside] == 0.0)
 
 
 class TestCompareCommand:

@@ -10,7 +10,6 @@ from dirac_qca import (
     AutomatonParams,
     DiscriminationInput,
     ModeSpectrum,
-    alpha_beta,
     evolve_momentum,
     extremal_alpha_beta,
     mu,
@@ -26,7 +25,7 @@ from dirac_qca.discrimination import MC_BLOCK, _pairwise_trace_distance
 from dirac_qca.dispersion import dirac_axis, lattice_axis, su2_power
 from dirac_qca.errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
-from conftest import dirac_hamiltonian_k, hamiltonian_k
+from conftest import alpha_beta, dirac_hamiltonian_k, hamiltonian_k
 
 # frozen mpmath references (60-digit arithmetic, evaluated at the exact
 # float64 representations of the inputs; ALPHA_PROTON at 250 digits)

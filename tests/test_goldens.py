@@ -1,0 +1,40 @@
+"""Byte identity of every CLI output against the committed record ``tests/goldens.json``.
+
+The record is taken with ``python3 tools/goldens.py --out tests/goldens.json``
+and holds the Python, numpy and orjson versions it was taken under.  A
+different version fails the test and names both sets: recording again is a
+deliberate act, in the change that moves an output.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _goldens_tool():
+    spec = importlib.util.spec_from_file_location("goldens", ROOT / "tools" / "goldens.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_outputs_match_recorded_goldens():
+    tool = _goldens_tool()
+    with open(ROOT / "tests" / "goldens.json", encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    differences = tool.compare(tool.record(), recorded)
+    assert not differences, "outputs differ from tests/goldens.json:\n" + "\n".join(differences)
+
+
+def test_comparison_names_versions_and_every_file():
+    tool = _goldens_tool()
+    versions = {"python": "3.0.0", "numpy": "1.0", "orjson": "3.8.3"}
+    base = {"versions": versions, "files": {"a": "1", "b": "2", "c": "3"}}
+    current = {"versions": {**versions, "numpy": "2.0"}, "files": {"a": "1", "b": "9", "d": "4"}}
+    lines = tool.compare(current, base)
+    assert len(lines) == 4
+    assert "'numpy': '1.0'" in lines[0] and "'numpy': '2.0'" in lines[0]
+    assert lines[1:] == ["differs  b", "missing  c", "extra    d"]
+    assert tool.compare(base, base) == []

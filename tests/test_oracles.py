@@ -12,10 +12,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dirac_qca import alpha_beta, derivatives, omega
+from dirac_qca import derivatives, omega
 from dirac_qca.discrimination import _alpha, _beta
 
 import test_discrimination as td
+from conftest import alpha_beta
 from test_automaton import TRACE_AT_FIG4_POINT
 from test_dispersion import OMEGA_AT_FIG4_POINT
 

@@ -2,10 +2,12 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/goldens.py --out base.json          # record
-    python3 tools/goldens.py --compare base.json      # check against a record
+    python3 tools/goldens.py --out base.json              # record
+    python3 tools/goldens.py --compare base.json          # check against a record
+    python3 tools/goldens.py --compare tests/goldens.json # the record the test suite checks
 
-The record maps each output file to its sha256.  It covers
+A record holds the Python, numpy and orjson versions it was taken under
+(``versions``) and maps each output file to its sha256 (``files``).  It covers
 
 * the four ``scripts/`` runs, each in its own temporary working directory
   (a script's standard output is hashed too, as ``<script>/stdout``);
@@ -16,15 +18,20 @@ The record maps each output file to its sha256.  It covers
 The package is imported from this checkout's ``src``.  To record the
 goldens of another commit, run the script from a copy of that commit.
 ``--compare`` exits 1 and lists every file that is missing, extra or
-different; otherwise it exits 0.
+different, and names both sets of versions when they differ; otherwise it
+exits 0.  ``tests/test_goldens.py`` runs the same comparison against
+``tests/goldens.json``: a change that moves an output on purpose records
+that file again, under the versions it names.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -59,9 +66,12 @@ def script_hashes() -> dict:
 
 
 def workload_hashes() -> dict:
-    sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
-    import workloads
+    """The jobs' hashes, all run in this process through the importable ``dirac_qca``."""
     from dirac_qca.cli import main
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
 
     hashes = {}
     for workload in workloads.GENERATORS:
@@ -76,8 +86,24 @@ def workload_hashes() -> dict:
     return hashes
 
 
+def versions() -> dict:
+    import numpy
+    import orjson
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__, "orjson": orjson.__version__}
+
+
+def record() -> dict:
+    """The versions and the hashes of every output file of this checkout."""
+    return {"versions": versions(), "files": {**script_hashes(), **workload_hashes()}}
+
+
 def compare(current: dict, base: dict) -> list:
+    """One line per difference between two records: their versions, then each missing, extra or differing file."""
     lines = []
+    if current["versions"] != base["versions"]:
+        lines.append(f"versions differ: recorded under {base['versions']}, run under {current['versions']}")
+    current, base = current["files"], base["files"]
     for key in sorted(base.keys() | current.keys()):
         if key not in current:
             lines.append(f"missing  {key}")
@@ -94,20 +120,20 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", metavar="BASE.json", help="compare against a recorded hash file")
     args = parser.parse_args(argv)
 
-    hashes = script_hashes()
-    hashes.update(workload_hashes())
+    sys.path.insert(0, str(SRC))
+    hashes = record()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(hashes, handle, indent=1, sort_keys=True)
             handle.write("\n")
-    print(f"{len(hashes)} files hashed")
+    print(f"{len(hashes['files'])} files hashed")
     if args.compare:
         with open(args.compare, encoding="utf-8") as handle:
             differences = compare(hashes, json.load(handle))
         for line in differences:
             print(line)
         if differences:
-            print(f"{len(differences)} of {len(hashes)} files differ from {args.compare}")
+            print(f"{len(differences)} differences from {args.compare}")
             return 1
         print(f"all files match {args.compare}")
     return 0
