@@ -1,17 +1,20 @@
 """Exact evolution of the two-component lattice automaton.
 
 The model lives on a periodic ring of ``L`` sites with unit (Planck) spacing.
-One time step applies, sitewise,
+One time step is the stencil ``U = R S + L S^dag + M``: sitewise,
 
-    psi_R'(x) = n * psi_R(x + 1) - i * m * psi_L(x)
-    psi_L'(x) = -i * m * psi_R(x) + n * psi_L(x - 1)
+    psi'(x) = R psi(x + 1) + L psi(x - 1) + M psi(x),
+
+    R = [[n, 0], [0, 0]],  L = [[0, 0], [0, n]],  M = [[0, -i m], [-i m, 0]],
 
 with ``n = sqrt(1 - m^2)`` and indices wrapping modulo ``L``.  Note the shift
-convention: the "right" component transports toward decreasing x.  In the
-momentum representation the step acts per DFT mode ``k_j = 2*pi*j/L`` (mapped
-into [-pi, pi)) as the SU(2) matrix
+convention: the "right" component transports toward decreasing x.  The triple
+is written once, in ``_stencil``: ``evolve_position`` applies it as it stands,
+``unitary_k`` is its Fourier symbol and ``symmetry_check`` checks its
+unitarity identities.  In the momentum representation the step acts per DFT
+mode ``k_j = 2*pi*j/L`` (mapped into [-pi, pi)) as the SU(2) matrix
 
-    U(k) = [[n e^{ik}, -i m], [-i m, n e^{-ik}]].
+    U(k) = R e^{ik} + L e^{-ik} + M = [[n e^{ik}, -i m], [-i m, n e^{-ik}]].
 
 Real powers ``U(k)^t`` are defined through the spectral decomposition with
 eigenphases ``exp(-i s omega(k) t)``, ``s = +-1`` -- the unique interpolation
@@ -120,54 +123,41 @@ class ModeSpectrum:
         return np.abs(self.modes[:, 0]) ** 2 + np.abs(self.modes[:, 1]) ** 2
 
 
+def _stencil(params: AutomatonParams):
+    """The step's 2x2 coefficients (R, L, M): psi'(x) = R psi(x+1) + L psi(x-1) + M psi(x)."""
+    n, mix = params.n, -1j * params.m
+    R = np.array([[n, 0.0], [0.0, 0.0]], dtype=complex)
+    L = np.array([[0.0, 0.0], [0.0, n]], dtype=complex)
+    M = np.array([[0.0, mix], [mix, 0.0]])
+    return R, L, M
+
+
 def unitary_k(params: AutomatonParams, k) -> np.ndarray:
-    """Single-mode step matrix [[n e^{ik}, -im], [-im, n e^{-ik}]], shape k.shape + (2, 2)."""
+    """Single-mode step matrix R e^{ik} + L e^{-ik} + M, shape k.shape + (2, 2)."""
     k = np.asarray(k, dtype=float)
     if not np.all(np.isfinite(k)):
         raise ValueError("momentum must be finite")
-    n, m = params.n, params.m
-    phase = np.exp(1j * k)
-    out = np.empty(k.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = n * phase
-    out[..., 0, 1] = out[..., 1, 0] = -1j * m
-    out[..., 1, 1] = n * np.conj(phase)
-    return out
+    R, L, M = _stencil(params)
+    phase = np.exp(1j * k)[..., None, None]
+    return phase * R + np.conj(phase) * L + M
 
 
 def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> SpinorField:
-    """t steps of the sitewise update on the ring (t a nonnegative integer).
+    """t steps of the stencil rule on the ring (t a nonnegative integer).
 
     This is the automaton's defining update rule and the oracle of the CLI's
     closed-form path.  Each step scales the norm by sqrt(n^2 + m^2), which in
     doubles is not exactly 1 (1 + 2.1e-17 at m = 0.92), so its drift grows
     linearly in t, where the closed form's does not.
-
-    The step is a stencil on five buffers allocated before the loop: the
-    shifts are slice copies, and the arithmetic runs in place with the same
-    ufunc calls, in the same order, as ``n * roll(psi_r, -1) - 1j * m * psi_l``
-    and ``-1j * m * psi_r + n * roll(psi_l, 1)``, so every amplitude is
-    bit-identical to that form.  Stepping on from an evolved state is
-    bit-identical to evolving from the start.
     """
     _check_time(t)
     if t != int(t):
         raise ValueError(f"position-space evolution needs a nonnegative integer time, got {t}")
-    n, m = params.n, params.m
-    mix_r, mix_l = 1j * m, -1j * m  # the two scalars of the expressions above
-    psi_r, psi_l = field.sites[:, 0].copy(), field.sites[:, 1].copy()
-    next_r, next_l, mixed = np.empty_like(psi_r), np.empty_like(psi_l), np.empty_like(psi_r)
+    R, L, M = _stencil(params)
+    psi = field.sites.copy()
     for _ in range(int(t)):
-        next_r[:-1], next_r[-1] = psi_r[1:], psi_r[0]  # roll(psi_r, -1)
-        np.multiply(n, next_r, out=next_r)
-        np.multiply(mix_r, psi_l, out=mixed)
-        np.subtract(next_r, mixed, out=next_r)
-        next_l[1:], next_l[0] = psi_l[:-1], psi_l[-1]  # roll(psi_l, 1)
-        np.multiply(n, next_l, out=next_l)
-        np.multiply(mix_l, psi_r, out=mixed)
-        np.add(mixed, next_l, out=next_l)
-        psi_r, next_r, psi_l, next_l = next_r, psi_r, next_l, psi_l
-    del next_r, next_l, mixed  # free the buffers before the output is stacked
-    return SpinorField(np.stack([psi_r, psi_l], axis=1))
+        psi = np.roll(psi, -1, axis=0) @ R.T + np.roll(psi, 1, axis=0) @ L.T + psi @ M.T
+    return SpinorField(psi)
 
 
 def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> ModeSpectrum:
@@ -207,7 +197,7 @@ def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
 
     (a) parity:        sigma_x U(-k) sigma_x = U(k)
     (b) time reversal: sigma_x conj(U(-k)) sigma_x = U(k)^dagger
-    (c) unitarity of the position-space stencil U = R S + L S^dag + M:
+    (c) unitarity of the stencil U = R S + L S^dag + M, on the same triple:
         R R^+ + L L^+ + M M^+ = 1,  M R^+ + L M^+ = 0,  L R^+ = 0.
 
     sigma_x A sigma_x swaps both the rows and the columns of A, so (a) and
@@ -216,19 +206,15 @@ def symmetry_check(params: AutomatonParams, k_samples) -> SymmetryReport:
     ks = np.atleast_1d(np.asarray(k_samples, dtype=float))
     if ks.size == 0:
         raise ValueError("need at least one momentum sample")
-    n, m = params.n, params.m
-
     uk = unitary_k(params, ks)
     flipped = unitary_k(params, -ks)[:, ::-1, ::-1]  # sigma_x U(-k) sigma_x
     parity = float(np.max(np.abs(flipped - uk)))
     trev = float(np.max(np.abs(np.conj(flipped) - np.conj(np.swapaxes(uk, 1, 2)))))
 
-    r = np.array([[n, 0.0], [0.0, 0.0]], dtype=complex)
-    l = np.array([[0.0, 0.0], [0.0, n]], dtype=complex)
-    mm = np.array([[0.0, -1j * m], [-1j * m, 0.0]])
-    res_complete = r @ r.conj().T + l @ l.conj().T + mm @ mm.conj().T - np.eye(2)
-    res_cross = mm @ r.conj().T + l @ mm.conj().T
-    res_lr = l @ r.conj().T
+    R, L, M = _stencil(params)
+    res_complete = R @ R.conj().T + L @ L.conj().T + M @ M.conj().T - np.eye(2)
+    res_cross = M @ R.conj().T + L @ M.conj().T
+    res_lr = L @ R.conj().T
     unit = float(max(np.max(np.abs(res_complete)), np.max(np.abs(res_cross)), np.max(np.abs(res_lr))))
 
     return SymmetryReport(parity=parity, time_reversal=trev, unitarity=unit, max_residual=max(parity, trev, unit))

@@ -76,11 +76,10 @@ def _bool(text) -> bool:
 
 
 _PACKETS = {
-    "fig2-smooth": dict(L=128, m=0.92, shape="gaussian", sigma_hat=3.0, k0=0.3 * math.pi, x0=30.0),
+    "fig2-smooth": dict(L=128, m=0.92, sigma_hat=3.0, k0=0.3 * math.pi, x0=30.0),
     "fig4": dict(
         L=1024,
         m=0.6,
-        shape="hermite",
         sigma_hat=20.0,
         k0=0.3 * math.pi,
         x0=256.0,
@@ -338,14 +337,13 @@ def _build_state(params: dict):
     auto = AutomatonParams(params["m"])
     if params.get("kind") == "localized":
         spinor = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        return auto, transform(wavepacket.localized(int(params["x0"]), spinor, params["L"])), None
+        return auto, transform(wavepacket.localized(params["x0"], spinor, params["L"])), None
     spec = wavepacket.WavepacketSpec(
         k0=params["k0"],
         sigma_hat=params["sigma_hat"],
         x0=params["x0"],
         s=params.get("branch", 1),
-        shape=params.get("shape", "gaussian"),
-        hermite_coeffs=params.get("coeffs"),
+        hermite_coeffs=params.get("coeffs", wavepacket.WavepacketSpec.hermite_coeffs),
     )
     return auto, wavepacket.build(spec, auto, params["L"]), spec
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,23 +36,23 @@ def wrap_momentum(k):
 
 @dataclass(frozen=True)
 class WavepacketSpec:
-    """Recipe for a smooth packet: peak momentum, width, center, branch, shape.
+    """Recipe for a smooth packet: peak momentum, width, center, branch, envelope.
 
-    ``sigma_hat`` is the position spread in lattice (Planck) units.  For the
-    ``hermite`` shape the envelope is
+    ``sigma_hat`` is the position spread in lattice (Planck) units.  The
+    envelope is the Hermite coefficient list ``hermite_coeffs``,
 
         sum_j c_j * exp(-(x - x0)^2 / (4 sigma_hat^2)) * H_j((x - x0) / (2 sigma_hat))
 
-    with physicists' Hermite polynomials H_j and sum_j |c_j|^2 = 1; the overall
-    normalization of the state is numeric.
+    with physicists' Hermite polynomials H_j and sum_j |c_j|^2 = 1; the default
+    ``(1.0,)`` is the Gaussian.  The overall normalization of the state is
+    numeric.
     """
 
     k0: float
     sigma_hat: float
     x0: float
     s: int = +1
-    shape: str = "gaussian"
-    hermite_coeffs: Optional[Tuple[float, ...]] = None
+    hermite_coeffs: Tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
         if not 0.0 < self.sigma_hat < math.inf:
@@ -62,16 +62,11 @@ class WavepacketSpec:
         if not abs(self.k0) < math.pi:
             raise ValueError("peak momentum must satisfy |k0| < pi")
         _check_branch(self.s)
-        if self.shape not in ("gaussian", "hermite"):
-            raise ValueError(f"unknown shape {self.shape!r}")
-        if self.shape == "hermite":
-            if not self.hermite_coeffs:
-                raise ValueError("hermite shape needs a coefficient list")
-            total = sum(abs(c) ** 2 for c in self.hermite_coeffs)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"hermite coefficients must satisfy sum |c_j|^2 = 1, got {total}")
-        elif self.hermite_coeffs is not None:
-            raise ValueError("coefficients are only meaningful for the hermite shape")
+        if not self.hermite_coeffs:
+            raise ValueError("the envelope needs a nonempty hermite coefficient list")
+        total = sum(abs(c) ** 2 for c in self.hermite_coeffs)
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"hermite coefficients must satisfy sum |c_j|^2 = 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -106,14 +101,11 @@ def _envelope(spec: WavepacketSpec, displacement: np.ndarray) -> np.ndarray:
     off_centre = near & (displacement != 0.0)
     exponent = np.where(near, 0.0, -np.inf)  # exp(-inf) is the 0 far out; exp(0) the 1 at the centre
     exponent[off_centre] = -(displacement[off_centre] ** 2) / (4.0 * spec.sigma_hat ** 2)
-    gauss = np.exp(exponent)
-    if spec.shape == "gaussian":
-        return gauss
+    envelope = np.exp(exponent)
     y = displacement[near] / (2.0 * spec.sigma_hat)
     hermites = _hermite_values(len(spec.hermite_coeffs) - 1, y)
-    poly = np.zeros_like(displacement)
-    poly[near] = sum(c * h for c, h in zip(spec.hermite_coeffs, hermites) if c != 0.0)
-    return gauss * poly
+    envelope[near] *= sum(c * h for c, h in zip(spec.hermite_coeffs, hermites) if c != 0.0)
+    return envelope
 
 
 def build(spec: WavepacketSpec, params: AutomatonParams, L: int) -> ModeSpectrum:
@@ -145,6 +137,8 @@ def localized(x0: int, spinor: Sequence[complex], L: int) -> SpinorField:
     """Single-site state |x0> with the given (already normalized) spinor."""
     if not (0 <= x0 < L):
         raise ValueError(f"site index must satisfy 0 <= x0 < L, got {x0}")
+    if x0 != int(x0):
+        raise ValueError(f"site index must be an integer, got {x0}")
     spinor = np.asarray(spinor, dtype=complex)
     if spinor.shape != (2,):
         raise ValueError("spinor must have exactly two components")

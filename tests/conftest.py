@@ -100,7 +100,6 @@ def build_fig4(L: int = FIG4_L):
         sigma_hat=FIG4_SIGMA_HAT,
         x0=FIG4_X0,
         s=+1,
-        shape="hermite",
         hermite_coeffs=FIG4_COEFFS,
     )
     params = AutomatonParams(FIG4_M)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_qca import (
     AutomatonParams,
+    automaton,
     ModeSpectrum,
     SpinorField,
     evolve_momentum,
@@ -176,20 +176,28 @@ class TestStencil:
             state = evolve_position(state, params, 2500)
         assert np.array_equal(state.sites, evolve_position(field, params, 10_000).sites)
 
-    def test_loop_allocates_nothing_per_step(self):
-        L = 4096
-        field, params = random_field(L, seed=5), AutomatonParams(0.6)
-        peaks = []
-        for t in (10, 2000):
-            tracemalloc.start()
-            try:
-                evolve_position(field, params, t)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= 1.25 * min(peaks)
-        # two state columns, two next-step columns and one product buffer
-        assert max(peaks) < 5.5 * L * np.dtype(complex).itemsize
+    @pytest.mark.parametrize("m", [0.0, 0.6, 1.0])
+    def test_plane_waves_step_by_the_symbol(self, m):
+        # one step of e^{ikx} g is e^{ikx} U(k) g on every DFT mode: the stencil's
+        # position rule and its Fourier symbol agree without the closed form
+        params, L = AutomatonParams(m), 16
+        g = np.array([0.6 - 0.48j, 0.64j])
+        x = np.arange(L)
+        for j, k in enumerate(2.0 * np.pi * np.fft.fftfreq(L)):
+            wave = np.exp(2j * np.pi * (j * x % L) / L)[:, None]  # phases reduced mod 2 pi first
+            stepped = evolve_position(SpinorField(wave * g), params, 1).sites
+            assert np.max(np.abs(stepped - wave * (unitary_k(params, k) @ g))) <= 1e-15
+
+
+def scaled_stencil(r_scale, l_scale):
+    """``automaton._stencil`` with R and L multiplied by the given factors."""
+    exact = automaton._stencil
+
+    def stencil(params):
+        R, L, M = exact(params)
+        return r_scale * R, l_scale * L, M
+
+    return stencil
 
 
 class TestEvolveMomentum:
@@ -306,6 +314,23 @@ class TestSymmetry:
         assert all(np.array_equal(stacked[i, 0], unitary_k(p, k)) for i, k in enumerate(ks[:, 0]))
         with pytest.raises(ValueError):
             unitary_k(p, np.array([0.1, np.nan]))
+
+    @pytest.mark.parametrize("m", [0.0, 0.6, 0.92])
+    def test_equal_shift_scaling_breaks_unitarity_only(self, monkeypatch, m):
+        # sigma_x swaps R and L, so scaling both keeps parity and time reversal
+        # while R R^+ + L L^+ + M M^+ = 1 fails by (2 eps + eps^2) n^2
+        monkeypatch.setattr(automaton, "_stencil", scaled_stencil(1.0 + 1e-6, 1.0 + 1e-6))
+        params = AutomatonParams(m)
+        report = symmetry_check(params, np.linspace(-np.pi, np.pi, 64))
+        assert report.parity <= 1e-14 and report.time_reversal <= 1e-14
+        assert report.unitarity == pytest.approx(2e-6 * params.n ** 2, rel=1e-5)
+        assert report.max_residual == report.unitarity
+
+    def test_scaling_r_alone_breaks_parity(self, monkeypatch):
+        monkeypatch.setattr(automaton, "_stencil", scaled_stencil(1.0 + 1e-6, 1.0))
+        params = AutomatonParams(0.6)
+        report = symmetry_check(params, np.linspace(-np.pi, np.pi, 64))
+        assert report.parity == pytest.approx(1e-6 * params.n, rel=1e-6)
 
     def test_massless_and_planck_mass_exact(self):
         for m in (0.0, 1.0):

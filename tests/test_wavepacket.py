@@ -34,9 +34,9 @@ class TestSpecValidation:
 
     def test_hermite_needs_normalized_coefficients(self):
         with pytest.raises(ValueError):
-            WavepacketSpec(k0=0.3, sigma_hat=5.0, x0=0.0, shape="hermite", hermite_coeffs=(0.5, 0.5))
+            WavepacketSpec(k0=0.3, sigma_hat=5.0, x0=0.0, hermite_coeffs=(0.5, 0.5))
         # the reference coefficient triple is exactly normalized
-        WavepacketSpec(k0=0.3, sigma_hat=5.0, x0=0.0, shape="hermite", hermite_coeffs=FIG4_COEFFS)
+        WavepacketSpec(k0=0.3, sigma_hat=5.0, x0=0.0, hermite_coeffs=FIG4_COEFFS)
 
     def test_support_precondition(self):
         spec = WavepacketSpec(k0=0.3, sigma_hat=30.0, x0=64.0)
@@ -60,6 +60,9 @@ class TestLocalized:
             localized(1, (1.0, 1.0), 8)
         with pytest.raises(ValueError):
             localized(9, (1.0, 0.0), 8)
+        for x0 in (3.5, np.float64(7.9)):  # int() would truncate these to sites 3 and 7
+            with pytest.raises(ValueError, match="integer"):
+                localized(x0, (1.0, 0.0), 8)
 
 
 class TestBuild:
