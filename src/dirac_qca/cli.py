@@ -249,37 +249,58 @@ def _write_json(path: str, payload: dict):
 _POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
 _ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d[,\]])")
 _FIXED_POINT_BAND = re.compile(rb"0\.0000(\d)(\d*)")
+# The value gate: a block runs a regex only when its values can take that spelling.  orjson writes
+# |x| >= 1e16 with a positive exponent, and _LARGE leaves a decade below that.  The other two spellings
+# need 1e-9 <= |x| < 1e-4; 1e-9 is the smallest |x| with a one-digit exponent, and _SMALL leaves a
+# decade below it.  1e-4 needs no margin: shortest digits keep the order of the doubles, so only a
+# double below 1e-4 prints below "0.0001".  A nan fails every comparison; an inf passes _LARGE and
+# only runs that regex for nothing.
+_LARGE = 1e15
+_SMALL = (1e-10, 1e-4)
 
 
 def _band_to_exponent(match) -> bytes:
     """A ``_FIXED_POINT_BAND`` match in exponent form where it starts a number (after "[", "," or their "-")."""
-    before = match.string[match.start() - 2 : match.start()]
-    if before[1:] not in (b"[", b",") and before not in (b"[-", b",-"):
+    start = match.start()
+    if match.string[max(start - 2, 0) : start].removesuffix(b"-")[-1:] not in (b"[", b","):
         return match[0]  # the tail of a larger number, as in 10.00001
     lead, rest = match.groups()
     return lead + (b"." + rest if rest else b"") + b"e-05"
 
 
-def _csv_rows(table):
-    """The rows of the 2-D float array ``table``, ``CSV_BLOCK_ROWS`` at a time, each float as its shortest repr.
+def _csv_block(block, ncols: int) -> str:
+    """The rows of the flat float array ``block``, ``ncols`` values a row, each float as its shortest repr.
 
     orjson writes the shortest round-trip digits of each float, as ``repr``
-    does; only its spelling of exponents, of the [1e-5, 1e-4) band and of
-    nan and inf (``null``) is rewritten here.  Each row ends with a newline.
+    does; its spelling of exponents and of the [1e-5, 1e-4) band is rewritten
+    only where the block's values can have them, and nan and inf (``null``)
+    wherever they are.  The rows are then cut by turning every ``ncols``-th
+    comma and the closing "]" into a newline.
     """
     import orjson  # kept off the CLI import path
 
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS]
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    magnitude = np.abs(block)
+    if (magnitude >= _LARGE).any():
         text = _POSITIVE_EXPONENT.sub(b"e+", text)  # 1e16 -> 1e+16
+    if ((magnitude >= _SMALL[0]) & (magnitude < _SMALL[1])).any():
         text = _ONE_DIGIT_EXPONENT.sub(b"e-0", text)  # 1.5e-7 -> 1.5e-07
         text = _FIXED_POINT_BAND.sub(_band_to_exponent, text)  # 0.000015 -> 1.5e-05
-        nonfinite = block[~np.isfinite(block)]
-        if nonfinite.size:  # orjson writes each as null
-            spelled = [repr(value).encode() for value in nonfinite.tolist()] + [b""]
-            text = b"".join([piece for pair in zip(text.split(b"null"), spelled) for piece in pair])
-        yield text[2:-2].replace(b"],[", b"\n").decode("ascii") + "\n"
+    nonfinite = block[~np.isfinite(block)]
+    if nonfinite.size:  # orjson writes each as null
+        spelled = [repr(value).encode() for value in nonfinite.tolist()] + [b""]
+        text = b"".join([piece for pair in zip(text.split(b"null"), spelled) for piece in pair])
+    chars = np.frombuffer(text, dtype=np.uint8, offset=1).copy()  # without the opening "["
+    chars[np.flatnonzero(chars == ord(","))[ncols - 1 :: ncols]] = ord("\n")
+    chars[-1] = ord("\n")  # the closing "]"
+    return str(chars, "ascii")
+
+
+def _csv_rows(table):
+    """The rows of the 2-D float array ``table``, ``CSV_BLOCK_ROWS`` at a time (``_csv_block``)."""
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        # a flat view, as the table is C-contiguous; the block's temporaries are gone before it is written
+        yield _csv_block(table[start : start + CSV_BLOCK_ROWS].ravel(), table.shape[1])
 
 
 def _write_csv(path: str, header, columns):

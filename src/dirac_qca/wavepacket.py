@@ -10,6 +10,7 @@ is the same state to leading order in the bandwidth).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -43,7 +44,7 @@ class WavepacketSpec:
 
         sum_j c_j * exp(-(x - x0)^2 / (4 sigma_hat^2)) * H_j((x - x0) / (2 sigma_hat))
 
-    with physicists' Hermite polynomials H_j and sum_j |c_j|^2 = 1; the default
+    with physicists' Hermite polynomials H_j and real c_j, sum_j c_j^2 = 1; the default
     ``(1.0,)`` is the Gaussian.  The overall normalization of the state is
     numeric.
     """
@@ -64,9 +65,11 @@ class WavepacketSpec:
         _check_branch(self.s)
         if not self.hermite_coeffs:
             raise ValueError("the envelope needs a nonempty hermite coefficient list")
-        total = sum(abs(c) ** 2 for c in self.hermite_coeffs)
+        if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in self.hermite_coeffs):
+            raise ValueError(f"hermite coefficients must be real and finite, got {self.hermite_coeffs}")
+        total = sum(c * c for c in self.hermite_coeffs)
         if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"hermite coefficients must satisfy sum |c_j|^2 = 1, got {total}")
+            raise ValueError(f"hermite coefficients must satisfy sum c_j^2 = 1, got {total}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -73,6 +74,64 @@ def test_powers_of_ten_and_the_fixed_point_band(tmp_path):
     values = np.concatenate([neighbours, band, tails])
     columns = [values, -values[::-1]]
     assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
+
+
+# the values at the gate's thresholds and at orjson's spelling changes, each with its two nextafter neighbours
+EDGES = np.array([1e-10, 1e-9, 1e-5, 1e-4, 1e15, 1e16])
+EDGE_VALUES = np.concatenate([np.nextafter(EDGES, 0.0), EDGES, np.nextafter(EDGES, math.inf)])
+EDGE_VALUES = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("cell", ["first", "middle", "last"])
+def test_gate_edges(tmp_path, monkeypatch, width, cell):
+    # one edge value per block, amid cells that open no gate, at the block's first, middle or last cell
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    cells = SMALL_B * width
+    blocks = np.full((len(EDGE_VALUES), cells), 0.5)
+    blocks[:, {"first": 0, "middle": cells // 2, "last": cells - 1}[cell]] = EDGE_VALUES
+    table = blocks.reshape(-1, width)
+    columns, header = list(table.T), [f"c{i}" for i in range(width)]
+    assert written(tmp_path, header, columns) == reference_csv(header, columns)
+
+
+def test_band_value_after_nan(tmp_path, monkeypatch):
+    # orjson writes nan as null, so a band value follows "null,": at a block's start, inside a row and across rows
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
+    values = np.full(2 * 2 * SMALL_B, 0.5)
+    values[[0, 5, 2 * SMALL_B, 2 * SMALL_B + 8]] = math.nan
+    values[[1, 6, 2 * SMALL_B + 1, 2 * SMALL_B + 9]] = [1.5e-5, -2e-5, 9.99e-5, -1.0000000000000001e-05]
+    columns = [values[0::2], values[1::2]]
+    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
+
+
+class _CountingPattern:
+    """Stands in for a compiled pattern and keeps the text of each ``sub`` call."""
+
+    def __init__(self, pattern):
+        self.pattern, self.texts = pattern, []
+
+    def sub(self, repl, text):
+        self.texts.append(text)
+        return self.pattern.sub(repl, text)
+
+
+def test_blocks_without_gated_values_run_no_regex(tmp_path, monkeypatch):
+    names = ["_POSITIVE_EXPONENT", "_ONE_DIGIT_EXPONENT", "_FIXED_POINT_BAND"]
+    counters = {name: _CountingPattern(getattr(cli, name)) for name in names}
+    for name, counter in counters.items():
+        monkeypatch.setattr(cli, name, counter)
+    rng = np.random.default_rng(18)
+    columns = [rng.random(65536) * 1e-10, -rng.random(65536) * 1e-10]  # every |x| below 1e-10
+    columns[0][0] = 0.0
+    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
+    assert [len(counters[name].texts) for name in names] == [0, 0, 0]
+    columns[1][40000] = 1.5e-7
+    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
+    assert [len(counters[name].texts) for name in names] == [0, 1, 1]
+    block = np.column_stack(columns)[40000 // B * B :][:B].ravel()  # the one block that holds 1.5e-7
+    assert counters["_ONE_DIGIT_EXPONENT"].texts == [orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)]
+    assert b"1.5e-07" in counters["_FIXED_POINT_BAND"].texts[0]
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])

@@ -38,6 +38,12 @@ class TestSpecValidation:
         # the reference coefficient triple is exactly normalized
         WavepacketSpec(k0=0.3, sigma_hat=5.0, x0=0.0, hermite_coeffs=FIG4_COEFFS)
 
+    @pytest.mark.parametrize("coeffs", [(1j,), (math.nan,), (0.6, math.nan)], ids=["complex", "nan", "nan-tail"])
+    def test_hermite_needs_real_finite_coefficients(self, coeffs):
+        # a complex one failed in build with numpy's UFuncTypeError, a nan one as an underflowing envelope
+        with pytest.raises(ValueError, match="real and finite"):
+            WavepacketSpec(k0=0.3, sigma_hat=5.0, x0=0.0, hermite_coeffs=coeffs)
+
     def test_support_precondition(self):
         spec = WavepacketSpec(k0=0.3, sigma_hat=30.0, x0=64.0)
         with pytest.raises(ValueError):
