@@ -87,11 +87,11 @@ _PACKETS = {
     ),
 }
 # per command and preset: the values the preset fixes; giving one of those keys as well is an error.
-# fig2 is one site: it fixes sigma_hat = 0 (read only by the wrap-around warning) and a k0 that is
-# never read, so that neither can be given beside it.
+# fig2 is one site: it fixes sigma_hat = 0 (read only by the wrap-around warning) and a k0 and a
+# branch that are never read, so that none of them can be given beside it.
 PRESETS = {
     "dispersion": {"fig3": dict(m=(0.0, 0.3, 0.6, 0.9))},
-    "evolve": {"fig2": dict(kind="localized", L=128, m=0.92, sigma_hat=0.0, k0=0.0, x0=30.0), **_PACKETS},
+    "evolve": {"fig2": dict(kind="localized", L=128, m=0.92, sigma_hat=0.0, k0=0.0, x0=30.0, branch=1), **_PACKETS},
     "compare": _PACKETS,
 }
 
@@ -222,21 +222,13 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
 # -- serialization helpers -------------------------------------------------
 
 def _sanitize(obj):
+    """The reports' dicts, lists, tuples and scalars as JSON values, with nan and the infinities spelled as strings."""
     if isinstance(obj, dict):
         return {key: _sanitize(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(value) for value in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 

@@ -70,14 +70,6 @@ def _check_k_bar(k_bar: float):
         raise ValueError(f"momentum cap must lie in [0, pi), got {k_bar}")
 
 
-def _check_caps(m: float, k_bar: float, n_bar: int):
-    """The one check of the caps: 0 <= m <= 1, 0 <= k_bar < pi and N_bar a positive integer that a double holds."""
-    _check_mass(m)
-    _check_k_bar(k_bar)
-    if not (isinstance(n_bar, numbers.Integral) and 1 <= n_bar <= sys.float_info.max):
-        raise ValueError(f"particle cap must be a positive integer no larger than the largest double, got {n_bar!r}")
-
-
 @dataclass(frozen=True)
 class DiscriminationInput:
     """Physical caps and duration: mass, momentum cap, particle cap, time."""
@@ -88,7 +80,14 @@ class DiscriminationInput:
     t: float
 
     def __post_init__(self):
-        _check_caps(self.m, self.k_bar, self.N_bar)
+        """The one check of the caps: 0 <= m <= 1, 0 <= k_bar < pi and N_bar a positive integer that a double holds."""
+        _check_mass(self.m)
+        _check_k_bar(self.k_bar)
+        n_bar = self.N_bar
+        if not (isinstance(n_bar, numbers.Integral) and 1 <= n_bar <= sys.float_info.max):
+            raise ValueError(
+                f"particle cap must be a positive integer no larger than the largest double, got {n_bar!r}"
+            )
         _check_time(self.t)
 
 
@@ -258,33 +257,30 @@ def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
     )
 
 
-def _finite_time(t: float) -> float:
+def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
+    """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar); ValueError beyond the double range."""
+    DiscriminationInput(m, k_bar, n_bar, 0.0)
+    if m == 0.0 or k_bar == 0.0:
+        raise ValueError("need m > 0 and k_bar > 0")
+    rate = m * m * k_bar * n_bar
+    t = 3.0 * math.pi / rate if rate > 0.0 else math.inf  # rate is 0 where it underflows
     if t == math.inf:
         raise ValueError("the perfect-discrimination time lies beyond the double range")
     return t
 
 
-def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
-    """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar); ValueError beyond the double range."""
-    _check_caps(m, k_bar, n_bar)
-    if m == 0.0 or k_bar == 0.0:
-        raise ValueError("need m > 0 and k_bar > 0")
-    rate = m * m * k_bar * n_bar  # 0 where it underflows
-    return _finite_time(3.0 * math.pi / rate if rate > 0.0 else math.inf)
-
-
 def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
-    """The root of g(t) = pi/2, which is the time cap f of ``pe_lower_bound``.
+    """The root of g(t) = pi/2, which is the time cap ``f_limit`` of ``pe_lower_bound``.
 
-    None when pi/2 is unreachable: the beta_bar hypothesis fails outright or
-    alpha_bar = 0 (identical dispersions up to roundoff).  An f that overflows is a ValueError.
+    None when pi/2 is unreachable: the beta_bar hypothesis fails (at t = 0 no other can).
+    f is finite: for m, k_bar > 0 ``extremal_alpha_beta`` rejects an alpha_bar below the
+    normal double range, and that check is what rejects an input outside the double range.
     """
-    _check_caps(m, k_bar, n_bar)
+    inp = DiscriminationInput(m, k_bar, n_bar, 0.0)
     if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
-    alpha_bar, beta_bar = extremal_alpha_beta(k_bar, m)
-    f = _time_cap(alpha_bar, beta_bar, n_bar)
-    return None if f is None or alpha_bar == 0.0 else _finite_time(f)
+    report = pe_lower_bound(inp)
+    return report.f_limit if report.hypotheses_ok else None
 
 
 def _pairwise_trace_distance(phases: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from dirac_qca import AutomatonParams, WavepacketSpec, build, dirac_omega, inverse_transform, omega
+from dirac_qca.cli import PRESETS
 from dirac_qca.discrimination import _alpha, _beta
 from dirac_qca.dispersion import _check_mass, sin_omega
 
-FIG4_COEFFS = (
-    math.sqrt(1 / 3), 0.0, math.sqrt(4 / 9), 0.0, 0.0, 0.0, 0.0, math.sqrt(2 / 9),
-)
-FIG4_K0 = 0.3 * math.pi
-FIG4_M = 0.6
-FIG4_SIGMA_HAT = 20.0
-FIG4_L = 1024
-FIG4_X0 = 256.0
+_FIG4 = PRESETS["evolve"]["fig4"]  # the one definition of the fig4 packet
+FIG4_COEFFS = _FIG4["coeffs"]
+FIG4_K0 = _FIG4["k0"]
+FIG4_M = _FIG4["m"]
+FIG4_SIGMA_HAT = _FIG4["sigma_hat"]
+FIG4_L = _FIG4["L"]
+FIG4_X0 = _FIG4["x0"]
 
 
 def omega_longdouble(k, m):

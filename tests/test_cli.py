@@ -578,6 +578,7 @@ class TestConfigHandling:
             (["dispersion", "--preset", "fig3", "--m", "0.2"], "", "m"),
             (["dispersion", "--preset", "fig3"], "m = 0.2\n", "m"),
             (["evolve", "--preset", "fig2", "--k0", "0.2", "--sigma-hat", "5"], "", "sigma_hat, k0"),
+            (["evolve", "--preset", "fig2", "--branch", "-1", "--times", "15"], "", "branch"),
         ],
     )
     def test_preset_rejects_keys_it_fixes(self, tmp_path, capsys, argv, config, keys):

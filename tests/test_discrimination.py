@@ -398,18 +398,20 @@ class TestTmin:
             (t_min_approx, 0.5, 0.5, 1.5, "particle cap"),
             (t_min_exact, 0.5, 0.5, 1.5, "particle cap"),
             (t_min_approx, 0.5, 5.0, 1, "momentum cap"),
+            (t_min_exact, 0.5, 5.0, 1, "momentum cap"),
             (t_min_approx, 2.0, 0.5, 1, "mass"),
             (t_min_exact, 2.0, 0.5, 1, "mass"),  # used to raise "math domain error"
             (t_min_approx, 1e-160, 1e-8, 1, "double range"),  # m^2 k_bar N_bar underflows: used to divide by 0
-            (t_min_exact, 1e-150, 1e-8, 1, "double range"),  # alpha_bar > 0, but f overflows
+            (t_min_exact, 1e-150, 1e-8, 1, "double range"),  # alpha_bar = 1.7e-309 is subnormal: f would overflow
             (lambda m, k, n: DiscriminationInput(m=m, k_bar=k, N_bar=n, t=1.0), 0.5, 0.5, 1.5, "particle cap"),
             # no double holds the cap: used to raise OverflowError
             (t_min_approx, 0.5, 0.5, 10**400, "particle cap"),
+            (t_min_exact, 0.5, 0.5, 10**400, "particle cap"),
             (lambda m, k, n: DiscriminationInput(m=m, k_bar=k, N_bar=n, t=1.0), 0.5, 0.5, 10**400, "particle cap"),
         ],
         ids=["approx-n0", "exact-n0", "approx-n-1", "exact-n-1", "approx-n1.5", "exact-n1.5",
-             "approx-k5", "approx-m2", "exact-m2", "approx-overflow", "exact-overflow", "input-n1.5",
-             "approx-n1e400", "input-n1e400"],
+             "approx-k5", "exact-k5", "approx-m2", "exact-m2", "approx-overflow", "exact-overflow", "input-n1.5",
+             "approx-n1e400", "exact-n1e400", "input-n1e400"],
     )
     def test_rejects_caps_outside_their_range(self, solver, m, k_bar, n_bar, message):
         with pytest.raises(ValueError, match=message):
