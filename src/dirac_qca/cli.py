@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -236,48 +235,19 @@ def _write_json(path: str, payload: dict):
     write_text(path, json.dumps(_sanitize(payload), indent=2, sort_keys=True) + "\n")
 
 
-# orjson's spelling of a float where it differs from repr's: a positive exponent without its sign ("1e16"),
-# a one-digit exponent ("1.5e-7"; a number ends at "," or "]"), and 1e-5 <= |x| < 1e-4 in fixed point
-_POSITIVE_EXPONENT = re.compile(rb"e(?=\d)")
-_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d[,\]])")
-_FIXED_POINT_BAND = re.compile(rb"0\.0000(\d)(\d*)")
-# The value gate: a block runs a regex only when its values can take that spelling.  orjson writes
-# |x| >= 1e16 with a positive exponent, and _LARGE leaves a decade below that.  The other two spellings
-# need 1e-9 <= |x| < 1e-4; 1e-9 is the smallest |x| with a one-digit exponent, and _SMALL leaves a
-# decade below it.  1e-4 needs no margin: shortest digits keep the order of the doubles, so only a
-# double below 1e-4 prints below "0.0001".  A nan fails every comparison; an inf passes _LARGE and
-# only runs that regex for nothing.
-_LARGE = 1e15
-_SMALL = (1e-10, 1e-4)
-
-
-def _band_to_exponent(match) -> bytes:
-    """A ``_FIXED_POINT_BAND`` match in exponent form where it starts a number (after "[", "," or their "-")."""
-    start = match.start()
-    if match.string[max(start - 2, 0) : start].removesuffix(b"-")[-1:] not in (b"[", b","):
-        return match[0]  # the tail of a larger number, as in 10.00001
-    lead, rest = match.groups()
-    return lead + (b"." + rest if rest else b"") + b"e-05"
-
-
 def _csv_block(block, ncols: int) -> str:
-    """The rows of the flat float array ``block``, ``ncols`` values a row, each float as its shortest repr.
+    """The rows of the flat float array ``block``, ``ncols`` values a row, each float in orjson's spelling.
 
-    orjson writes the shortest round-trip digits of each float, as ``repr``
-    does; its spelling of exponents and of the [1e-5, 1e-4) band is rewritten
-    only where the block's values can have them, and nan and inf (``null``)
-    wherever they are.  The rows are then cut by turning every ``ncols``-th
-    comma and the closing "]" into a newline.
+    orjson writes the shortest round-trip digits of each float, the digits
+    ``repr`` writes, with its own exponent spelling (``1.5e-7``, ``1e16``)
+    and 1e-5 <= |x| < 1e-4 in fixed point (``0.000015``).  It writes nan and
+    inf as ``null``, which a CSV reader cannot parse, so each is spelled back
+    as ``nan``, ``inf`` or ``-inf``.  The rows are then cut by turning every
+    ``ncols``-th comma and the closing "]" into a newline.
     """
     import orjson  # kept off the CLI import path
 
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-    magnitude = np.abs(block)
-    if (magnitude >= _LARGE).any():
-        text = _POSITIVE_EXPONENT.sub(b"e+", text)  # 1e16 -> 1e+16
-    if ((magnitude >= _SMALL[0]) & (magnitude < _SMALL[1])).any():
-        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", text)  # 1.5e-7 -> 1.5e-07
-        text = _FIXED_POINT_BAND.sub(_band_to_exponent, text)  # 0.000015 -> 1.5e-05
     nonfinite = block[~np.isfinite(block)]
     if nonfinite.size:  # orjson writes each as null
         spelled = [repr(value).encode() for value in nonfinite.tolist()] + [b""]
@@ -296,7 +266,7 @@ def _csv_rows(table):
 
 
 def _write_csv(path: str, header, columns):
-    """One row per entry of the equal-length ``columns``, each float as its shortest repr.
+    """One row per entry of the equal-length ``columns``, each float as its shortest round-trip decimal.
 
     The table is formatted and written ``CSV_BLOCK_ROWS`` rows at a time;
     a failure on the way leaves ``path`` as it was.
@@ -318,7 +288,7 @@ def _file_names(pattern: str, values) -> list:
 
 
 def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
-    masses = params["m"]
+    masses = [dispersion._check_mass(m) for m in params["m"]]  # before a nan can be blamed on a file name
     samples = params["samples"]
     if not masses:
         raise ConfigError("need at least one mass")
@@ -326,14 +296,14 @@ def _run_dispersion(params: dict, out_dir: str, warnings: list) -> dict:
         raise ConfigError("need at least 2 samples")
     ks = np.linspace(-math.pi, math.pi, samples)
     files = _file_names("dispersion_m{:g}.csv", masses)
+    if 0.0 in masses and 0.0 in ks:
+        warnings.append("derivatives are undefined at k = 0 for m = 0; affected rows carry nan")
     curves = []
     for m, name in zip(masses, files):
         w = dispersion.omega(ks, m)
         cone = (ks == 0.0) & (m == 0.0)  # omega has a cone there: no derivatives
         derivs = np.full((3, samples), math.nan)
         derivs[:, ~cone] = dispersion.derivatives(ks[~cone], m)
-        if cone.any() and not any("derivative" in w for w in warnings):
-            warnings.append("derivatives are undefined at k = 0 for m = 0; affected rows carry nan")
         columns = [ks, w, dispersion.dirac_omega(ks, m), *derivs]
         _write_csv(os.path.join(out_dir, name), ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
         if params["svg"]:

@@ -77,6 +77,15 @@ class TestDispersionCommand:
         warnings = load_json(out / "dispersion.json")["warnings"]
         assert warnings == ["derivatives are undefined at k = 0 for m = 0; affected rows carry nan"]
 
+    @pytest.mark.parametrize("masses", ["nan", "0.3,nan", "nan,0.3,nan"])
+    def test_nan_mass_is_named_before_any_file_name(self, tmp_path, capsys, masses):
+        # nan != nan: a mass checked only after the files are named is blamed on a shared file name
+        out = tmp_path / "o"
+        assert run(["dispersion", "--m", masses, "--samples", "8", "--out-dir", str(out)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"message": "mass must lie in [0, 1], got nan", "type": "config"}
+        assert not out.exists() or not any(out.iterdir())
+
     def test_omega_clamp_breach_is_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dispersion, "ARCCOS_CLAMP_TOL", -1.0)
         assert run(["dispersion", "--m", "0.6", "--samples", "8", "--out-dir", str(tmp_path / "o")]) == 2

@@ -1,18 +1,22 @@
-"""The block-wise CSV writer against the serial ``repr`` writer it replaced, byte for byte."""
+"""The block-wise CSV writer against a value oracle: each cell is its double's shortest round-trip decimal.
+
+The cells are in orjson's spelling (``1.5e-7``, ``1e16``, ``0.000015``), so the
+oracle compares values and digit counts with ``repr``, not bytes.
+"""
 
 import errno
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dirac_qca import cli
+from dirac_qca import cli, derivatives, dirac_omega, evolve_momentum, inverse_transform, omega
 
 B = cli.CSV_BLOCK_ROWS
 SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3, 1e-30, -1.5, 1e300]
@@ -20,10 +24,28 @@ SMALL_B = 7  # a block size that puts block edges inside small tables
 CSV_ROWS = cli._csv_rows  # the real block formatter, for the failure tests that replace it
 
 
-def reference_csv(header, columns) -> bytes:
-    """Oracle: the serial two-line body of ``cli._write_csv`` before large tables were split."""
-    cells = [map(repr, np.asarray(column, dtype=float).tolist()) for column in columns]
-    return ("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n").encode("utf-8")
+def significant_digits(cell: str) -> str:
+    """The significant digits of a decimal spelling: "15" for 1.5e-05, 1.5e-5, 0.000015 and -150.0."""
+    return cell.lstrip("-").partition("e")[0].replace(".", "").strip("0")
+
+
+def spells(cell: str, value: float) -> bool:
+    """Whether ``cell`` is ``value`` in as few significant digits as ``repr``; nan and +-inf as ``repr`` writes them."""
+    if not math.isfinite(value):
+        return cell == repr(value)
+    same_bits = struct.pack("<d", float(cell)) == struct.pack("<d", value)  # keeps -0.0 and subnormals apart
+    return same_bits and significant_digits(cell) == significant_digits(repr(value))
+
+
+def assert_csv_of(data: bytes, header, columns):
+    """Oracle: ``data`` is the header line, then one "\n"-ended row per entry of ``columns``, each cell ``spells`` its value."""
+    values = np.column_stack([np.asarray(column, dtype=float) for column in columns])
+    lines = data.decode("ascii").split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [len(row) for row in rows] == [len(header)] * len(values)
+    cells = [cell for row in rows for cell in row]
+    assert [(c, v) for c, v in zip(cells, values.ravel().tolist()) if not spells(c, v)] == []
 
 
 def written(tmp_path, header, columns) -> bytes:
@@ -42,8 +64,9 @@ def density_columns(rows, seed=0):
 
 @pytest.mark.parametrize("rows", [1, 4 * B - 1, 4 * B, 4 * B + 1, 12 * B + 5, 65536])
 def test_row_counts_match_serial_writer(tmp_path, rows):
+    # named for the serial writer that was once the byte oracle; assert_csv_of now checks each cell's value
     columns = density_columns(rows)
-    assert written(tmp_path, ["x", "density"], columns) == reference_csv(["x", "density"], columns)
+    assert_csv_of(written(tmp_path, ["x", "density"], columns), ["x", "density"], columns)
 
 
 @pytest.mark.parametrize("rows", [0, 1, SMALL_B - 1, SMALL_B, SMALL_B + 1, 3 * SMALL_B + 5])
@@ -51,7 +74,7 @@ def test_forced_pool_matches_serial_writer(tmp_path, monkeypatch, rows):
     # named for the worker pool these small tables once forced; now they put block edges at every row count
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
     columns = density_columns(rows, seed=rows)
-    assert written(tmp_path, ["x", "density"], columns) == reference_csv(["x", "density"], columns)
+    assert_csv_of(written(tmp_path, ["x", "density"], columns), ["x", "density"], columns)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -63,20 +86,21 @@ def test_blocks_match_serial_writer(tmp_path, monkeypatch, data):
     # st.floats() draws nan, +-inf, signed zeros and subnormals as well
     columns = [data.draw(st.lists(st.floats(), min_size=rows, max_size=rows)) for _ in range(width)]
     header = [f"c{i}" for i in range(width)]
-    assert written(tmp_path, header, columns) == reference_csv(header, columns)
+    assert_csv_of(written(tmp_path, header, columns), header, columns)
 
 
 def test_powers_of_ten_and_the_fixed_point_band(tmp_path):
     powers = 10.0 ** np.arange(-323, 309)
     neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)])
     band = np.concatenate([np.geomspace(1e-5, np.nextafter(1e-4, 0.0), 4001), [1.5e-5, 2e-5, 9.99e-5]])
-    tails = [10.00001, 100.000015, 1.00001, 1e-6, 1.5e-7, 1e15, 1e16, 9999999999999998.0]  # no band number
+    tails = [10.00001, 100.000015, 1.00001, 1e-6, 1.5e-7, 1e15, 1e16, 9999999999999998.0]  # band digits inside larger numbers
     values = np.concatenate([neighbours, band, tails])
     columns = [values, -values[::-1]]
-    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
+    assert_csv_of(written(tmp_path, ["a", "b"], columns), ["a", "b"], columns)
 
 
-# the values at the gate's thresholds and at orjson's spelling changes, each with its two nextafter neighbours
+# where orjson's spelling changes (a one-digit exponent from 1e-9, fixed point in [1e-5, 1e-4), a positive
+# exponent from 1e16) and a decade beyond (1e-10, 1e15), each with its two nextafter neighbours
 EDGES = np.array([1e-10, 1e-9, 1e-5, 1e-4, 1e15, 1e16])
 EDGE_VALUES = np.concatenate([np.nextafter(EDGES, 0.0), EDGES, np.nextafter(EDGES, math.inf)])
 EDGE_VALUES = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
@@ -85,53 +109,25 @@ EDGE_VALUES = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("cell", ["first", "middle", "last"])
 def test_gate_edges(tmp_path, monkeypatch, width, cell):
-    # one edge value per block, amid cells that open no gate, at the block's first, middle or last cell
+    # one edge value per block, amid plain cells, at the block's first, middle or last cell
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
     cells = SMALL_B * width
     blocks = np.full((len(EDGE_VALUES), cells), 0.5)
     blocks[:, {"first": 0, "middle": cells // 2, "last": cells - 1}[cell]] = EDGE_VALUES
     table = blocks.reshape(-1, width)
     columns, header = list(table.T), [f"c{i}" for i in range(width)]
-    assert written(tmp_path, header, columns) == reference_csv(header, columns)
+    assert_csv_of(written(tmp_path, header, columns), header, columns)
 
 
 def test_band_value_after_nan(tmp_path, monkeypatch):
-    # orjson writes nan as null, so a band value follows "null,": at a block's start, inside a row and across rows
+    # orjson writes nan as null, spelled back as nan, so a band value follows "nan,": at a block's start,
+    # inside a row and across rows
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
     values = np.full(2 * 2 * SMALL_B, 0.5)
     values[[0, 5, 2 * SMALL_B, 2 * SMALL_B + 8]] = math.nan
     values[[1, 6, 2 * SMALL_B + 1, 2 * SMALL_B + 9]] = [1.5e-5, -2e-5, 9.99e-5, -1.0000000000000001e-05]
     columns = [values[0::2], values[1::2]]
-    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
-
-
-class _CountingPattern:
-    """Stands in for a compiled pattern and keeps the text of each ``sub`` call."""
-
-    def __init__(self, pattern):
-        self.pattern, self.texts = pattern, []
-
-    def sub(self, repl, text):
-        self.texts.append(text)
-        return self.pattern.sub(repl, text)
-
-
-def test_blocks_without_gated_values_run_no_regex(tmp_path, monkeypatch):
-    names = ["_POSITIVE_EXPONENT", "_ONE_DIGIT_EXPONENT", "_FIXED_POINT_BAND"]
-    counters = {name: _CountingPattern(getattr(cli, name)) for name in names}
-    for name, counter in counters.items():
-        monkeypatch.setattr(cli, name, counter)
-    rng = np.random.default_rng(18)
-    columns = [rng.random(65536) * 1e-10, -rng.random(65536) * 1e-10]  # every |x| below 1e-10
-    columns[0][0] = 0.0
-    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
-    assert [len(counters[name].texts) for name in names] == [0, 0, 0]
-    columns[1][40000] = 1.5e-7
-    assert written(tmp_path, ["a", "b"], columns) == reference_csv(["a", "b"], columns)
-    assert [len(counters[name].texts) for name in names] == [0, 1, 1]
-    block = np.column_stack(columns)[40000 // B * B :][:B].ravel()  # the one block that holds 1.5e-7
-    assert counters["_ONE_DIGIT_EXPONENT"].texts == [orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)]
-    assert b"1.5e-07" in counters["_FIXED_POINT_BAND"].texts[0]
+    assert_csv_of(written(tmp_path, ["a", "b"], columns), ["a", "b"], columns)
 
 
 @pytest.mark.parametrize("small_blocks", [False, True])
@@ -147,7 +143,7 @@ def test_special_values_and_column_types(tmp_path, monkeypatch, small_blocks):
         list(range(rows)),  # a list of Python ints
     ]
     header = ["a", "b", "c", "d"]
-    assert written(tmp_path, header, columns) == reference_csv(header, columns)
+    assert_csv_of(written(tmp_path, header, columns), header, columns)
 
 
 def _failing_chunk(table):
@@ -180,7 +176,7 @@ def test_worker_failure_is_exit_1_and_writes_nothing(tmp_path, capsys, monkeypat
     # nothing is left broken: the next table is written as usual
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", SMALL_B)
     columns = density_columns(40)
-    assert written(tmp_path / "again", ["x", "density"], columns) == reference_csv(["x", "density"], columns)
+    assert_csv_of(written(tmp_path / "again", ["x", "density"], columns), ["x", "density"], columns)
 
 
 def _fresh_process(code, *args) -> list:
@@ -209,3 +205,26 @@ def test_commands_without_tables_never_import_orjson(tmp_path):
         "print(code, imported, 'orjson' in sys.modules)\n"
     )
     assert _fresh_process(code, str(tmp_path)) == ["0", "False", "False"]
+
+
+def test_dispersion_values_round_trip(tmp_path):
+    # an odd sample count puts k = 0 on the grid: the m = 0 cone row, whose derivative cells are nan
+    samples = 257
+    assert cli.main(["dispersion", "--preset", "fig3", "--samples", str(samples), "--out-dir", str(tmp_path)]) == 0
+    ks = np.linspace(-math.pi, math.pi, samples)
+    for m in cli.PRESETS["dispersion"]["fig3"]["m"]:
+        cone = (ks == 0.0) & (m == 0.0)
+        assert cone.sum() == (m == 0.0)
+        derivs = np.full((3, samples), math.nan)
+        derivs[:, ~cone] = derivatives(ks[~cone], m)
+        data = (tmp_path / f"dispersion_m{m:g}.csv").read_bytes()
+        columns = [ks, omega(ks, m), dirac_omega(ks, m), *derivs]
+        assert_csv_of(data, ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
+
+
+def test_evolve_density_round_trips(tmp_path, fig4_state):
+    _, params, _, spectrum = fig4_state
+    assert cli.main(["evolve", "--preset", "fig4", "--times", "100", "--out-dir", str(tmp_path)]) == 0
+    density = inverse_transform(evolve_momentum(spectrum, params, 100.0)).density()
+    data = (tmp_path / "evolve_t100.csv").read_bytes()
+    assert_csv_of(data, ["x", "density"], [np.arange(len(density)), density])
