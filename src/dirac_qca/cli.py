@@ -448,8 +448,8 @@ def _run_discriminate(params: dict, out_dir: str, warnings: list) -> dict:
     results = dataclasses.asdict(discrimination.pe_lower_bound(inp))
     if params["solve_tmin"]:
         t_min = discrimination.t_min_approx(params["m"], params["kbar"], params["nbar"])
-        t_min_exact = discrimination.t_min_exact(params["m"], params["kbar"], params["nbar"])
-        results.update(t_min=t_min, t_min_exact=t_min_exact, t_min_seconds=planck_times_to_seconds(t_min))
+        # the report's time cap is t_min_exact at every t, so no second alpha/beta grid is built for it
+        results.update(t_min=t_min, t_min_exact=results["f_limit"], t_min_seconds=planck_times_to_seconds(t_min))
     if not results["hypotheses_ok"]:
         warnings.append("time-cap hypotheses do not hold: no error-probability bound at this t")
     return results

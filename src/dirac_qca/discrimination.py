@@ -95,7 +95,7 @@ class DiscriminationInput:
 class DiscriminationReport:
     alpha_bar: float
     beta_bar: float
-    f_limit: float
+    f_limit: Optional[float]  # the time cap; None when the beta_bar hypothesis fails
     hypotheses_ok: bool
     g: Optional[float] = None
     pe_lower: Optional[float] = None
@@ -132,9 +132,8 @@ _PI_LOW = 1.2246467991473532e-16  # pi - math.pi: the part of pi that math.pi dr
 
 
 def _k_minus_sin(k):
-    """k - sin k to full relative precision: the series (Horner form) below |k| = 1, each side on its own k."""
-    sides = [lambda k: k * (k * k) * np.polyval(_K_MINUS_SIN_SERIES, k * k), lambda k: k - np.sin(k)]
-    return np.piecewise(k, [np.abs(k) < 1.0], sides)
+    """k - sin k to full relative precision: the series (Horner form) below |k| = 1; both sides finite on [0, pi)."""
+    return np.where(np.abs(k) < 1.0, k * (k * k) * np.polyval(_K_MINUS_SIN_SERIES, k * k), k - np.sin(k))
 
 
 def _one_minus_sinc(x):
@@ -243,13 +242,13 @@ def _time_cap(alpha_bar: float, beta_bar: float, n_bar: int) -> Optional[float]:
 def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
     """Error-probability floor for guessing lattice vs continuum dynamics.
 
-    Outside the hypotheses (beta_bar too large, where ``f_limit`` is 0.0, or t
+    Outside the hypotheses (beta_bar too large, where ``f_limit`` is None, or t
     beyond the cap f) no bound is produced and ``hypotheses_ok`` is False.
     """
     alpha_bar, beta_bar = extremal_alpha_beta(inp.k_bar, inp.m)
     f = _time_cap(alpha_bar, beta_bar, inp.N_bar)
     if f is None or not inp.t <= f:
-        return DiscriminationReport(alpha_bar=alpha_bar, beta_bar=beta_bar, f_limit=f or 0.0, hypotheses_ok=False)
+        return DiscriminationReport(alpha_bar=alpha_bar, beta_bar=beta_bar, f_limit=f, hypotheses_ok=False)
     g = inp.N_bar * math.acos(min(1.0, math.cos(alpha_bar * inp.t) - beta_bar))
     pe = 0.5 * (1.0 - math.sin(g))
     return DiscriminationReport(
@@ -270,17 +269,16 @@ def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
 
 
 def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
-    """The root of g(t) = pi/2, which is the time cap ``f_limit`` of ``pe_lower_bound``.
+    """The root of g(t) = pi/2, which is the time cap ``f_limit`` of ``pe_lower_bound`` at any t.
 
-    None when pi/2 is unreachable: the beta_bar hypothesis fails (at t = 0 no other can).
-    f is finite: for m, k_bar > 0 ``extremal_alpha_beta`` rejects an alpha_bar below the
-    normal double range, and that check is what rejects an input outside the double range.
+    None when pi/2 is unreachable: the beta_bar hypothesis fails.  f is finite: for
+    m, k_bar > 0 ``extremal_alpha_beta`` rejects an alpha_bar below the normal double
+    range, and that check is what rejects an input outside the double range.
     """
     inp = DiscriminationInput(m, k_bar, n_bar, 0.0)
     if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
-    report = pe_lower_bound(inp)
-    return report.f_limit if report.hypotheses_ok else None
+    return pe_lower_bound(inp).f_limit
 
 
 def _pairwise_trace_distance(phases: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -17,6 +17,39 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """The points attribute "x,y x,y ..." with each coordinate spelled as f"{v:.2f}" spells it, in one numpy pass.
+
+    v * 100 rounds once, and rounding is monotone: a half-integer below 1e15 is
+    a double, so none lies strictly between the exact and the rounded product,
+    and rint of the rounded product is the correctly rounded count of
+    hundredths unless that product is a half-integer itself.  Those ties, and
+    entries that are not finite or reach 1e15 hundredths, are formatted one by one.
+    """
+    values = np.column_stack([xs, ys]).ravel()  # x0, y0, x1, y1, ...
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 100.0
+        rounded = np.rint(scaled)
+        exact = (np.abs(scaled) < 1e15) & (np.abs(scaled - rounded) != 0.5)  # nan and inf fail the first test
+    rest = np.abs(np.where(exact, rounded, 0.0))  # hundredths, an integer below 1e15
+    others = [f"{v:.2f}" for v in values[~exact].tolist()]
+    digits = max(3, len(str(int(rest.max(initial=0.0)))))
+    # one token per row: sign, integer digits, point, two decimals, NUL padding, separator; NULs are dropped
+    rows = np.zeros((values.size, max([digits + 3] + [len(text) + 1 for text in others])), dtype=np.uint8)
+    rows[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    rows[:, digits - 1] = ord(".")
+    for k, column in enumerate([digits + 1, digits, *range(digits - 2, 0, -1)]):  # k-th digit from the right
+        quotient = np.floor(rest / 10.0)
+        digit = rest - 10.0 * quotient + ord("0")
+        rows[:, column] = digit if k < 3 else np.where(rest > 0.0, digit, 0)  # leading zeros stay NUL
+        rest = quotient
+    rows[0::2, -1], rows[1::2, -1] = ord(","), ord(" ")
+    for row, text in zip(np.flatnonzero(~exact).tolist(), others):
+        rows[row, :-1] = 0
+        rows[row, : len(text)] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return rows[rows != 0][:-1].tobytes().decode("ascii")
+
+
 def _ticks(lo: float, hi: float, count: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -41,6 +74,7 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
 
     ``xs`` and ``ys`` are equal-length sequences or arrays of numbers; points
     whose y is not finite are left out of the polyline and of the y range.
+    Every polyline coordinate is spelled as ``f"{v:.2f}"`` would spell it.
     """
     curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for label, xs, ys in curves]
     xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in curves)])
@@ -98,7 +132,7 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
     for i, (label, xs, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         finite = np.isfinite(ys)
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(sx(xs[finite]).tolist(), sy(ys[finite]).tolist()))
+        points = _polyline_points(sx(xs[finite]), sy(ys[finite]))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = MARGIN_T + 16 * (i + 1)
         lx = WIDTH - MARGIN_R - 150

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_qca import SpinorField, approx, automaton, cli, derivatives, dirac_omega, dispersion, omega
+from dirac_qca import SpinorField, approx, automaton, cli, derivatives, dirac_omega, discrimination, dispersion, omega
+
+from test_csv import assert_csv_of
 
 
 def run(argv):
@@ -46,11 +48,14 @@ class TestDispersionCommand:
         assert len(lines) == 513  # header + 512 rows
 
     def test_csv_numbers_are_shortest_round_trip(self, tmp_path):
+        # 4096 samples give cells that orjson spells unlike repr, such as 0.00004878654347511213 (4.878654347511213e-05)
         out = tmp_path / "o"
-        run(["dispersion", "--m", "0.37", "--samples", "16", "--out-dir", str(out)])
-        for line in (out / "dispersion_m0.37.csv").read_text().splitlines()[1:]:
-            for cell in line.split(","):
-                assert cell == repr(float(cell))
+        assert run(["dispersion", "--m", "0.37", "--samples", "4096", "--out-dir", str(out)]) == 0
+        data = (out / "dispersion_m0.37.csv").read_bytes()
+        assert b",0.00004878654347511213" in data
+        ks = np.linspace(-math.pi, math.pi, 4096)
+        columns = [ks, omega(ks, 0.37), dirac_omega(ks, 0.37), *derivatives(ks, 0.37)]
+        assert_csv_of(data, ["k", "omega", "omega_dirac", "v", "D", "omega3"], columns)
 
     def test_fig3_preset_emits_all_masses(self, tmp_path):
         out = tmp_path / "o"
@@ -341,6 +346,49 @@ class TestDiscriminateCommand:
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run(["discriminate", "--kbar", "0.5", "--out-dir", str(tmp_path / "o")]) == 1
         assert "--m" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+    @pytest.mark.parametrize("solve_tmin", [[], ["--solve-tmin"]])
+    def test_one_alpha_beta_grid_per_job(self, tmp_path, monkeypatch, solve_tmin):
+        calls = []
+        original = discrimination.extremal_alpha_beta
+
+        def counted(k_bar, m):
+            calls.append((k_bar, m))
+            return original(k_bar, m)
+
+        monkeypatch.setattr(discrimination, "extremal_alpha_beta", counted)
+        argv = ["discriminate", "--m", "0.3", "--kbar", "0.8", "--nbar", "2", "--t", "50"]
+        assert run(argv + solve_tmin + ["--out-dir", str(tmp_path / "o")]) == 0
+        assert calls == [(0.8, 0.3)]
+
+    @pytest.mark.parametrize("m, kbar, nbar", [(0.3, 0.8, 2), (1e-19, 1e-8, 1), (0.1, 0.5, 64), (0.9, 3.0, 50)])
+    @pytest.mark.parametrize("t", [0.0, 50.0, 1e300])
+    def test_tmin_exact_is_the_library_value(self, tmp_path, m, kbar, nbar, t):
+        # 1e300 lies beyond every cap here; (0.9, 3.0, 50) fails the beta_bar hypothesis
+        out = tmp_path / "o"
+        argv = ["discriminate", "--m", repr(m), "--kbar", repr(kbar), "--nbar", str(nbar), "--t", repr(t)]
+        assert run(argv + ["--solve-tmin", "--out-dir", str(out)]) == 0
+        results = load_json(out / "discriminate.json")["results"]
+        expected = discrimination.t_min_exact(m, kbar, nbar)
+        assert results["t_min_exact"] == results["f_limit"]
+        if expected is None:
+            assert results["t_min_exact"] is None
+        else:
+            assert results["t_min_exact"].hex() == expected.hex()
+
+    def test_f_limit_is_null_when_beta_hypothesis_fails(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["discriminate", "--m", "0.9", "--kbar", "3.0", "--nbar", "50", "--out-dir", str(out)]) == 0
+        payload = load_json(out / "discriminate.json")
+        assert payload["results"]["f_limit"] is None and payload["results"]["hypotheses_ok"] is False
+        assert any("hypotheses do not hold" in w for w in payload["warnings"])
+
+    @pytest.mark.parametrize("flags", [["--m", "0", "--kbar", "0.5"], ["--m", "0.3", "--kbar", "0"]])
+    def test_degenerate_caps_with_solve_tmin_are_exit_1(self, tmp_path, capsys, flags):
+        assert run(["discriminate", *flags, "--solve-tmin", "--out-dir", str(tmp_path / "o")]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"] == {"type": "config", "message": "need m > 0 and k_bar > 0"}
+        assert not (tmp_path / "o" / "discriminate.json").exists()
 
 
 class TestFlytimeCommand:

@@ -175,6 +175,22 @@ class TestAlphaBeta:
         # 250-digit mpmath value; a series in 1/sin k would blow up here
         assert alpha_beta(math.pi, 1e-4)[0] == pytest.approx(1.0000159171597473e-4, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            np.linspace(0.0, 0.5, 256),
+            np.linspace(0.0, 3.1, 256),
+            np.linspace(0.0, 1e-8, 256),
+            np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 - 2**-20, 1.0 + 2**-20]),
+        ],
+        ids=["to-0.5", "to-3.1", "to-1e-8", "around-1"],
+    )
+    def test_k_minus_sin_matches_its_piecewise_oracle(self, ks):
+        # oracle: the np.piecewise form, which evaluated each side only on its own momenta
+        sides = [lambda k: k * (k * k) * np.polyval(discrimination._K_MINUS_SIN_SERIES, k * k), lambda k: k - np.sin(k)]
+        expected = np.piecewise(ks, [np.abs(ks) < 1.0], sides)
+        assert discrimination._k_minus_sin(ks).tobytes() == expected.tobytes()
+
     def test_beta_nonnegative(self):
         for k in np.linspace(0.0, 3.0, 31):
             for m in np.linspace(0.0, 1.0, 11):
@@ -365,6 +381,12 @@ class TestTmin:
                     if t is not None:
                         assert t == pe_lower_bound(DiscriminationInput(m, k_bar, n_bar, 0.0)).f_limit, (m, k_bar, n_bar)
 
+    @pytest.mark.parametrize("m, k_bar, n_bar", [(0.3, 0.8, 1), (0.01, 0.5, 64), (1e-19, 1e-8, 1), (0.9, 3.0, 50)])
+    def test_time_cap_does_not_depend_on_t(self, m, k_bar, n_bar):
+        # the CLI reads t_min_exact from the report at the job's own t, inside the cap, beyond it or at inf
+        caps = {pe_lower_bound(DiscriminationInput(m, k_bar, n_bar, t)).f_limit for t in (0.0, 10.0, 1e300)}
+        assert caps == {t_min_exact(m, k_bar, n_bar)}
+
     @pytest.mark.parametrize("m, n_bar", [(0.9, 50), (0.6, 8), (0.5, 4), (0.3, 2)])
     def test_beta_hypothesis_edge_is_one_test(self, m, n_bar):
         # bisect k_bar down to the two adjacent doubles where beta_bar crosses 1 - cos(pi / 2 N_bar)
@@ -378,7 +400,7 @@ class TestTmin:
             report = pe_lower_bound(DiscriminationInput(m, k_bar, n_bar, 0.0))
             t = t_min_exact(m, k_bar, n_bar)
             if not report.hypotheses_ok:  # at t = 0 only the beta_bar test can fail
-                assert report.f_limit == 0.0 and t is None
+                assert report.f_limit is None and t is None
             else:
                 assert t == report.f_limit
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dirac_qca import svgplot
-from dirac_qca.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, _fmt, _ticks
+from dirac_qca.svgplot import (
+    HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, _fmt, _polyline_points, _ticks,
+)
 
 
 def reference_svg(curves, *, title="", xlabel="", ylabel=""):
@@ -99,6 +101,7 @@ CASES = {
     ],
     "tiny span": [("a", [1.0, 1.0 + 2e-15], [1e-300, 2e-300])],
     "wide random": [("a", _rng.uniform(-1e6, 1e6, 500), _rng.standard_normal(500) * 1e-9)],
+    "xs near the double range": [("a", [-8e307, 0.0, 8e307], [1.0, 2.0, 3.0])],
 }
 
 
@@ -111,6 +114,46 @@ def test_write_plot_matches_per_point_oracle(tmp_path, name):
     text = path.read_bytes().decode()
     # the oracle sees the values as the old callers passed them: Python scalars in lists
     assert text == reference_svg(_as_lists(curves), **labels)
+
+
+def test_span_beyond_the_double_range_fails_as_the_oracle_does(tmp_path):
+    # xs spanning +-1e308 make x_hi - x_lo infinite, so their coordinates would be nan; the ticks fail first
+    curves = [("a", [-1e308, 0.0, 1e308], [1.0, 2.0, 3.0])]
+    with pytest.raises(OverflowError):
+        reference_svg(curves)
+    with pytest.raises(OverflowError):
+        svgplot.write_plot(tmp_path / "plot.svg", curves)
+    assert not list(tmp_path.iterdir())
+
+
+def per_point_points(xs, ys):
+    """Oracle: the points attribute as the per-point generator spelled it."""
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(np.asarray(xs).tolist(), np.asarray(ys).tolist()))
+
+
+_TIES = [0.125, 0.375, 100.125, -0.125, 0.005, 1.005, 2.675, 12345.125]  # products on or next to a half-integer
+_CARRIES = [99.995, 9.995, 0.995, 999.995, -9.995, 0.0049999999999999999]
+_SPECIALS = [0.0, -0.0, -0.001, -0.004, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]
+_LARGE = [1e13, 9999999999999.99, 1e13 - 0.005, 1e17, 123456789012345678.0, 2.0**70 + 2.0**18]  # 1e15 hundredths and up
+POINT_CASES = {
+    "ties": _TIES,
+    "ties +1 ulp": [math.nextafter(v, math.inf) for v in _TIES],
+    "ties -1 ulp": [math.nextafter(v, -math.inf) for v in _TIES],
+    "carries": _CARRIES + [math.nextafter(v, s) for v in _CARRIES for s in (-math.inf, math.inf)],
+    "specials": _SPECIALS,
+    "large": _LARGE + [-v for v in _LARGE],
+    "random in the plot area": np.random.default_rng(11).uniform(40.0, 940.0, 100_000),
+    "random magnitudes": np.exp(np.random.default_rng(12).uniform(-30.0, 30.0, 10_000)) * np.resize([1, -1], 10_000),
+    "thousandths": np.random.default_rng(13).integers(-10**6, 10**6, 10_000) / 1000.0,
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_CASES))
+def test_polyline_points_match_per_point_oracle(name):
+    xs = np.asarray(POINT_CASES[name], dtype=float)
+    ys = xs[::-1].copy()  # every value is both an x and a y
+    assert _polyline_points(xs, ys) == per_point_points(xs, ys)
 
 
 @pytest.mark.parametrize(
