@@ -26,7 +26,7 @@ alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
 proton scale), where their defining differences cancel, so both are built from
 pieces that do not: alpha from one identity on each side of k = pi/2, beta as
 |u - u_c|^2 / 2 = hypot(d, d (u_x + u_x^c)/(v + v_c))^2 / 2 over the two rotation
-axes, with d = u_x - u_x^c.  See ``_alpha`` and ``_beta``.
+axes, with d = u_x - u_x^c.  One kernel, ``_alpha_beta``, computes both.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dispersion import (
-    _check_mass, _check_time, _half_angle, _mode, _over, dirac_axis, dirac_omega, lattice_axis, su2_power,
+    _check_mass, _check_time, _half_angle, _mode, _over, dirac_axis, lattice_axis, su2_power,
 )
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
@@ -141,63 +141,48 @@ def _one_minus_sinc(x):
     return np.divide(_k_minus_sin(x), x, out=np.zeros_like(x), where=x > 0.0)
 
 
-def _alpha(k, m):
-    """omega_cont - omega_latt = lambda - omega, one cancellation-free identity per half-zone.
+def _alpha_beta(k, m):
+    """(alpha, beta) = (lambda - omega, 1 - u.u_c) at |k|, each free of cancellation, from one set of per-mode pieces.
 
-    Below k = pi/2: cos w - cos lambda = 2 sin((lambda + w)/2) sin(alpha/2) = (m^2/2) B,
+    alpha takes one identity per half-zone, each run only on its own momenta (m^2 = 0 gives alpha = 0).  Below
+    k = pi/2, cos w - cos lambda = 2 sin((lambda + w)/2) sin(alpha/2) = (m^2/2) B with
         B = (4 sin^2(k/2) - m^2/(1+n))/(1+n) - [s(e) + (1 - s(e)) s(h)],  s(x) = 1 - sin(x)/x,
-    with e = (lambda - k)/2 = m^2/(2(lambda + k)) and h = (lambda + k)/2, so h e = m^2/4.
-    From pi/2 on, with kappa = pi - k, alpha = (lambda - k) + (w(kappa) - kappa) adds the
-    nonnegative m^2/(lambda + k) and 2 asin(m^2 cos kappa / (2(1+n) sin((w(kappa) + kappa)/2))).
-    Each identity is evaluated only on its own half.  m = 0 gives alpha = 0 exactly.
+    e = (lambda - k)/2 = m^2/(2(lambda + k)) and h = (lambda + k)/2.  From pi/2 on, with kappa = pi - k,
+    alpha = (lambda - k) + (w(kappa) - kappa) = m^2/(lambda + k) + 2 asin(m^2 cos kappa / (2(1+n) sin((w + kappa)/2))).
+    beta uses v - v_c = -d (u_x + u_x^c)/(v + v_c) (unit axes) and d = u_x - u_x^c = m (lambda - sin w)/(lambda sin w),
+        lambda - sin w = [(k - sin k)(k + sin k) + m^2 sin^2 k]/(lambda + sin w),
+    positive terms only; v + v_c > 0 for k > 0, and hypot multiplies d in before dividing by v + v_c ~ k, so nothing
+    under- or overflows at tiny k.  beta(0) = 0; beta is nan where sin w underflows to 0 (k and m below ~1e-162).
     """
     k = np.abs(np.asarray(k, dtype=float))
     m2 = m * m
-    n1 = 1.0 + math.sqrt(1.0 - m2)
+    sk, ck, _, sw, v = _mode(k, m)
+    lam, v_c, u_xc = dirac_axis(k, m)
+    gap = _over(_k_minus_sin(k) * (k + sk) + m2 * sk ** 2, lam + sw)  # lambda - sin w, 0 at k = 0 (even at m = 0)
+    den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan, except beta(0) = 0
+    d = np.divide(m * gap, den, out=np.where(k > 0.0, math.nan, 0.0), where=den > 0.0)
+    beta = 0.5 * np.hypot(d, _over(d * (_over(m, sw) + u_xc), v + v_c)) ** 2
+    del sk, sw, v, v_c, u_xc, gap, den, d  # alpha's temporaries reuse their memory, which pays on large grids
 
-    def below(k):
-        lam = dirac_omega(k, m)
-        s_e = _one_minus_sinc(m2 / (2.0 * (lam + k)))
-        s_h = _one_minus_sinc((lam + k) / 2.0)
-        b = (4.0 * np.sin(k / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
-        return 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lam + _half_angle(k, np.cos(k), m)) / 2.0)))
-
-    def above(k):
-        kappa = (math.pi - k) + _PI_LOW  # pi - k exactly, then rounded once
-        c_kappa = np.cos(kappa)
-        half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((_half_angle(kappa, c_kappa, m) + kappa) / 2.0)))
-        return m2 / (dirac_omega(k, m) + k) + 2.0 * half
-
-    result = np.zeros_like(k) if m2 == 0.0 else np.piecewise(k, [k < math.pi / 2.0], [below, above])
-    return result if result.ndim else float(result)
-
-
-def _beta(k, m):
-    """1 - v v_c - sqrt((1 - v^2)(1 - v_c^2)) = 1 - u.u_c, to full relative precision.
-
-    For the unit axes u = (u_x, 0, -v), u_c = (u_x^c, 0, -v_c) of the lattice
-    and continuum steps, v - v_c = -d (u_x + u_x^c)/(v + v_c) with d = u_x - u_x^c:
-
-        beta = |u - u_c|^2 / 2 = hypot(d, d (u_x + u_x^c)/(v + v_c))^2 / 2,
-        d = m (lambda - sin w)/(lambda sin w),
-        lambda - sin w = [(k - sin k)(k + sin k) + m^2 sin^2 k]/(lambda + sin w),
-
-    which adds only positive terms for 0 < |k| <= pi (v + v_c > 0 there).  hypot multiplies
-    d in before dividing by v + v_c ~ k, so nothing under- or overflows at tiny k.
-    beta(0) = 0; where sin w underflows to 0 (k and m below about 1e-162) beta is nan.
-    """
-
-    def positive(k):
-        sk, _, _, sw, v = _mode(k, m)
-        lam, v_c, u_xc = dirac_axis(k, m)
-        gap = (_k_minus_sin(k) * (k + sk) + m * m * sk ** 2) / (lam + sw)  # lambda - sin w
-        den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan
-        d = np.divide(m * gap, den, out=np.full_like(k, math.nan), where=den > 0.0)
-        return 0.5 * np.hypot(d, d * (_over(m, sw) + u_xc) / (v + v_c)) ** 2
-
-    k = np.abs(np.asarray(k, dtype=float))
-    result = np.piecewise(k, [k > 0.0], [positive])
-    return result if result.ndim else float(result)
+    alpha = np.zeros_like(k)
+    if m2 > 0.0:
+        n1 = 1.0 + math.sqrt(1.0 - m2)
+        below = k < math.pi / 2.0
+        kb, lb = k[below], lam[below]
+        sh2 = np.sin(kb / 2.0) ** 2
+        s_e = _one_minus_sinc(m2 / (2.0 * (lb + kb)))
+        s_h = _one_minus_sinc((lb + kb) / 2.0)
+        b = (4.0 * sh2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
+        alpha[below] = 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lb + _half_angle(sh2, ck[below], m)) / 2.0)))
+        above = ~below
+        if np.any(above):
+            ka = k[above]
+            kappa = (math.pi - ka) + _PI_LOW  # pi - k exactly, then rounded once
+            c_kappa = np.cos(kappa)
+            w = _half_angle(np.sin(kappa / 2.0) ** 2, c_kappa, m)  # omega(kappa)
+            half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((w + kappa) / 2.0)))
+            alpha[above] = m2 / (lam[above] + ka) + 2.0 * half
+    return alpha, beta
 
 
 def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
@@ -215,7 +200,7 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     _check_k_bar(k_bar)
     _check_mass(m)
     ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
-    alphas, betas = _alpha(ks, m), _beta(ks, m)
+    alphas, betas = _alpha_beta(ks, m)
     alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
     finite = np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))  # a nan on the grid fails below, as exit 2
     if finite and m > 0.0 and k_bar > 0.0 and alpha_bar < sys.float_info.min:
@@ -256,11 +241,17 @@ def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
     )
 
 
-def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
-    """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar); ValueError beyond the double range."""
-    DiscriminationInput(m, k_bar, n_bar, 0.0)
+def _t_min_input(m: float, k_bar: float, n_bar: int) -> DiscriminationInput:
+    """The caps of a perfect-discrimination time, checked as ``DiscriminationInput``'s, with m > 0 and k_bar > 0."""
+    inp = DiscriminationInput(m, k_bar, n_bar, 0.0)
     if m == 0.0 or k_bar == 0.0:
         raise ValueError("need m > 0 and k_bar > 0")
+    return inp
+
+
+def t_min_approx(m: float, k_bar: float, n_bar: int) -> float:
+    """Leading-order perfect-discrimination time 3 pi / (m^2 k_bar N_bar); ValueError beyond the double range."""
+    _t_min_input(m, k_bar, n_bar)
     rate = m * m * k_bar * n_bar
     t = 3.0 * math.pi / rate if rate > 0.0 else math.inf  # rate is 0 where it underflows
     if t == math.inf:
@@ -275,10 +266,7 @@ def t_min_exact(m: float, k_bar: float, n_bar: int) -> Optional[float]:
     m, k_bar > 0 ``extremal_alpha_beta`` rejects an alpha_bar below the normal double
     range, and that check is what rejects an input outside the double range.
     """
-    inp = DiscriminationInput(m, k_bar, n_bar, 0.0)
-    if m == 0.0 or k_bar == 0.0:
-        raise ValueError("need m > 0 and k_bar > 0")
-    return pe_lower_bound(inp).f_limit
+    return pe_lower_bound(_t_min_input(m, k_bar, n_bar)).f_limit
 
 
 def _pairwise_trace_distance(phases: np.ndarray, probs: np.ndarray) -> np.ndarray:

@@ -87,9 +87,9 @@ def _mode(k, m):
     return sk, ck, s2, sw, _over(sk, sw, n)
 
 
-def _half_angle(k, ck, m):
-    """omega = 2 asin(sqrt(delta/2)), delta = 1 - n ck = 2 sin^2(k/2) + m^2 ck / (1 + n), from k and ck = cos k."""
-    h = (2.0 * np.sin(k / 2.0) ** 2 + (m * m / (1.0 + math.sqrt(1.0 - m * m))) * ck) / 2.0
+def _half_angle(sh2, ck, m):
+    """omega = 2 asin(sqrt(delta/2)), delta = 1 - n ck = 2 sh2 + m^2 ck / (1 + n), from sh2 = sin^2(k/2), ck = cos k."""
+    h = (2.0 * sh2 + (m * m / (1.0 + math.sqrt(1.0 - m * m))) * ck) / 2.0
     if np.any(h < -ARCCOS_CLAMP_TOL) or np.any(h > 1.0 + ARCCOS_CLAMP_TOL):
         raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
     return 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
@@ -98,7 +98,7 @@ def _half_angle(k, ck, m):
 def omega(k, m):
     """Automaton dispersion arccos(n cos k), branch in [0, pi], in the half-angle form of ``_half_angle``."""
     k = np.asarray(k, dtype=float)
-    result = _half_angle(k, np.cos(k), _check_mass(m))
+    result = _half_angle(np.sin(k / 2.0) ** 2, np.cos(k), _check_mass(m))
     return result if result.ndim else float(result)
 
 
@@ -167,7 +167,7 @@ def lattice_axis(k, m):
     m = _check_mass(m)
     k = np.asarray(k, dtype=float)
     _, ck, _, sw, v = _mode(k, m)
-    return _half_angle(k, ck, m), v, _over(m, sw)
+    return _half_angle(np.sin(k / 2.0) ** 2, ck, m), v, _over(m, sw)
 
 
 def dirac_axis(k, m):

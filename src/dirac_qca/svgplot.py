@@ -75,21 +75,32 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
     ``xs`` and ``ys`` are equal-length sequences or arrays of numbers; points
     whose y is not finite are left out of the polyline and of the y range.
     Every polyline coordinate is spelled as ``f"{v:.2f}"`` would spell it.
+    An x that is not finite, or an axis range whose width (after padding) is
+    not a positive finite double, is a ``ValueError`` naming its series.
     """
     curves = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for label, xs, ys in curves]
+    for label, xs, _ in curves:
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"series {label!r} has an x that is nan or infinite")
     xs_all = np.concatenate([np.empty(0), *(xs for _, xs, _ in curves)])
     ys_all = np.concatenate([np.empty(0), *(ys for _, _, ys in curves)])
     ys_all = ys_all[np.isfinite(ys_all)]
     if not xs_all.size or not ys_all.size:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
-    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    ends = [(1, float(xs_all.min()), float(xs_all.max())), (2, float(ys_all.min()), float(ys_all.max()))]
+    (_, x_lo, x_hi), (_, y_lo, y_hi) = ends
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    for (axis, lo, hi), width in zip(ends, (x_hi - x_lo, y_hi - y_lo)):
+        if not 0.0 < width < math.inf:  # the ticks and the scaling divide by it
+            holders = dict.fromkeys(repr(next(c[0] for c in curves if np.any(c[axis] == v))) for v in (lo, hi))
+            raise ValueError(
+                f"{'xy'[axis - 1]} range [{lo!r}, {hi!r}] of series {' and '.join(holders)}: no positive finite width"
+            )
 
     # applied to scalars (ticks) and to whole arrays (polylines): the same IEEE operations either way
     def sx(x):

@@ -5,7 +5,7 @@ import pytest
 
 from dirac_qca import AutomatonParams, WavepacketSpec, build, dirac_omega, inverse_transform, omega
 from dirac_qca.cli import PRESETS
-from dirac_qca.discrimination import _alpha, _beta
+from dirac_qca.discrimination import _alpha_beta
 from dirac_qca.dispersion import _check_mass, sin_omega
 
 _FIG4 = PRESETS["evolve"]["fig4"]  # the one definition of the fig4 packet
@@ -37,15 +37,17 @@ def alpha_beta(k, m):
     beta >= 0 always, and beta = 0 exactly at k = 0 or m = 0.  Note: the
     inequality cos(mu) >= cos(alpha t) - beta holds with this beta; a halved
     variant breaks the trace identity and the inequality with it.  A scalar
-    wrapper over ``discrimination._alpha`` (a half-angle identity below
-    k = pi/2, the sum (lambda - k) + (k - omega) from pi/2 on) and ``_beta``.
+    reader of the one kernel ``discrimination._alpha_beta`` (alpha: a
+    half-angle identity below k = pi/2, the sum (lambda - k) + (k - omega)
+    from pi/2 on; beta: |u - u_c|^2 / 2 over the two rotation axes).
     """
     if not abs(k) <= math.pi:  # also rejects nan
         raise ValueError(f"momentum must be finite with |k| <= pi, got {k}")
     _check_mass(m)
     if k == 0.0 and m == 0.0:
         raise ValueError("alpha/beta undefined at (k, m) = (0, 0)")
-    return _alpha(k, m), _beta(k, m)
+    alpha, beta = _alpha_beta(k, m)
+    return float(alpha), float(beta)
 
 
 def hamiltonian_k(k, m):

@@ -281,34 +281,70 @@ class TestExtremal:
 
     def test_relative_dip_in_tiny_alpha_is_caught(self, monkeypatch):
         # at proton scale alpha ~ 1e-47: the slack must scale with the endpoint values
-        exact = discrimination._alpha
+        exact = discrimination._alpha_beta
 
         def dipped(k, m):
-            a = exact(k, m)
-            if np.ndim(a):
-                a = a.copy()
-                a[100] = a[99] - 1e-11 * np.max(np.abs(a))
-            return a
+            a, b = exact(k, m)
+            a[100] = a[99] - 1e-11 * np.max(np.abs(a))
+            return a, b
 
         extremal_alpha_beta(1e-8, 1e-19)
-        monkeypatch.setattr(discrimination, "_alpha", dipped)
+        monkeypatch.setattr(discrimination, "_alpha_beta", dipped)
         with pytest.raises(MonotonicityError):
             extremal_alpha_beta(1e-8, 1e-19)
 
-    @pytest.mark.parametrize("name", ["_alpha", "_beta"])
+    @pytest.mark.parametrize("output", [0, 1], ids=["_alpha", "_beta"])  # the kernel's alpha, then its beta
     @pytest.mark.parametrize("index", [0, 100, -1])
-    def test_nan_on_the_grid_is_caught(self, monkeypatch, name, index):
+    def test_nan_on_the_grid_is_caught(self, monkeypatch, output, index):
         # nan compares false, so a check written as "violation found" would let it through
-        exact = getattr(discrimination, name)
+        exact = discrimination._alpha_beta
 
         def holed(k, m):
-            values = np.array(exact(k, m), dtype=float)
-            values[index] = math.nan
+            values = exact(k, m)
+            values[output][index] = math.nan
             return values
 
-        monkeypatch.setattr(discrimination, name, holed)
+        monkeypatch.setattr(discrimination, "_alpha_beta", holed)
         with pytest.raises(MonotonicityError):
             extremal_alpha_beta(0.8, 0.3)
+
+    def test_one_kernel_call_per_grid(self, monkeypatch):
+        calls = []
+        exact = discrimination._alpha_beta
+
+        def counted(k, m):
+            calls.append(np.shape(k))
+            return exact(k, m)
+
+        monkeypatch.setattr(discrimination, "_alpha_beta", counted)
+        for k_bar, m in [(0.5, 0.01), (3.1, 0.3), (0.0, 0.7), (1.0, 0.0)]:
+            calls.clear()
+            extremal_alpha_beta(k_bar, m)
+            assert calls == [(discrimination.GRID_POINTS,)]
+
+    # (alpha_bar, beta_bar) as float.hex, recorded before alpha and beta shared one kernel: the
+    # golden jobs reach only m <= 0.5 and k_bar <= 2.5, so these pin both sides of pi/2 and the
+    # zone's far end at the extreme masses, where any one-bit drift fails them
+    BIT_PINS = {
+        (1e-19, 1.5): ("0x1.037c8c4723ae5p-128", "0x1.89057cd6dac0fp-131"),
+        (1e-19, 1.6): ("0x1.1cf312ba80e81p-128", "0x1.eb1f3eae9616cp-131"),
+        (1e-19, 3.1): ("0x1.4b74527ce4d08p-123", "0x1.deecbf3922db0p-119"),
+        (1e-3, 1.5): ("0x1.3fd77e90532afp-22", "0x1.e46fe46cfa64dp-25"),
+        (1e-3, 1.6): ("0x1.5f3a33c673f0dp-22", "0x1.2ead7f97e08b9p-24"),
+        (1e-3, 3.1): ("0x1.987db1f3fb6f2p-17", "0x1.2708066bc5775p-12"),
+        (0.3, 1.5): ("0x1.b130b1945dacep-6", "0x1.7df1e83bb4c33p-8"),
+        (0.3, 1.6): ("0x1.dedd463faf291p-6", "0x1.d31e7ecf9256ap-8"),
+        (0.3, 3.1): ("0x1.1f0c51b0d63ecp-2", "0x1.8c4ed913441c5p-1"),
+        (1.0, 1.5): ("0x1.243f6a8885a31p-1", "0x1.c7fcabf882ed4p-2"),
+        (1.0, 1.6): ("0x1.243f6a8885a31p-1", "0x1.e147f53716327p-2"),
+        (1.0, 3.1): ("0x1.afbeabeff518bp+0", "0x1.62d08818e6be0p-1"),
+        **{(0.0, k_bar): ("0x0.0p+0", "0x0.0p+0") for k_bar in (1.5, 1.6, 3.1)},
+    }
+
+    @pytest.mark.parametrize("m,k_bar", sorted(BIT_PINS))
+    def test_extremal_values_are_bit_pinned(self, m, k_bar):
+        alpha_bar, beta_bar = extremal_alpha_beta(k_bar, m)
+        assert (alpha_bar.hex(), beta_bar.hex()) == self.BIT_PINS[m, k_bar]
 
 
 class TestPeLowerBound:
@@ -430,10 +466,15 @@ class TestTmin:
             (t_min_approx, 0.5, 0.5, 10**400, "particle cap"),
             (t_min_exact, 0.5, 0.5, 10**400, "particle cap"),
             (lambda m, k, n: DiscriminationInput(m=m, k_bar=k, N_bar=n, t=1.0), 0.5, 0.5, 10**400, "particle cap"),
+            # valid caps, but no perfect-discrimination time: one message for both solvers
+            (t_min_approx, 0.0, 0.5, 1, "^need m > 0 and k_bar > 0$"),
+            (t_min_exact, 0.0, 0.5, 1, "^need m > 0 and k_bar > 0$"),
+            (t_min_approx, 0.5, 0.0, 1, "^need m > 0 and k_bar > 0$"),
+            (t_min_exact, 0.5, 0.0, 1, "^need m > 0 and k_bar > 0$"),
         ],
         ids=["approx-n0", "exact-n0", "approx-n-1", "exact-n-1", "approx-n1.5", "exact-n1.5",
              "approx-k5", "exact-k5", "approx-m2", "exact-m2", "approx-overflow", "exact-overflow", "input-n1.5",
-             "approx-n1e400", "exact-n1e400", "input-n1e400"],
+             "approx-n1e400", "exact-n1e400", "input-n1e400", "approx-m0", "exact-m0", "approx-k0", "exact-k0"],
     )
     def test_rejects_caps_outside_their_range(self, solver, m, k_bar, n_bar, message):
         with pytest.raises(ValueError, match=message):

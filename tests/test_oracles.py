@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dirac_qca import derivatives, omega
-from dirac_qca.discrimination import _alpha, _beta
+from dirac_qca.discrimination import _alpha_beta
 
 import test_discrimination as td
 from conftest import alpha_beta
@@ -194,7 +194,7 @@ class TestAlphaBetaOracles:
     def test_array_and_scalar_forms_agree(self, m, ks):
         scalar = np.array([alpha_beta(k, m) for k in np.ravel(ks)]).reshape(-1, 2)
         tol = 4 * np.spacing(np.abs(scalar))
-        alphas, betas = _alpha(ks, m), _beta(ks, m)
+        alphas, betas = _alpha_beta(ks, m)
         assert np.shape(alphas) == np.shape(betas) == np.shape(ks)
         assert np.all(np.abs(np.ravel(alphas) - scalar[:, 0]) <= tol[:, 0])
         assert np.all(np.abs(np.ravel(betas) - scalar[:, 1]) <= tol[:, 1])

@@ -117,11 +117,36 @@ def test_write_plot_matches_per_point_oracle(tmp_path, name):
 
 
 def test_span_beyond_the_double_range_fails_as_the_oracle_does(tmp_path):
-    # xs spanning +-1e308 make x_hi - x_lo infinite, so their coordinates would be nan; the ticks fail first
+    # xs spanning +-1e308 make x_hi - x_lo infinite, so their coordinates would be nan; the oracle's
+    # ticks fail with a bare OverflowError, write_plot with a ValueError that names the series
     curves = [("a", [-1e308, 0.0, 1e308], [1.0, 2.0, 3.0])]
     with pytest.raises(OverflowError):
         reference_svg(curves)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match=r"^x range \[-1e\+308, 1e\+308\] of series 'a': no positive finite width$"):
+        svgplot.write_plot(tmp_path / "plot.svg", curves)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "curves, message",
+    [
+        ([("ok", [0.0, 1.0], [1.0, 2.0]), ("a", [0.0, math.nan], [1.0, 2.0])], "series 'a' has an x that is nan"),
+        ([("a", [0.0, math.inf], [1.0, 2.0])], "series 'a' has an x that is nan or infinite"),
+        ([("a", [-math.inf, 0.0], [1.0, 2.0])], "series 'a' has an x that is nan or infinite"),
+        # a nan y is left out, a nan x is not
+        ([("a", [1.0, 2.0], [0.0, math.nan]), ("b", [0.0, math.nan], [1.0, 1.0])], "series 'b' has an x"),
+        # finite ys whose span, or padded span, overflows
+        ([("lo", [0.0], [-1e308]), ("hi", [1.0], [1e308])], r"^y range \[-1e\+308, 1e\+308\] of series 'lo' and 'hi'"),
+        ([("a", [0.0, 1.0], [0.0, 1.75e308])], r"^y range \[0\.0, 1\.75e\+308\] of series 'a'"),
+        # a flat range that + 1.0 cannot widen
+        ([("a", [1e17], [1.0])], r"^x range \[1e\+17, 1e\+17\] of series 'a': no positive finite width$"),
+        ([("a", [0.0], [1e300])], r"^y range \[1e\+300, 1e\+300\] of series 'a'"),
+    ],
+    ids=["nan x", "inf x", "-inf x", "nan x beside a nan y", "y span overflows", "padded y span overflows",
+         "flat x at 1e17", "flat y at 1e300"],
+)
+def test_unplottable_values_name_their_series(tmp_path, curves, message):
+    with pytest.raises(ValueError, match=message):
         svgplot.write_plot(tmp_path / "plot.svg", curves)
     assert not list(tmp_path.iterdir())
 
