@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _check_mass, _check_time, lattice_axis, su2_power
+from .dispersion import _check_mass, _check_time, _n, lattice_axis, su2_power
 
 __all__ = [
     "AutomatonParams",
@@ -53,8 +53,8 @@ __all__ = [
 class AutomatonParams:
     """The single physical knob: adimensional mass ``m`` in Planck units.
 
-    ``n`` is always derived as ``sqrt(1 - m^2)``, never stored, so the
-    unitarity constraint ``n^2 + m^2 = 1`` holds to within one ulp.
+    ``n`` is derived, never stored, as ``dispersion._n``'s sqrt((1 - m)(1 + m)):
+    full relative precision as m -> 1, and ``n^2 + m^2 = 1`` to roundoff.
     """
 
     m: float
@@ -64,7 +64,7 @@ class AutomatonParams:
 
     @property
     def n(self) -> float:
-        return math.sqrt(1.0 - self.m * self.m)
+        return _n(self.m)
 
 
 def _as_sites(array) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dispersion import (
-    _check_mass, _check_time, _half_angle, _mode, _over, dirac_axis, lattice_axis, su2_power,
+    _angle, _check_mass, _check_time, _mode, _n, _over, dirac_axis, lattice_axis, su2_power,
 )
 from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
 
@@ -162,24 +162,23 @@ def _alpha_beta(k, m):
     den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan, except beta(0) = 0
     d = np.divide(m * gap, den, out=np.where(k > 0.0, math.nan, 0.0), where=den > 0.0)
     beta = 0.5 * np.hypot(d, _over(d * (_over(m, sw) + u_xc), v + v_c)) ** 2
-    del sk, sw, v, v_c, u_xc, gap, den, d  # alpha's temporaries reuse their memory, which pays on large grids
+    del sk, v, v_c, u_xc, gap, den, d  # alpha's temporaries reuse their memory, which pays on large grids
 
     alpha = np.zeros_like(k)
     if m2 > 0.0:
-        n1 = 1.0 + math.sqrt(1.0 - m2)
+        n1 = 1.0 + _n(m)
         below = k < math.pi / 2.0
         kb, lb = k[below], lam[below]
-        sh2 = np.sin(kb / 2.0) ** 2
         s_e = _one_minus_sinc(m2 / (2.0 * (lb + kb)))
         s_h = _one_minus_sinc((lb + kb) / 2.0)
-        b = (4.0 * sh2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
-        alpha[below] = 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lb + _half_angle(sh2, ck[below], m)) / 2.0)))
+        b = (4.0 * np.sin(kb / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
+        alpha[below] = 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lb + _angle(sw[below], ck[below], m)) / 2.0)))
         above = ~below
         if np.any(above):
             ka = k[above]
             kappa = (math.pi - ka) + _PI_LOW  # pi - k exactly, then rounded once
             c_kappa = np.cos(kappa)
-            w = _half_angle(np.sin(kappa / 2.0) ** 2, c_kappa, m)  # omega(kappa)
+            w = _angle(sw[above], c_kappa, m)  # omega(kappa): sin omega(kappa) = sin omega(k)
             half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((w + kappa) / 2.0)))
             alpha[above] = m2 / (lam[above] + ka) + 2.0 * half
     return alpha, beta

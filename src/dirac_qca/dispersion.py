@@ -2,7 +2,7 @@
 
 Everything here derives from the eigenphase of the single-mode step matrix,
 
-    omega(k, m) = arccos(sqrt(1 - m^2) * cos k),   principal branch in [0, pi],
+    omega(k, m) = arccos(n cos k),   n = sqrt(1 - m^2),   principal branch in [0, pi],
 
 and its continuum reference sqrt(k^2 + m^2).  The k-derivatives are coded in
 closed form (cross-checked against finite differences in the test suite):
@@ -13,9 +13,9 @@ closed form (cross-checked against finite differences in the test suite):
 
 using the exact identity sin(omega)^2 = sin^2 k + m^2 cos^2 k, which avoids
 the catastrophic cancellation of 1 - n^2 cos^2 k at small k; ``_mode`` is the
-one kernel of these pieces.  omega itself, for the readers that need it, is
-``_half_angle``'s form, which keeps full relative precision down to
-k, m ~ 1e-19 where a direct arccos would return 0.
+one kernel of these pieces, and ``_n`` the one n, as sqrt((1 - m)(1 + m)).
+omega is ``_angle``'s atan2(sin omega, n cos k) over them: full relative
+precision down to k, m ~ 1e-19, next to k = pi, at m = 0 and as m -> 1.
 
 Both the lattice step and the continuum evolution of one mode are SU(2)
 rotations exp(-i angle u.sigma), u = (u_x, 0, -v): ``lattice_axis`` and
@@ -30,8 +30,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UnitarityLossError
-
 __all__ = [
     "omega",
     "sin_omega",
@@ -43,8 +41,6 @@ __all__ = [
     "su2_power",
     "branch_spinors",
 ]
-
-ARCCOS_CLAMP_TOL = 1e-12
 
 
 def _check_mass(m: float) -> float:
@@ -74,31 +70,33 @@ def _over(x, r, scale=1.0):
     return np.divide(out, r, out=out, where=ok)
 
 
+def _n(m: float) -> float:
+    """n = sqrt(1 - m^2), as sqrt((1 - m)(1 + m)): 1 - m is exact for m in [1/2, 1], so nothing cancels near m = 1."""
+    return math.sqrt((1.0 - m) * (1.0 + m))
+
+
 def _mode(k, m):
     """(sin k, cos k, sin^2 w, sin w, v): the per-k pieces of U(k) = exp(-i omega u.sigma) that come from cos k.
 
     sin^2 w = sin^2 k + m^2 cos^2 k, free of cancellation.  The axis u = (u_x, 0, -v) = (m, 0, -n sin k) / sin w
     is zero where sin w = 0: at k = 0 for m = 0, and for k, m both below about 1e-162.
     """
-    n = math.sqrt(1.0 - m * m)
     sk, ck = np.sin(k), np.cos(k)
     s2 = sk ** 2 + m * m * ck ** 2
     sw = np.sqrt(s2)
-    return sk, ck, s2, sw, _over(sk, sw, n)
+    return sk, ck, s2, sw, _over(sk, sw, _n(m))
 
 
-def _half_angle(sh2, ck, m):
-    """omega = 2 asin(sqrt(delta/2)), delta = 1 - n ck = 2 sh2 + m^2 ck / (1 + n), from sh2 = sin^2(k/2), ck = cos k."""
-    h = (2.0 * sh2 + (m * m / (1.0 + math.sqrt(1.0 - m * m))) * ck) / 2.0
-    if np.any(h < -ARCCOS_CLAMP_TOL) or np.any(h > 1.0 + ARCCOS_CLAMP_TOL):
-        raise UnitarityLossError("omega: arccos argument left [-1, 1] beyond tolerance")
-    return 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+def _angle(sw, ck, m):
+    """omega = atan2(sin w, n cos k), in [0, pi] since sin w >= 0: the one form of omega, from ``_mode``'s pieces."""
+    return np.arctan2(sw, _n(m) * ck)
 
 
 def omega(k, m):
-    """Automaton dispersion arccos(n cos k), branch in [0, pi], in the half-angle form of ``_half_angle``."""
-    k = np.asarray(k, dtype=float)
-    result = _half_angle(np.sin(k / 2.0) ** 2, np.cos(k), _check_mass(m))
+    """Automaton dispersion arccos(n cos k), branch in [0, pi], as ``_angle`` of ``_mode``'s sin omega and cos k."""
+    m = _check_mass(m)
+    _, ck, _, sw, _ = _mode(np.asarray(k, dtype=float), m)
+    result = _angle(sw, ck, m)
     return result if result.ndim else float(result)
 
 
@@ -129,7 +127,7 @@ def derivatives(k, m) -> Derivatives:
     """
     m = _check_mass(m)
     k_arr = np.asarray(k, dtype=float)
-    n = math.sqrt(1.0 - m * m)
+    n = _n(m)
     sk, ck, s2, sw, v = _mode(k_arr, m)
     if np.any(sw == 0.0):
         raise ValueError("derivatives undefined where sin omega = 0 (k = 0 at m = 0, or k and m below ~1e-162)")
@@ -165,9 +163,8 @@ def lattice_axis(k, m):
     cos(omega t) I.
     """
     m = _check_mass(m)
-    k = np.asarray(k, dtype=float)
-    _, ck, _, sw, v = _mode(k, m)
-    return _half_angle(np.sin(k / 2.0) ** 2, ck, m), v, _over(m, sw)
+    _, ck, _, sw, v = _mode(np.asarray(k, dtype=float), m)
+    return _angle(sw, ck, m), v, _over(m, sw)
 
 
 def dirac_axis(k, m):

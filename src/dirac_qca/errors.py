@@ -6,7 +6,7 @@ class NumericalInvariantError(RuntimeError):
 
 
 class UnitarityLossError(NumericalInvariantError):
-    """An arccos argument left [-1, 1] by more than the allowed tolerance."""
+    """A relative rotation's half-trace left [-1, 1] by more than the allowed tolerance."""
 
 
 class MonotonicityError(NumericalInvariantError):

@@ -91,12 +91,6 @@ class TestDispersionCommand:
         assert error == {"message": "mass must lie in [0, 1], got nan", "type": "config"}
         assert not out.exists() or not any(out.iterdir())
 
-    def test_omega_clamp_breach_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dispersion, "ARCCOS_CLAMP_TOL", -1.0)
-        assert run(["dispersion", "--m", "0.6", "--samples", "8", "--out-dir", str(tmp_path / "o")]) == 2
-        record = json.loads(capsys.readouterr().out)
-        assert record["error"]["type"] == "numerical-invariant"
-
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

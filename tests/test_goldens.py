@@ -38,3 +38,30 @@ def test_comparison_names_versions_and_every_file():
     assert "'numpy': '1.0'" in lines[0] and "'numpy': '2.0'" in lines[0]
     assert lines[1:] == ["differs  b", "missing  c", "extra    d"]
     assert tool.compare(base, base) == []
+
+
+def test_value_diff_names_ulps_and_peak_share(tmp_path):
+    tool = _goldens_tool()
+    base, current = tmp_path / "base", tmp_path / "current"
+    files = {
+        "a.csv": ("x,y\n1.0,2.0\n3.0,0.5\n", "x,y\n1.0,2.0\n3.0,0.5000000000000001\n"),  # one ulp in column y
+        "b.json": ('{"t": 4.0, "n": 1}', '{"t": 4.000000000000002, "n": 1}'),  # two ulp of the file's peak 4
+        "c.json": ('{"t": 1.0}', '{"t": 1}'),  # same value, respelled
+        "d.svg": ("<a>1</a>", "<b>1</b>"),
+        "e.json": ("{}", "{}"),
+        "gone.csv": ("k\n1\n", None),
+        "new.csv": (None, "k\n1\n"),
+    }
+    for name, (old, new) in files.items():
+        for root, text in ((base, old), (current, new)):
+            if text is not None:
+                root.mkdir(exist_ok=True)
+                (root / name).write_text(text)
+    assert tool.value_diff(base, current) == [
+        "differs  a.csv: max 1 ulp, 5.55e-17 of the peak",
+        "differs  b.json: max 2 ulp, 4.44e-16 of the peak",
+        "differs  c.json: 0 ulp (same values, spelled differently)",
+        "differs  d.svg: text differs beyond its numbers",
+        "missing  gone.csv",
+        "extra    new.csv",
+    ]

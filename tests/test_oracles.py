@@ -1,9 +1,11 @@
-"""Recompute the frozen reference constants with mpmath, and pin alpha/beta.
+"""Recompute the frozen reference constants with mpmath, and pin omega, v, D, alpha/beta and U^t.
 
 The package never imports mpmath; this module keeps the frozen literals in
 the other test files honest by rebuilding them from scratch at runtime, and
-checks alpha and beta against their defining formulas across the Brillouin
-half-zone, next to k = pi/2 and k = pi, and around alpha's sign change.
+checks omega across the whole zone, v and D next to m = 1, alpha and beta
+against their defining formulas across the Brillouin half-zone, next to
+k = pi/2 and k = pi, and around alpha's sign change, and the phase of
+long-time mode evolution.
 """
 
 import math
@@ -12,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dirac_qca import derivatives, omega
+from dirac_qca import AutomatonParams, ModeSpectrum, derivatives, evolve_momentum, omega
 from dirac_qca.discrimination import _alpha_beta
 
 import test_discrimination as td
@@ -198,3 +200,85 @@ class TestAlphaBetaOracles:
         assert np.shape(alphas) == np.shape(betas) == np.shape(ks)
         assert np.all(np.abs(np.ravel(alphas) - scalar[:, 0]) <= tol[:, 0])
         assert np.all(np.abs(np.ravel(betas) - scalar[:, 1]) <= tol[:, 1])
+
+
+# omega against arccos(n cos k) at 250 digits: at k, m ~ 1e-19 the argument is 1 - O(1e-38), and a
+# 50-digit arccos of it is itself about 100 ulp off
+OMEGA_ULPS = 3.0
+
+
+def _omega_ulps(k, m):
+    """|omega(k, m) - arccos(n cos k)| in ulps of the exact value."""
+    with mp.workdps(MISMATCH_DPS):
+        exact = mp_omega(k, m)
+        return float(abs(mp.mpf(omega(k, m)) - exact) / math.ulp(float(exact)))
+
+
+class TestOmegaOracle:
+    """omega to within ``OMEGA_ULPS`` everywhere in the zone, where an arcsine or arccos form is ill-conditioned too."""
+
+    @pytest.mark.parametrize("m", [0.0, 1e-19, 1e-12, 1e-10, 1e-8])
+    def test_next_to_pi_at_tiny_mass(self, m):
+        ks = [s * (math.pi - d) for d in (0.0, 1e-16, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8) for s in (-1.0, 1.0)]
+        assert max(_omega_ulps(k, m) for k in ks) <= OMEGA_ULPS
+
+    def test_massless_is_abs_k(self):
+        ks = np.concatenate([np.linspace(-math.pi, math.pi, 401), [10.0 ** -e for e in range(1, 20)], [math.pi]])
+        assert np.all(np.abs(omega(ks, 0.0) - np.abs(ks)) <= np.spacing(np.abs(ks)))
+
+    @pytest.mark.parametrize("m", [0.9998, 1.0 - 1e-7, 1.0 - 1e-12, float(np.nextafter(1.0, 0.0)), 1.0])
+    def test_near_unit_mass(self, m):
+        assert max(_omega_ulps(float(k), m) for k in np.linspace(-math.pi, math.pi, 41)) <= OMEGA_ULPS
+
+    def test_down_to_1e_19(self):
+        points = [(10.0 ** -a, 10.0 ** -b) for a in range(8, 20) for b in range(8, 20)]
+        assert max(_omega_ulps(k, m) for k, m in points) <= OMEGA_ULPS
+
+    def test_log_uniform_sweep(self):
+        assert max(_omega_ulps(k, m) for k, m in _sweep_points()) <= OMEGA_ULPS
+
+
+@pytest.mark.parametrize("m", [0.9998, 1.0 - 1e-7, 1.0 - 1e-12])
+def test_velocity_and_diffusion_near_unit_mass(m):
+    """v = n sin k / sin w and D = n m^2 cos k / sin^3 w to 1e-15, where 1 - m^2 would cancel in n."""
+    for k in (0.0, 1e-8, 0.3, 1.0, 2.0, 3.0):
+        v, d, _ = derivatives(k, m)
+        with mp.workdps(MISMATCH_DPS):
+            k_, m_ = mp.mpf(k), mp.mpf(m)
+            n, sw = mp.sqrt(1 - m_ * m_), mp.sqrt(mp.sin(k_) ** 2 + (m_ * mp.cos(k_)) ** 2)
+            exact_v, exact_d = n * mp.sin(k_) / sw, n * m_ * m_ * mp.cos(k_) / sw ** 3
+            assert abs(v - exact_v) <= 1e-15 * abs(exact_v)
+            assert abs(d - exact_d) <= 1e-15 * abs(exact_d)
+
+
+def _mp_evolve(ks, m, t, modes):
+    """U(k)^t psi per mode at 40 digits, U^t = cos(w t) I - i sin(w t) u.sigma with u = (m, 0, -n sin k) / sin w."""
+    with mp.workdps(40):
+        m_, t_ = mp.mpf(m), mp.mpf(t)
+        n = mp.sqrt(1 - m_ * m_)
+        out = []
+        for k, (r, l) in zip(ks, modes):
+            k_ = mp.mpf(float(k))
+            w = mp.acos(n * mp.cos(k_))
+            c, s = mp.cos(w * t_), mp.sin(w * t_) / mp.sin(w)
+            a, b = mp.mpc(c, n * mp.sin(k_) * s), mp.mpc(0, -m_ * s)
+            r, l = mp.mpc(r.real, r.imag), mp.mpc(l.real, l.imag)
+            out.append((complex(a * r + b * l), complex(b * r + mp.conj(a) * l)))
+        return np.array(out)
+
+
+# The phase w t of a mode is off by t times omega's error (``OMEGA_ULPS`` ulp, and omega <= pi) plus the
+# rounding of the product (half an ulp of it), so a unit mode's error is at most 3.5 ulp(pi) t ~ 1.6e-15 t
+# and terms that do not grow with t; the half-angle arcsine form was off by 7.6e-15 t at m = 0.01
+PHASE_ERROR_PER_STEP = (OMEGA_ULPS + 0.5) * math.ulp(math.pi)
+
+
+@pytest.mark.parametrize("t", [1e4, 1e6])
+@pytest.mark.parametrize("m", [0.01, 0.6, 0.92])
+def test_long_time_phase(m, t):
+    rng = np.random.default_rng(6)
+    modes = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+    modes /= np.linalg.norm(modes, axis=1, keepdims=True)  # unit modes, k = -pi included
+    spectrum = ModeSpectrum(modes)
+    got = evolve_momentum(spectrum, AutomatonParams(m), t).modes
+    assert np.max(np.abs(got - _mp_evolve(spectrum.ks, m, t, modes))) <= PHASE_ERROR_PER_STEP * t

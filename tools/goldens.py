@@ -5,12 +5,13 @@ Usage, from the root of a checkout::
     python3 tools/goldens.py --out base.json              # record
     python3 tools/goldens.py --compare base.json          # check against a record
     python3 tools/goldens.py --compare tests/goldens.json # the record the test suite checks
+    python3 tools/goldens.py --diff ../parent             # how far each value moved from another checkout's
 
 A record holds the Python, numpy and orjson versions it was taken under
 (``versions``) and maps each output file to its sha256 (``files``).  It covers
 
-* the four ``scripts/`` runs, each in its own temporary working directory
-  (a script's standard output is hashed too, as ``<script>/stdout``);
+* the four ``scripts/`` runs, each in its own working directory
+  (a script's standard output is kept too, as ``scripts/<script>/stdout``);
 * every job of ``perfbench.workloads.jobs(w, s)`` for each workload ``w``
   and ``s`` in {0, 1}, run in-process through ``dirac_qca.cli.main`` with
   one output directory per job.
@@ -22,6 +23,15 @@ different, and names both sets of versions when they differ; otherwise it
 exits 0.  ``tests/test_goldens.py`` runs the same comparison against
 ``tests/goldens.json``: a change that moves an output on purpose records
 that file again, under the versions it names.
+
+``--diff CHECKOUT`` writes the outputs of that checkout (its own ``src``,
+``scripts`` and ``perfbench/workloads.py``, run in a fresh interpreter) and
+of this one, and prints one line per file that is missing, extra or
+different.  A differing file whose text matches once every number in it is
+masked gets the largest change of its numbers in ulps of the other
+checkout's value, and the largest change relative to the peak absolute
+value of its column (CSV) or of the file (JSON, SVG, stdout); it exits as
+``--compare`` does.
 """
 
 from __future__ import annotations
@@ -32,10 +42,13 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -47,43 +60,36 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _hash_tree(root: Path, prefix: str, into: dict):
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        into[f"{prefix}/{path.relative_to(root).as_posix()}"] = _sha256(path.read_bytes())
+def _files(root: Path) -> dict:
+    """Each file under ``root``, keyed by its relative POSIX path."""
+    return {path.relative_to(root).as_posix(): path for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def script_hashes() -> dict:
-    hashes = {}
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def emit(root: Path, dest: Path):
+    """Write every output of the checkout at ``root`` under ``dest``, as ``scripts/<script>/...`` and ``jobs/...``.
+
+    The jobs run in this process through the importable ``dirac_qca``, which must be ``root``'s own.
+    """
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for name in SCRIPTS:
-        with tempfile.TemporaryDirectory() as cwd:
-            done = subprocess.run(
-                [sys.executable, str(ROOT / "scripts" / name)], cwd=cwd, env=env, capture_output=True, check=True
-            )
-            hashes[f"scripts/{name}/stdout"] = _sha256(done.stdout)
-            _hash_tree(Path(cwd), f"scripts/{name}", hashes)
-    return hashes
+        cwd = dest / "scripts" / name
+        cwd.mkdir(parents=True)
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / name)], cwd=cwd, env=env, capture_output=True, check=True
+        )
+        (cwd / "stdout").write_bytes(done.stdout)
 
-
-def workload_hashes() -> dict:
-    """The jobs' hashes, all run in this process through the importable ``dirac_qca``."""
     from dirac_qca.cli import main
 
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-
-    hashes = {}
     for workload in workloads.GENERATORS:
         for seed in SEEDS:
-            with tempfile.TemporaryDirectory() as work:
-                for i, job in enumerate(workloads.jobs(workload, seed)):
-                    out = os.path.join(work, f"job{i:02d}")
-                    code = main(job + ["--out-dir", out])
-                    if code != 0:
-                        raise RuntimeError(f"{workload} seed {seed} job {i} exited {code}: {job}")
-                _hash_tree(Path(work), f"jobs/{workload}/s{seed}", hashes)
-    return hashes
+            for i, job in enumerate(workloads.jobs(workload, seed)):
+                code = main(job + ["--out-dir", str(dest / "jobs" / workload / f"s{seed}" / f"job{i:02d}")])
+                if code != 0:
+                    raise RuntimeError(f"{workload} seed {seed} job {i} exited {code}: {job}")
 
 
 def versions() -> dict:
@@ -95,7 +101,23 @@ def versions() -> dict:
 
 def record() -> dict:
     """The versions and the hashes of every output file of this checkout."""
-    return {"versions": versions(), "files": {**script_hashes(), **workload_hashes()}}
+    with tempfile.TemporaryDirectory() as work:
+        emit(ROOT, Path(work))
+        files = {key: _sha256(path.read_bytes()) for key, path in _files(Path(work)).items()}
+    return {"versions": versions(), "files": files}
+
+
+def _differences(base: dict, current: dict, change) -> list:
+    """One line per key missing from ``current``, extra in it, or whose ``change(old, new)`` is not None."""
+    lines = []
+    for key in sorted(base.keys() | current.keys()):
+        if key not in current:
+            lines.append(f"missing  {key}")
+        elif key not in base:
+            lines.append(f"extra    {key}")
+        elif (note := change(base[key], current[key])) is not None:
+            lines.append(f"differs  {key}{note}")
+    return lines
 
 
 def compare(current: dict, base: dict) -> list:
@@ -103,24 +125,80 @@ def compare(current: dict, base: dict) -> list:
     lines = []
     if current["versions"] != base["versions"]:
         lines.append(f"versions differ: recorded under {base['versions']}, run under {current['versions']}")
-    current, base = current["files"], base["files"]
-    for key in sorted(base.keys() | current.keys()):
-        if key not in current:
-            lines.append(f"missing  {key}")
-        elif key not in base:
-            lines.append(f"extra    {key}")
-        elif current[key] != base[key]:
-            lines.append(f"differs  {key}")
-    return lines
+    return lines + _differences(base["files"], current["files"], lambda old, new: "" if old != new else None)
+
+
+# a decimal number, nan or inf, as the CSV, JSON, SVG and stdout texts spell them
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def _split(path: Path):
+    """(the text with its numbers masked, the numbers): a row per CSV line below the header, else one column."""
+    text = path.read_text(encoding="utf-8")
+    head, columns = "", 1
+    if path.suffix == ".csv":
+        head, _, text = text.partition("\n")
+        columns = head.count(",") + 1
+    numbers = np.array([float(token) for token in _NUMBER.findall(text)])
+    return head + _NUMBER.sub("#", text), numbers.reshape(-1, columns)
+
+
+def value_change(old: Path, new: Path) -> str:
+    """How far ``new``'s numbers moved from ``old``'s: max ulps of the old value, and max change over the old peak.
+
+    The peak is the largest finite |value| of each CSV column, and of the whole file for any other file.
+    """
+    (old_mask, a), (new_mask, b) = _split(old), _split(new)
+    if old_mask != new_mask:
+        return "text differs beyond its numbers"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if np.all(same):
+        return "0 ulp (same values, spelled differently)"
+    delta = np.where(same, 0.0, np.abs(b - a))  # nan where one side alone is nan, and then so are both figures
+    ulps = np.max(delta[~same] / np.spacing(np.abs(a[~same])))
+    peak = np.max(np.abs(a), axis=0, where=np.isfinite(a), initial=0.0)
+    share = np.divide(delta, peak, out=np.zeros_like(delta), where=delta > 0.0)  # 0 / 0 is no change
+    return f"max {ulps:.3g} ulp, {np.max(share):.3g} of the peak"
+
+
+def value_diff(base: Path, current: Path) -> list:
+    """One line per output file that is missing from ``current``, extra in it, or different, with ``value_change``."""
+
+    def change(old: Path, new: Path):
+        return f": {value_change(old, new)}" if old.read_bytes() != new.read_bytes() else None
+
+    return _differences(_files(base), _files(current), change)
+
+
+# emit(root, dest) in a fresh interpreter that imports dirac_qca from root's src: argv = [-c, root, dest, tools]
+_EMIT = "import sys; sys.path[:0] = [sys.argv[1] + '/src', sys.argv[3]]; from pathlib import Path; import goldens; \
+goldens.emit(Path(sys.argv[1]), Path(sys.argv[2]))"
+
+
+def _diff(checkout: Path) -> list:
+    """``value_diff`` of this checkout's outputs against those of ``checkout``, each written in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as work:
+        base, current = Path(work, "base"), Path(work, "current")
+        for root, dest in ((checkout, base), (ROOT, current)):
+            command = [sys.executable, "-c", _EMIT, str(root), str(dest), str(Path(__file__).parent)]
+            subprocess.run(command, capture_output=True, check=True)
+        return value_diff(base, current)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="write the hashes to this JSON file")
     parser.add_argument("--compare", metavar="BASE.json", help="compare against a recorded hash file")
+    parser.add_argument("--diff", metavar="CHECKOUT", help="compare the values of each output with another checkout's")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(SRC))
+    if args.diff:
+        differences = _diff(Path(args.diff).resolve())
+        for line in differences:
+            print(line)
+        print(f"{len(differences)} files differ from {args.diff}'s")
+        return 1 if differences else 0
     hashes = record()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
