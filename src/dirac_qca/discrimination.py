@@ -3,24 +3,22 @@
 For one momentum mode the two finite-time unitaries are SU(2) matrices, both
 taken from the closed form ``dispersion.su2_power``, so their relative
 rotation V(k, t) = U_cont^t U_latt^{t,dagger} has eigenphases exp(+-i mu)
-with cos(mu) = Re Tr V / 2.  The per-mode angle obeys
+with cos(mu) = Re Tr V / 2.  In half-angle form the trace identity bounds it:
 
-    cos(mu(k, m, t)) >= cos(alpha t) - beta
-    alpha = omega_cont - omega_latt
+    sin^2(mu/2) = sin^2(alpha t/2) + (beta/2) sin(omega t) sin(lambda t) <= sin^2(alpha t/2) + beta/2
+    alpha = lambda - omega   (lambda = omega_cont, omega = omega_latt)
     beta  = 1 - v v_c - sqrt((1 - v^2)(1 - v_c^2))
 
-(the trace identity is cos mu = (1 - beta/2) cos(alpha t) + (beta/2)
-cos((omega_latt + omega_cont) t), which makes the inequality immediate).
 With momentum capped at k_bar and particle number at N_bar, the extremal
 values alpha_bar, beta_bar over {0, k_bar} give
 
-    g = N_bar * arccos(cos(alpha_bar t) - beta_bar)
+    g = 2 N_bar asin(sqrt(sin^2(alpha_bar t/2) + beta_bar/2))
 
-and, while beta_bar <= 1 - cos(pi / 2 N_bar) and t <= f, every admissible
-state has trace distance at most sqrt(1 - cos^2 g), hence error probability at
-least (1 - sin g)/2 for the equal-prior guess between the two dynamics.  The
-time cap f is the root of g(f) = pi/2, so it is also the perfect-discrimination
-time ``t_min_exact``.
+and, while beta_bar/2 <= sin^2(pi / 4 N_bar) and t <= f, every admissible
+state has trace distance at most sin g, hence error probability at least
+(1 - sin g)/2 for the equal-prior guess between the two dynamics.  The time
+cap f is the root of g(f) = pi/2, so it is also the perfect-discrimination
+time ``t_min_exact``.  No cosine next to 1 is formed, so nothing cancels.
 
 alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
 proton scale), where their defining differences cancel, so both are built from
@@ -214,18 +212,19 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
 
 
 def _time_cap(alpha_bar: float, beta_bar: float, n_bar: int) -> Optional[float]:
-    """The root f of g(f) = pi/2: None if beta_bar > 1 - cos(pi/2N_bar), inf at alpha_bar = 0."""
-    cos_cap = math.cos(math.pi / (2.0 * n_bar))
-    if beta_bar > 1.0 - cos_cap:
+    """f = 2 asin(sqrt(room)) / alpha_bar, the root of g(f) = pi/2 (inf at alpha_bar = 0); None if room < 0."""
+    room = math.sin(math.pi / (4.0 * n_bar)) ** 2 - beta_bar / 2.0
+    if room < 0.0:
         return None
     if alpha_bar == 0.0:
         return math.inf
-    return math.acos(min(1.0, cos_cap + beta_bar)) / alpha_bar  # min: a rounding at the edge stays in the domain
+    return 2.0 * math.asin(math.sqrt(room)) / alpha_bar
 
 
 def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
-    """Error-probability floor for guessing lattice vs continuum dynamics.
+    """Error-probability floor (1 - sin g)/2 for guessing lattice vs continuum dynamics.
 
+    g = 2 N_bar asin(sqrt(sin^2(alpha_bar t/2) + beta_bar/2)), the half-angle form, free of cancellation at any scale.
     Outside the hypotheses (beta_bar too large, where ``f_limit`` is None, or t
     beyond the cap f) no bound is produced and ``hypotheses_ok`` is False.
     """
@@ -233,7 +232,7 @@ def pe_lower_bound(inp: DiscriminationInput) -> DiscriminationReport:
     f = _time_cap(alpha_bar, beta_bar, inp.N_bar)
     if f is None or not inp.t <= f:
         return DiscriminationReport(alpha_bar=alpha_bar, beta_bar=beta_bar, f_limit=f, hypotheses_ok=False)
-    g = inp.N_bar * math.acos(min(1.0, math.cos(alpha_bar * inp.t) - beta_bar))
+    g = 2.0 * inp.N_bar * math.asin(math.sqrt(math.sin(alpha_bar * inp.t / 2.0) ** 2 + beta_bar / 2.0))
     pe = 0.5 * (1.0 - math.sin(g))
     return DiscriminationReport(
         alpha_bar=alpha_bar, beta_bar=beta_bar, f_limit=f, hypotheses_ok=True, g=g, pe_lower=pe
@@ -340,7 +339,7 @@ def validate_bound_montecarlo(
     report = pe_lower_bound(inp)
     if not report.hypotheses_ok:
         raise ValueError("the analytic bound requires the time-cap hypotheses to hold")
-    bound = math.sqrt(max(0.0, 1.0 - math.cos(report.g) ** 2))
+    bound = math.sin(report.g)
 
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import path
 

@@ -14,8 +14,9 @@ closed form (cross-checked against finite differences in the test suite):
 using the exact identity sin(omega)^2 = sin^2 k + m^2 cos^2 k, which avoids
 the catastrophic cancellation of 1 - n^2 cos^2 k at small k; ``_mode`` is the
 one kernel of these pieces, and ``_n`` the one n, as sqrt((1 - m)(1 + m)).
-omega is ``_angle``'s atan2(sin omega, n cos k) over them: full relative
-precision down to k, m ~ 1e-19, next to k = pi, at m = 0 and as m -> 1.
+omega is ``_angle``'s atan2(sin omega, n cos k) over them: full relative precision
+down to k, m ~ 1e-19, next to k = pi and as m -> 1, and at m = 0 while sin^2 k is a
+normal double, |k| >~ 1.5e-154 (below, sin^2 k underflows: omega(1e-163, 0) = 0).
 
 Both the lattice step and the continuum evolution of one mode are SU(2)
 rotations exp(-i angle u.sigma), u = (u_x, 0, -v): ``lattice_axis`` and

@@ -425,8 +425,9 @@ class TestTmin:
 
     @pytest.mark.parametrize("m, n_bar", [(0.9, 50), (0.6, 8), (0.5, 4), (0.3, 2)])
     def test_beta_hypothesis_edge_is_one_test(self, m, n_bar):
-        # bisect k_bar down to the two adjacent doubles where beta_bar crosses 1 - cos(pi / 2 N_bar)
-        edge = 1.0 - math.cos(math.pi / (2.0 * n_bar))
+        # bisect k_bar down to the two adjacent doubles where beta_bar crosses 2 sin^2(pi / 4 N_bar): beta_bar <= edge
+        # exactly where the time cap's room = sin^2(pi / 4 N_bar) - beta_bar / 2 is >= 0, halving being exact
+        edge = 2.0 * math.sin(math.pi / (4.0 * n_bar)) ** 2
         lo, hi = 1e-3, 3.0
         assert extremal_alpha_beta(lo, m)[1] <= edge < extremal_alpha_beta(hi, m)[1]
         while math.nextafter(lo, hi) < hi:

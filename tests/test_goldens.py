@@ -49,6 +49,8 @@ def test_value_diff_names_ulps_and_peak_share(tmp_path):
         "c.json": ('{"t": 1.0}', '{"t": 1}'),  # same value, respelled
         "d.svg": ("<a>1</a>", "<b>1</b>"),
         "e.json": ("{}", "{}"),
+        "f.json": ('{"g": 0.0, "t": 2.0}', '{"g": 3e-21, "t": 2.0000000000000004}'),  # g leaves 0, t moves 1 ulp
+        "g.json": ('{"g": 0.0, "p": 1e-30, "t": 1.0}', '{"g": 3e-21, "p": 0.0, "t": 1.0}'),  # g leaves 0, p reaches it
         "gone.csv": ("k\n1\n", None),
         "new.csv": (None, "k\n1\n"),
     }
@@ -62,6 +64,8 @@ def test_value_diff_names_ulps_and_peak_share(tmp_path):
         "differs  b.json: max 2 ulp, 4.44e-16 of the peak",
         "differs  c.json: 0 ulp (same values, spelled differently)",
         "differs  d.svg: text differs beyond its numbers",
+        "differs  f.json: max 1 ulp, 1 value left 0, 2.22e-16 of the peak",
+        "differs  g.json: 1 value left 0, 1 value reached 0, 3e-21 of the peak",
         "missing  gone.csv",
         "extra    new.csv",
     ]

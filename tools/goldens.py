@@ -30,8 +30,8 @@ of this one, and prints one line per file that is missing, extra or
 different.  A differing file whose text matches once every number in it is
 masked gets the largest change of its numbers in ulps of the other
 checkout's value, and the largest change relative to the peak absolute
-value of its column (CSV) or of the file (JSON, SVG, stdout); it exits as
-``--compare`` does.
+value of its column (CSV) or of the file (JSON, SVG, stdout); values that
+leave 0 or reach it are counted apart.  It exits as ``--compare`` does.
 """
 
 from __future__ import annotations
@@ -146,7 +146,9 @@ def _split(path: Path):
 def value_change(old: Path, new: Path) -> str:
     """How far ``new``'s numbers moved from ``old``'s: max ulps of the old value, and max change over the old peak.
 
-    The peak is the largest finite |value| of each CSV column, and of the whole file for any other file.
+    The peak is the largest finite |value| of each CSV column, and of the whole file for any other file.  A value
+    that leaves 0 or reaches it (the other side finite) has no ulp scale on one side: it is counted apart, as
+    "n values left 0" or "n values reached 0", and kept out of the ulp maximum.
     """
     (old_mask, a), (new_mask, b) = _split(old), _split(new)
     if old_mask != new_mask:
@@ -155,10 +157,15 @@ def value_change(old: Path, new: Path) -> str:
     if np.all(same):
         return "0 ulp (same values, spelled differently)"
     delta = np.where(same, 0.0, np.abs(b - a))  # nan where one side alone is nan, and then so are both figures
-    ulps = np.max(delta[~same] / np.spacing(np.abs(a[~same])))
+    left, reached = (a == 0.0) & np.isfinite(b) & ~same, (b == 0.0) & np.isfinite(a) & ~same
+    scaled = ~(same | left | reached)
+    parts = [f"max {np.max(delta[scaled] / np.spacing(np.abs(a[scaled]))):.3g} ulp"] if np.any(scaled) else []
+    for count, verb in ((np.count_nonzero(left), "left"), (np.count_nonzero(reached), "reached")):
+        if count:
+            parts.append(f"{count} value{'' if count == 1 else 's'} {verb} 0")
     peak = np.max(np.abs(a), axis=0, where=np.isfinite(a), initial=0.0)
     share = np.divide(delta, peak, out=np.zeros_like(delta), where=delta > 0.0)  # 0 / 0 is no change
-    return f"max {ulps:.3g} ulp, {np.max(share):.3g} of the peak"
+    return ", ".join(parts + [f"{np.max(share):.3g} of the peak"])
 
 
 def value_diff(base: Path, current: Path) -> list:
