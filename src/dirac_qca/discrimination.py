@@ -1,11 +1,11 @@
 """Distinguishability bounds between the lattice step and continuum evolution.
 
-For one momentum mode the two finite-time unitaries are SU(2) matrices, both
-taken from the closed form ``dispersion.su2_power``, so their relative
-rotation V(k, t) = U_cont^t U_latt^{t,dagger} has eigenphases exp(+-i mu)
-with cos(mu) = Re Tr V / 2.  In half-angle form the trace identity bounds it:
+For one momentum mode the two finite-time unitaries are SU(2) rotations by omega t
+and lambda t about axes u and u_c, so their relative rotation V(k, t) = U_cont^t
+U_latt^{t,dagger} has eigenphases exp(+-i mu), cos(mu) = Re Tr V / 2.  With
+u.u_c = 1 - beta and sigma = omega + lambda, the trace identity in convex half-angle form is
 
-    sin^2(mu/2) = sin^2(alpha t/2) + (beta/2) sin(omega t) sin(lambda t) <= sin^2(alpha t/2) + beta/2
+    sin^2(mu/2) = (1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2) <= sin^2(alpha t/2) + beta/2
     alpha = lambda - omega   (lambda = omega_cont, omega = omega_latt)
     beta  = 1 - v v_c - sqrt((1 - v^2)(1 - v_c^2))
 
@@ -24,7 +24,7 @@ alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
 proton scale), where their defining differences cancel, so both are built from
 pieces that do not: alpha from one identity on each side of k = pi/2, beta as
 |u - u_c|^2 / 2 = hypot(d, d (u_x + u_x^c)/(v + v_c))^2 / 2 over the two rotation
-axes, with d = u_x - u_x^c.  One kernel, ``_alpha_beta``, computes both.
+axes, with d = u_x - u_x^c.  One kernel, ``_alpha_beta``, computes both, and sigma for ``mu``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dispersion import (
-    _angle, _check_mass, _check_time, _mode, _n, _over, dirac_axis, lattice_axis, su2_power,
-)
-from .errors import BoundViolationError, MonotonicityError, UnitarityLossError
+from .dispersion import _angle, _check_mass, _check_time, _mode, _n, _over, dirac_axis
+from .errors import BoundViolationError, MonotonicityError
 
 __all__ = [
     "DiscriminationInput",
@@ -55,7 +53,7 @@ __all__ = [
     "validate_bound_montecarlo",
 ]
 
-MU_CLAMP_TOL = 1e-9
+MU_BLOCK = 32768  # momenta per kernel pass of mu: bounds its temporaries, and the bits do not depend on it
 GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
 MONOTONE_REL_TOL = 1e-12  # slack of that grid check, relative to the endpoint values
 MC_BLOCK = 1024  # samples per Monte Carlo block at N_bar <= 20: fixes the stream layout, bounds memory
@@ -100,25 +98,23 @@ class DiscriminationReport:
 
 
 def mu(k, m, t):
-    """Relative rotation angle arccos(Re Tr V / 2) in [0, pi], vectorized in k.
+    """Relative rotation angle arccos(Re Tr V / 2) in [0, pi], from the trace identity; k and t broadcast.
 
-    Both powers come from ``dispersion.su2_power`` as
-    U^t = [[c + i vs, -i us], [-i us, c - i vs]], so V has the SU(2) shape
-    [[V00, V01], [-conj(V01), conj(V00)]] and cos mu = Re V00 = Re Tr V / 2,
-    sin mu = sqrt(Im(V00)^2 + |V01|^2).  The products are expanded into real
-    arithmetic, in the order complex multiplication would take them.  mu is
-    atan2(sin mu, cos mu): identical to the arccos of the half-trace but
-    without the square-root noise floor of arccos near mu = 0, which matters
-    when comparing against a vanishing bound.
+    mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
+    terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
+    any scale.  The kernel runs over blocks of ``MU_BLOCK`` momenta, whose size does not change the bits.  mu is
+    nan where beta is (sin omega underflows, see ``_alpha_beta``).
     """
     _check_time(t)
-    ca, vs, us = su2_power(*lattice_axis(k, m), t)
-    cd, ws, xs = su2_power(*dirac_axis(k, m), t)
-    cos_mu = cd * ca + ws * vs + xs * us
-    if np.any(np.abs(cos_mu) > 1.0 + MU_CLAMP_TOL):
-        raise UnitarityLossError(f"|Re Tr V / 2| = {float(np.max(np.abs(cos_mu)))} exceeds 1 beyond tolerance")
-    sin_mu = np.sqrt((ws * ca - cd * vs) ** 2 + (xs * vs - ws * us) ** 2 + (cd * us - xs * ca) ** 2)
-    result = np.arctan2(sin_mu, cos_mu)
+    k, t = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(t, dtype=float))
+    result = np.empty(k.shape)
+    flat, k, t = result.reshape(-1), k.reshape(-1), t.reshape(-1)  # views, except where a broadcast must copy
+    for start in range(0, flat.size, MU_BLOCK):
+        block = slice(start, start + MU_BLOCK)
+        alpha, beta, sigma = _alpha_beta(k[block], m)
+        half_t, half_beta = 0.5 * t[block], 0.5 * beta
+        radicand = (1.0 - half_beta) * np.sin(alpha * half_t) ** 2 + half_beta * np.sin(sigma * half_t) ** 2
+        np.multiply(2.0, np.arcsin(np.sqrt(radicand)), out=flat[block])
     return result if result.ndim else float(result)
 
 
@@ -130,8 +126,16 @@ _PI_LOW = 1.2246467991473532e-16  # pi - math.pi: the part of pi that math.pi dr
 
 
 def _k_minus_sin(k):
-    """k - sin k to full relative precision: the series (Horner form) below |k| = 1; both sides finite on [0, pi)."""
-    return np.where(np.abs(k) < 1.0, k * (k * k) * np.polyval(_K_MINUS_SIN_SERIES, k * k), k - np.sin(k))
+    """k - sin k to full relative precision: the series in place, in Horner form, below |k| = 1; k - sin k from 1."""
+    x = k * k
+    poly = np.full(np.shape(k), _K_MINUS_SIN_SERIES[0])
+    for coefficient in _K_MINUS_SIN_SERIES[1:]:
+        poly *= x
+        poly += coefficient
+    poly *= k * x  # k (k^2) poly, in np.polyval's rounding
+    big = np.abs(k) >= 1.0
+    poly[big] = k[big] - np.sin(k[big])
+    return poly
 
 
 def _one_minus_sinc(x):
@@ -140,10 +144,11 @@ def _one_minus_sinc(x):
 
 
 def _alpha_beta(k, m):
-    """(alpha, beta) = (lambda - omega, 1 - u.u_c) at |k|, each free of cancellation, from one set of per-mode pieces.
+    """(alpha, beta, sigma) = (lambda - omega, 1 - u.u_c, omega + lambda) at |k|, from one set of per-mode pieces.
 
-    alpha takes one identity per half-zone, each run only on its own momenta (m^2 = 0 gives alpha = 0).  Below
-    k = pi/2, cos w - cos lambda = 2 sin((lambda + w)/2) sin(alpha/2) = (m^2/2) B with
+    alpha and beta are free of cancellation.  alpha takes one identity per half-zone, each run only on its own
+    momenta (m^2 = 0 gives alpha = 0).  Below k = pi/2,
+    cos w - cos lambda = 2 sin((lambda + w)/2) sin(alpha/2) = (m^2/2) B with
         B = (4 sin^2(k/2) - m^2/(1+n))/(1+n) - [s(e) + (1 - s(e)) s(h)],  s(x) = 1 - sin(x)/x,
     e = (lambda - k)/2 = m^2/(2(lambda + k)) and h = (lambda + k)/2.  From pi/2 on, with kappa = pi - k,
     alpha = (lambda - k) + (w(kappa) - kappa) = m^2/(lambda + k) + 2 asin(m^2 cos kappa / (2(1+n) sin((w + kappa)/2))).
@@ -156,6 +161,7 @@ def _alpha_beta(k, m):
     m2 = m * m
     sk, ck, _, sw, v = _mode(k, m)
     lam, v_c, u_xc = dirac_axis(k, m)
+    omega = _angle(sw, ck, m)
     gap = _over(_k_minus_sin(k) * (k + sk) + m2 * sk ** 2, lam + sw)  # lambda - sin w, 0 at k = 0 (even at m = 0)
     den = lam * sw  # 0 where sin w underflows: beta is undefined there, and nan, except beta(0) = 0
     d = np.divide(m * gap, den, out=np.where(k > 0.0, math.nan, 0.0), where=den > 0.0)
@@ -165,21 +171,20 @@ def _alpha_beta(k, m):
     alpha = np.zeros_like(k)
     if m2 > 0.0:
         n1 = 1.0 + _n(m)
-        below = k < math.pi / 2.0
-        kb, lb = k[below], lam[below]
+        lower = k < math.pi / 2.0
+        below, above = np.flatnonzero(lower), np.flatnonzero(~lower)
+        kb, lb = k.take(below), lam.take(below)
         s_e = _one_minus_sinc(m2 / (2.0 * (lb + kb)))
         s_h = _one_minus_sinc((lb + kb) / 2.0)
         b = (4.0 * np.sin(kb / 2.0) ** 2 - m2 / n1) / n1 - (s_e + (1.0 - s_e) * s_h)
-        alpha[below] = 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lb + _angle(sw[below], ck[below], m)) / 2.0)))
-        above = ~below
-        if np.any(above):
-            ka = k[above]
-            kappa = (math.pi - ka) + _PI_LOW  # pi - k exactly, then rounded once
-            c_kappa = np.cos(kappa)
-            w = _angle(sw[above], c_kappa, m)  # omega(kappa): sin omega(kappa) = sin omega(k)
-            half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((w + kappa) / 2.0)))
-            alpha[above] = m2 / (lam[above] + ka) + 2.0 * half
-    return alpha, beta
+        alpha.put(below, 2.0 * np.arcsin(m2 * b / (4.0 * np.sin((lb + omega.take(below)) / 2.0))))
+        ka = k.take(above)
+        kappa = (math.pi - ka) + _PI_LOW  # pi - k exactly, then rounded once
+        c_kappa = np.cos(kappa)
+        w = _angle(sw.take(above), c_kappa, m)  # omega(kappa): sin omega(kappa) = sin omega(k)
+        half = np.arcsin(m2 * c_kappa / (2.0 * n1 * np.sin((w + kappa) / 2.0)))
+        alpha.put(above, m2 / (lam.take(above) + ka) + 2.0 * half)
+    return alpha, beta, omega + lam
 
 
 def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
@@ -197,7 +202,7 @@ def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
     _check_k_bar(k_bar)
     _check_mass(m)
     ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
-    alphas, betas = _alpha_beta(ks, m)
+    alphas, betas, _ = _alpha_beta(ks, m)
     alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
     finite = np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))  # a nan on the grid fails below, as exit 2
     if finite and m > 0.0 and k_bar > 0.0 and alpha_bar < sys.float_info.min:
@@ -291,17 +296,15 @@ class MonteCarloReport:
 
 
 def _draw_block(inp: DiscriminationInput, count: int, stream):
-    """Phases and probabilities, each (count, CONFIGS_PER_STATE), of one block of states."""
+    """Phases and probabilities, each (count, CONFIGS_PER_STATE), of one block of states, from kept particles only."""
     rng = np.random.default_rng(stream)
     c = CONFIGS_PER_STATE
-    counts = rng.integers(1, inp.N_bar + 1, size=(count, c))
-    momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(count, c, inp.N_bar))
-    signs = rng.choice(np.array([-1.0, 1.0]), size=(count, c, inp.N_bar))
+    counts = rng.integers(1, inp.N_bar + 1, size=count * c)
+    momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())
+    signs = rng.choice(np.array([-1.0, 1.0]), size=momenta.size)
     amplitudes = rng.standard_normal((count, c)) + 1j * rng.standard_normal((count, c))
-    mask = np.arange(inp.N_bar)[None, None, :] < counts[..., None]
-    angles = np.zeros_like(momenta)
-    angles[mask] = mu(momenta[mask], inp.m, inp.t)  # dropped particles keep angle 0
-    phases = np.sum(signs * angles, axis=2)
+    starts = np.cumsum(counts) - counts  # configuration i is the run of counts[i] draws from starts[i]; none is empty
+    phases = np.add.reduceat(signs * mu(momenta, inp.m, inp.t), starts).reshape(count, c)
     probs = np.abs(amplitudes) ** 2
     probs /= probs.sum(axis=1, keepdims=True)
     return phases, probs
@@ -329,8 +332,8 @@ def validate_bound_montecarlo(
     threads (numpy releases the GIL in its loops), two blocks per thread at a
     time, so memory is bounded by workers x block whatever the sample count.
     Block maxima are reduced in block order; the first block with a sample
-    exceeding the bound by more than 1e-9 raises :class:`BoundViolationError`
-    -- that would falsify the analytic cap.
+    exceeding the bound by more than 1e-9, or with a nan, raises
+    :class:`BoundViolationError` -- that would falsify the analytic cap.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -360,7 +363,7 @@ def validate_bound_montecarlo(
         # map cancels a batch's unstarted blocks when one of them raises
         for start in range(0, n_blocks, 2 * threads):
             for worst in pool.map(run_block, range(start, min(start + 2 * threads, n_blocks))):
-                if worst > bound + 1e-9:
+                if not worst <= bound + 1e-9:  # a nan fails it too
                     raise BoundViolationError(
                         f"sampled trace distance {worst} exceeds the analytic cap {bound}"
                     )

@@ -5,10 +5,6 @@ class NumericalInvariantError(RuntimeError):
     """A quantity violated an invariant that should hold up to roundoff."""
 
 
-class UnitarityLossError(NumericalInvariantError):
-    """A relative rotation's half-trace left [-1, 1] by more than the allowed tolerance."""
-
-
 class MonotonicityError(NumericalInvariantError):
     """A numerically verified monotonicity property failed on a grid."""
 

@@ -46,7 +46,7 @@ def alpha_beta(k, m):
     _check_mass(m)
     if k == 0.0 and m == 0.0:
         raise ValueError("alpha/beta undefined at (k, m) = (0, 0)")
-    alpha, beta = _alpha_beta(k, m)
+    alpha, beta, _ = _alpha_beta(k, m)
     return float(alpha), float(beta)
 
 

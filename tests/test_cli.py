@@ -408,6 +408,19 @@ class TestValidateBoundCommand:
         assert results["max_observed"] <= results["bound"] + 1e-9
         assert results["seed"] == 42
 
+    @pytest.mark.parametrize(
+        "m, kbar, t",
+        [("1e-10", "1e-5", "1e20"), ("1e-19", "1e-8", "1e40")],  # both used to exit 2 with a false violation
+        ids=["m1e-10", "headline"],
+    )
+    def test_small_mass_points_stay_within_the_cap(self, tmp_path, m, kbar, t):
+        out = tmp_path / "o"
+        argv = ["validate-bound", "--m", m, "--kbar", kbar, "--nbar", "1", "--t", t, "--samples", "2000",
+                "--out-dir", str(out)]
+        assert run(argv) == 0
+        results = load_json(out / "validate_bound.json")["results"]
+        assert 0.0 < results["max_observed"] <= results["bound"]
+
     @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-5"), ("--workers", "0")])
     def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
         argv = ["validate-bound", "--m", "0.3", "--kbar", "0.8", "--nbar", "2", "--t", "50",

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dirac_qca import (
     AutomatonParams,
@@ -23,7 +23,7 @@ from dirac_qca import (
 from dirac_qca import discrimination
 from dirac_qca.discrimination import MC_BLOCK, _pairwise_trace_distance
 from dirac_qca.dispersion import dirac_axis, lattice_axis, su2_power
-from dirac_qca.errors import BoundViolationError, MonotonicityError, UnitarityLossError
+from dirac_qca.errors import BoundViolationError, MonotonicityError, NumericalInvariantError
 
 from conftest import alpha_beta, dirac_hamiltonian_k, hamiltonian_k
 
@@ -139,6 +139,51 @@ class TestMu:
     def test_clamp_guard(self):
         with pytest.raises(ValueError):
             mu(0.5, 0.5, -1.0)
+
+    @pytest.mark.parametrize("m", [0.0, 0.01, 0.3, 0.9, 1.0])
+    def test_matches_the_su2_product_at_moderate_t(self, m):
+        # the oracle: arccos of the half-trace of V, formed from the two SU(2) powers themselves
+        for k in np.linspace(-3.0, 3.0, 25):
+            for t in (0.3, 2.7, 11.0):
+                u, ud = unitary_pair_t(k, m, t)
+                half_trace = (np.trace(ud @ u.conj().T) / 2.0).real
+                assert mu(k, m, t) == pytest.approx(math.acos(min(1.0, half_trace)), abs=1e-7)
+
+    def test_shapes_and_broadcasting(self):
+        ts = np.linspace(0.0, 10.0, 16)
+        assert isinstance(mu(0.3, 0.2, 4.0), float)
+        assert mu(0.3, 0.2, ts).shape == (16,)
+        assert np.array_equal(mu(0.3, 0.2, ts), [mu(0.3, 0.2, t) for t in ts])
+        ks = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert mu(ks, 0.2, 4.0).shape == (3, 4)
+        assert np.array_equal(mu(ks, 0.2, 4.0), mu(ks.ravel(), 0.2, 4.0).reshape(3, 4))
+        assert mu(ks[:, :, None], 0.2, ts).shape == (3, 4, 16)
+        assert mu(np.array([]), 0.2, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("m", [0.01, 0.6, 1e-10])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
+        rng = np.random.default_rng(26)
+        ks = np.concatenate([rng.uniform(-3.1, 3.1, 500), np.exp(rng.uniform(np.log(1e-12), 0.0, 200))])
+        ts = rng.uniform(0.0, 50.0, ks.size)
+        results = []
+        for block in (1, 7, discrimination.MU_BLOCK, ks.size):
+            monkeypatch.setattr(discrimination, "MU_BLOCK", block)
+            results.append((mu(ks, m, 10.0).tobytes(), mu(ks, m, ts).tobytes()))
+        assert len(set(results)) == 1
+
+    @given(
+        k=st.floats(-3.1, 3.1),
+        m=st.floats(0.0, 1.0),
+        t=st.one_of(st.floats(0.0, 100.0), st.floats(0.0, 1e40)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_never_above_the_per_particle_cap(self, k, m, t):
+        # (1 - beta/2) x <= x and (beta/2) y <= beta/2 survive rounding, so however sigma t rounds the
+        # sampled angle stays under 2 asin(sqrt(sin^2(|alpha| t/2) + beta/2)), with no slack
+        alpha, beta, _ = discrimination._alpha_beta(np.array([k]), m)
+        radicand = np.sin(np.abs(alpha) * (0.5 * t)) ** 2 + 0.5 * beta  # nan where sin omega underflows
+        assume(abs(alpha[0]) * t <= math.pi and radicand[0] <= 1.0)  # past 1 the cap is pi, and says nothing
+        assert mu(np.array([k]), m, t)[0] <= 2.0 * np.arcsin(np.sqrt(radicand[0]))
 
 
 class TestAlphaBeta:
@@ -284,9 +329,9 @@ class TestExtremal:
         exact = discrimination._alpha_beta
 
         def dipped(k, m):
-            a, b = exact(k, m)
+            a, b, sigma = exact(k, m)
             a[100] = a[99] - 1e-11 * np.max(np.abs(a))
-            return a, b
+            return a, b, sigma
 
         extremal_alpha_beta(1e-8, 1e-19)
         monkeypatch.setattr(discrimination, "_alpha_beta", dipped)
@@ -540,17 +585,22 @@ class TestMonteCarlo:
         assert validate_bound_montecarlo(inp, samples=samples, seed=8).max_observed == expected
 
     def test_masked_phase_sums_match_full_tensor(self):
-        # mu runs only on the kept draws; the full-tensor evaluation with the
-        # mask applied afterwards is the reference
+        # only the kept particles are drawn, in one flat run; the reference sums
+        # each configuration's own run of counts[i] signed angles, one at a time
         inp, c = self._input(n_bar=4), discrimination.CONFIGS_PER_STATE
         phases, _ = discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(11))
         rng = np.random.default_rng(np.random.SeedSequence(11))
-        counts = rng.integers(1, inp.N_bar + 1, size=(MC_BLOCK, c))
-        momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=(MC_BLOCK, c, inp.N_bar))
-        signs = rng.choice(np.array([-1.0, 1.0]), size=(MC_BLOCK, c, inp.N_bar))
-        mask = np.arange(inp.N_bar)[None, None, :] < counts[..., None]
-        reference = np.sum(np.where(mask, signs * mu(momenta, inp.m, inp.t), 0.0), axis=2)
-        assert np.max(np.abs(phases - reference)) <= 1e-14
+        counts = rng.integers(1, inp.N_bar + 1, size=MC_BLOCK * c)
+        momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())
+        signs = rng.choice(np.array([-1.0, 1.0]), size=counts.sum())
+        signed = signs * mu(momenta, inp.m, inp.t)
+        reference, start = [], 0
+        for count in counts:
+            reference.append(math.fsum(signed[start:start + count]))
+            start += count
+        assert start == momenta.size
+        assert phases.shape == (MC_BLOCK, c)
+        assert np.max(np.abs(phases.ravel() - reference)) <= 1e-14
 
     def test_memory_flat_in_sample_count(self):
         inp = self._input(n_bar=2)
@@ -617,12 +667,18 @@ class TestMonteCarlo:
             validate_bound_montecarlo(self._input(), samples=50 * MC_BLOCK, seed=1, workers=2)
         assert len(calls) <= 4  # two blocks in flight per thread, at most two threads
 
+    def test_nan_angle_is_a_violation(self, monkeypatch):
+        # a nan compares false with the cap, so a test written as "worst > cap" let it through with exit 0
+        monkeypatch.setattr(discrimination, "mu", lambda k, m, t: np.full(np.shape(k), math.nan))
+        with pytest.raises(BoundViolationError, match="nan"):
+            validate_bound_montecarlo(self._input(), samples=10, seed=1)
+
     def test_block_error_propagates(self, monkeypatch):
         def broken(k, m, t):
-            raise UnitarityLossError("synthetic")
+            raise NumericalInvariantError("synthetic")
 
         monkeypatch.setattr(discrimination, "mu", broken)
-        with pytest.raises(UnitarityLossError):
+        with pytest.raises(NumericalInvariantError):
             validate_bound_montecarlo(self._input(), samples=10 * MC_BLOCK, seed=1, workers=2)
 
     def test_requires_hypotheses(self):

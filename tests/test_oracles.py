@@ -6,7 +6,8 @@ checks omega across the whole zone, v and D next to m = 1, alpha and beta
 against their defining formulas across the Brillouin half-zone, next to
 k = pi/2 and k = pi, and around alpha's sign change, the discrimination
 chain (g, the time cap f and its beta_bar test, the validator's cap) built
-on them, and the phase of long-time mode evolution.
+on them, the relative rotation angle mu, and the phase of long-time mode
+evolution.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 
 from dirac_qca import AutomatonParams, ModeSpectrum, derivatives, evolve_momentum, omega
 from dirac_qca.discrimination import (
-    DiscriminationInput, _alpha_beta, pe_lower_bound, validate_bound_montecarlo,
+    DiscriminationInput, _alpha_beta, mu, pe_lower_bound, validate_bound_montecarlo,
 )
 
 import test_discrimination as td
@@ -199,7 +200,7 @@ class TestAlphaBetaOracles:
     def test_array_and_scalar_forms_agree(self, m, ks):
         scalar = np.array([alpha_beta(k, m) for k in np.ravel(ks)]).reshape(-1, 2)
         tol = 4 * np.spacing(np.abs(scalar))
-        alphas, betas = _alpha_beta(ks, m)
+        alphas, betas, _ = _alpha_beta(ks, m)
         assert np.shape(alphas) == np.shape(betas) == np.shape(ks)
         assert np.all(np.abs(np.ravel(alphas) - scalar[:, 0]) <= tol[:, 0])
         assert np.all(np.abs(np.ravel(betas) - scalar[:, 1]) <= tol[:, 1])
@@ -269,6 +270,46 @@ class TestDiscriminationChainOracle:
         exact = mp.sin(mp_chain(pe_lower_bound(inp), 20, 10.0)[0])
         assert abs(mp.mpf(bound) - exact) <= math.ulp(bound)
         assert abs(exact - mp.mpf("0.0172620958041701400")) <= mp.mpf(1e-19)
+
+
+def mp_mu(k, m, t):
+    """arccos(Re Tr V / 2) at 250 digits from the SU(2) half-trace cos(w t) cos(lambda t) + sin(w t) sin(lambda t) u.u_c.
+
+    The phases reach 1e32 at the headline point and mu^2 ~ 1e-14 cancels against 1, so the digits are needed.
+    """
+    with mp.workdps(MISMATCH_DPS):
+        k, m, t = mp.mpf(k), mp.mpf(m), mp.mpf(t)
+        n = mp.sqrt(1 - m * m)
+        w, lam = mp_omega(k, m), mp.sqrt(k * k + m * m)
+        dot = (m * m + n * mp.sin(k) * k) / (mp.sin(w) * lam)
+        half_trace = mp.cos(w * t) * mp.cos(lam * t) + mp.sin(w * t) * mp.sin(lam * t) * dot
+        return 2 * mp.asin(mp.sqrt((1 - half_trace) / 2))
+
+
+# The trace identity is good to a few ulp wherever its phases are well conditioned.  At the montecarlo job's
+# k = 0.3, sigma t/2 = 3.0 lies 0.14 from pi, where sin is 21 times as sensitive, relatively, as its argument:
+# the half-ulp rounding of that phase alone is then 10 ulp of mu, and the identity is 13.3 ulp off there
+MU_ULPS = 16.0
+
+
+class TestMuOracle:
+    """mu against 250 digits; the SU(2) product form was 1.7e4 ulp off at the first point and 100% off at the last four."""
+
+    @pytest.mark.parametrize(
+        "k, m, t",
+        [
+            (0.3, 0.01, 10.0),  # the montecarlo job's (m, t)
+            (0.5, 0.6, 3.0),
+            (0.7, 0.45, 3.3),
+            (2.5, 0.3, 7.3),  # beyond k = pi/2
+            (1e-8, 1e-19, 1e40),  # the headline point, at k_bar
+            (7.3e-9, 1e-19, 1e40),
+            (1e-5, 1e-10, 1e20),  # the point where validate-bound reported a false violation, at k_bar
+        ],
+    )
+    def test_pins(self, k, m, t):
+        exact = mp_mu(k, m, t)
+        assert abs(mp.mpf(mu(k, m, t)) - exact) <= MU_ULPS * math.ulp(float(exact))
 
 
 # omega against arccos(n cos k) at 250 digits: at k, m ~ 1e-19 the argument is 1 - O(1e-38), and a
