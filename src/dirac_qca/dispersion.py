@@ -64,10 +64,14 @@ def _check_time(t):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 
-def _over(x, r, scale=1.0):
-    """scale x / r, and 0 (the zero axis) where the angle r = 0; scale x is formed in the output buffer."""
+def _over(x, r, scale=1.0, out=None):
+    """scale x / r, and 0 (the zero axis) where the angle r = 0, formed in ``out`` (which may be x) or a new buffer."""
     ok = r > 0.0
-    out = np.multiply(scale, x, out=np.zeros(np.shape(r)), where=ok)
+    if out is None:
+        out = np.zeros(np.shape(r))
+    else:
+        np.copyto(out, 0.0, where=~ok)
+    np.multiply(scale, x, out=out, where=ok)
     return np.divide(out, r, out=out, where=ok)
 
 

@@ -421,6 +421,25 @@ class TestValidateBoundCommand:
         results = load_json(out / "validate_bound.json")["results"]
         assert 0.0 < results["max_observed"] <= results["bound"]
 
+    def test_overflowed_phase_at_zero_mass_is_exit_0(self, tmp_path):
+        # sigma t/2 overflows near k = pi; at m = 0 its weight beta is 0, and so is every sampled distance
+        out = tmp_path / "o"
+        argv = ["validate-bound", "--m", "0", "--kbar", "3", "--nbar", "1", "--t", "1e308", "--samples", "100",
+                "--out-dir", str(out)]
+        assert run(argv) == 0
+        results = load_json(out / "validate_bound.json")["results"]
+        assert results["max_observed"] == 0.0 == results["bound"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow and invalid-value warnings
+    def test_overflowed_phase_at_positive_mass_is_exit_2(self, tmp_path, capsys):
+        # alpha_bar = 2.4e-308 puts the time cap past 6.2e307, where sigma t/2 overflows for |k| > 2.9
+        argv = ["validate-bound", "--m", "4.5e-155", "--kbar", "3.1", "--nbar", "1", "--t", "6.2e307",
+                "--samples", "100", "--out-dir", str(tmp_path / "o")]
+        assert run(argv) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "numerical-invariant"
+        assert "nan" in record["error"]["message"]
+
     @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-5"), ("--workers", "0")])
     def test_rejects_nonpositive_counts(self, tmp_path, capsys, flag, value):
         argv = ["validate-bound", "--m", "0.3", "--kbar", "0.8", "--nbar", "2", "--t", "50",
