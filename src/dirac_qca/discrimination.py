@@ -97,19 +97,30 @@ class DiscriminationReport:
     pe_lower: Optional[float] = None
 
 
-def mu(k, m, t):
+def mu(k, m, t, *, out=None):
     """Relative rotation angle arccos(Re Tr V / 2) in [0, pi], from the trace identity; k and t broadcast.
 
     mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
     terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
     any scale.  The kernel runs over blocks of ``MU_BLOCK`` momenta, whose size does not change the bits, and the
-    rest of each block is formed in the kernel's own arrays and the output.  The phase sigma t/2 is formed only where
+    rest of each block is formed in the kernel's own arrays and the output.  ``out``, a C-contiguous float64 array
+    of the broadcast shape, takes the result and is returned; it may be k (or t) itself, since the kernel copies |k|
+    for each block before that block is written, but no other array that overlaps them.  On 200000 momenta the
+    call holds about 11 ``MU_BLOCK``-sized arrays beyond its output.  The phase sigma t/2 is formed only where
     beta > 0, so where beta = 0 (as at m = 0) an overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is
-    nan where beta is (sin omega underflows, see ``_alpha_beta``), and where a weighed phase overflows.
+    nan where beta is (sin omega underflows, see ``_alpha_beta``), and, without a warning, where a weighed phase
+    overflows.
     """
     _check_time(t)
-    k, t = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(t, dtype=float))
-    result = np.empty(k.shape)
+    given = np.asarray(k, dtype=float), np.asarray(t, dtype=float)
+    k, t = np.broadcast_arrays(*given)
+    if out is None:
+        result = np.empty(k.shape)
+    elif (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == k.shape and out.flags.c_contiguous
+          and all(out is a or not np.may_share_memory(out, a) for a in given)):
+        result = out
+    else:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {k.shape}, k or t or apart from both")
     flat, k, t = result.reshape(-1), k.reshape(-1), t.reshape(-1)  # views, except where a broadcast must copy
     for start in range(0, flat.size, MU_BLOCK):
         block = slice(start, start + MU_BLOCK)
@@ -118,8 +129,9 @@ def mu(k, m, t):
         alpha *= half_t
         np.sin(alpha, out=alpha)
         np.square(alpha, out=alpha)
-        np.multiply(sigma, half_t, out=sigma, where=beta > 0.0)
-        np.sin(sigma, out=sigma)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed phase is nan, as documented
+            np.multiply(sigma, half_t, out=sigma, where=beta > 0.0)
+            np.sin(sigma, out=sigma)
         np.square(sigma, out=sigma)
         beta *= 0.5
         radicand = np.subtract(1.0, beta, out=half_t)
@@ -130,7 +142,7 @@ def mu(k, m, t):
         np.arcsin(radicand, out=radicand)
         radicand *= 2.0
         del alpha, beta, sigma  # freed before the next block's kernel runs
-    return result if result.ndim else float(result)
+    return result if result.ndim or out is not None else float(result)
 
 
 # -- stable alpha and beta ------------------------------------------------
@@ -186,7 +198,6 @@ def _alpha_beta(k, m):
     k = np.abs(np.asarray(k, dtype=float).reshape(-1))  # a 1-d copy
     m2 = m * m
     sk, ck, s2, sw, v = _mode(k, m)
-    lam, v_c, u_xc = dirac_axis(k, m)
     sigma = _angle(sw, ck, m)  # omega until lambda is added in
     gap = _k_minus_sin(k, out=s2)
     spare = np.add(k, sk, out=ck)
@@ -194,6 +205,7 @@ def _alpha_beta(k, m):
     np.square(sk, out=sk)
     sk *= m2
     gap += sk
+    lam, v_c, u_xc = dirac_axis(k, m)  # reads only k and m: called late, its arrays miss k - sin k's temporaries
     _over(gap, np.add(lam, sw, out=spare), out=gap)  # lambda - sin w, 0 at k = 0 (even at m = 0)
     gap *= m
     den = np.multiply(lam, sw, out=spare)  # 0 where sin w underflows: beta is undefined there (nan), but beta(0) = 0
@@ -205,6 +217,7 @@ def _alpha_beta(k, m):
     dv += u_xc
     dv *= d
     _over(dv, np.add(v, v_c, out=v), out=dv)
+    del v_c  # its last use
     beta = np.hypot(d, dv, out=d)
     np.square(beta, out=beta)
     beta *= 0.5
@@ -385,9 +398,11 @@ def _draw_block(inp: DiscriminationInput, count: int, stream):
     c = CONFIGS_PER_STATE
     counts = rng.integers(1, inp.N_bar + 1, size=count * c)
     momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())
-    angles = mu(momenta, inp.m, inp.t)
-    del momenta  # freed before the signs are drawn
-    angles *= rng.choice(np.array([-1.0, 1.0]), size=angles.size)  # the signs, in the stream's order
+    angles = mu(momenta, inp.m, inp.t, out=momenta)  # the angles take the momenta's place
+    signs = rng.integers(0, 2, size=angles.size)  # the indices rng.choice([-1.0, 1.0]) draws, in the stream's order
+    signs *= 2
+    signs -= 1  # index i picks the sign 2 i - 1
+    angles *= signs
     amplitudes = rng.standard_normal((count, c)) + 1j * rng.standard_normal((count, c))
     starts = np.cumsum(counts) - counts  # configuration i is the run of counts[i] draws from starts[i]; none is empty
     phases = np.add.reduceat(angles, starts).reshape(count, c)
@@ -418,8 +433,9 @@ def validate_bound_montecarlo(
     threads (numpy releases the GIL in its loops), two blocks per thread at a
     time, so memory is bounded by workers x block whatever the sample count.
     One block of ``MC_BLOCK`` samples at N_bar = 20 (about 86000 particle
-    draws) peaks at about 2.9 MiB under ``tracemalloc``: its momenta, their
-    angles and ``mu``'s arrays of ``MU_BLOCK`` momenta.
+    draws) peaks at about 2.1 MiB under ``tracemalloc``: its momenta, which
+    ``mu`` overwrites with their angles, and ``mu``'s arrays of ``MU_BLOCK``
+    momenta.
     Block maxima are reduced in block order; the first block with a sample
     exceeding the bound by more than 1e-9, or with a nan, raises
     :class:`BoundViolationError` -- that would falsify the analytic cap.

@@ -430,13 +430,14 @@ class TestValidateBoundCommand:
         results = load_json(out / "validate_bound.json")["results"]
         assert results["max_observed"] == 0.0 == results["bound"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow and invalid-value warnings
     def test_overflowed_phase_at_positive_mass_is_exit_2(self, tmp_path, capsys):
         # alpha_bar = 2.4e-308 puts the time cap past 6.2e307, where sigma t/2 overflows for |k| > 2.9
         argv = ["validate-bound", "--m", "4.5e-155", "--kbar", "3.1", "--nbar", "1", "--t", "6.2e307",
                 "--samples", "100", "--out-dir", str(tmp_path / "o")]
         assert run(argv) == 2
-        record = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""  # no numpy warning lines before the record
+        record = json.loads(captured.out)
         assert record["error"]["type"] == "numerical-invariant"
         assert "nan" in record["error"]["message"]
 
