@@ -19,8 +19,9 @@ mode ``k_j = 2*pi*j/L`` (mapped into [-pi, pi)) as the SU(2) matrix
 Real powers ``U(k)^t`` are defined through the spectral decomposition with
 eigenphases ``exp(-i s omega(k) t)``, ``s = +-1`` -- the unique interpolation
 between integer steps whose generator has eigenvalues ``+-omega``.  Since
-``U(k)`` is the SU(2) rotation ``exp(-i omega u.sigma)``, that power is the
-closed form ``dispersion.su2_power`` on the axis ``dispersion.lattice_axis``.
+``U(k)`` is the SU(2) rotation ``exp(-i omega u.sigma)`` about the axis
+``u = (m, 0, -n sin k) / sin(omega)``, that power is the closed form
+``cos(omega t) I - i sin(omega t) u.sigma``, which ``evolve_momentum`` forms.
 
 All functions are pure; reductions use numpy's deterministic pairwise
 summation, so results are reproducible bit-for-bit for a given input.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import _check_mass, _check_time, _n, lattice_axis, su2_power
+from .dispersion import _angle, _check_mass, _check_time, _mode, _n, _over
 
 __all__ = [
     "AutomatonParams",
@@ -161,10 +162,22 @@ def evolve_position(field: SpinorField, params: AutomatonParams, t: int) -> Spin
 
 
 def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> ModeSpectrum:
-    """Multiply each mode by U(k_j)^t; ``t`` may be any nonnegative real."""
+    """Multiply each mode by U(k_j)^t; ``t`` may be any nonnegative real.
+
+    U^t = [[c + i v s, -i u_x s], [-i u_x s, c - i v s]] with c, s = cos, sin(omega t) and the axis (u_x, 0, -v).
+    Each piece is dropped after its last read: at L = 65536 the call holds 11 arrays of L doubles beyond its output.
+    """
     _check_time(t)
     out = np.empty_like(spec.modes)  # before the per-mode temporaries, which would fragment the heap under it
-    c, vs, us = su2_power(*lattice_axis(spec.ks, params.m), float(t))
+    m = params.m
+    sk, ck, s2, sw, v = _mode(spec.ks, m)
+    del sk, s2  # the power reads only cos k, sin omega and v
+    phase = _angle(sw, ck, m) * float(t)
+    u_x = _over(m, sw)
+    del ck, sw
+    s = np.sin(phase)
+    c, vs, us = np.cos(phase), v * s, u_x * s
+    del phase, s, v, u_x
     a, b = c + 1j * vs, -1j * us  # U^t = [[a, b], [b, conj(a)]]
     psi_r, psi_l = spec.modes[:, 0], spec.modes[:, 1]
     out[:, 0] = a * psi_r + b * psi_l

@@ -17,11 +17,6 @@ one kernel of these pieces, and ``_n`` the one n, as sqrt((1 - m)(1 + m)).
 omega is ``_angle``'s atan2(sin omega, n cos k) over them: full relative precision
 down to k, m ~ 1e-19, next to k = pi and as m -> 1, and at m = 0 while sin^2 k is a
 normal double, |k| >~ 1.5e-154 (below, sin^2 k underflows: omega(1e-163, 0) = 0).
-
-Both the lattice step and the continuum evolution of one mode are SU(2)
-rotations exp(-i angle u.sigma), u = (u_x, 0, -v): ``lattice_axis`` and
-``dirac_axis`` give (angle, v, u_x), and ``su2_power`` is the one closed form
-of their real powers U^t = cos(angle t) I - i sin(angle t) u.sigma.
 """
 
 from __future__ import annotations
@@ -37,9 +32,6 @@ __all__ = [
     "dirac_omega",
     "Derivatives",
     "derivatives",
-    "lattice_axis",
-    "dirac_axis",
-    "su2_power",
     "branch_spinors",
 ]
 
@@ -159,35 +151,3 @@ def branch_spinors(k, m, s: int) -> np.ndarray:
     out[sw == 0.0] = (1.0, 0.0) if s == +1 else (0.0, 1.0)
     return out
 
-
-def lattice_axis(k, m):
-    """(omega, v, u_x): angle and rotation axis of U(k) = exp(-i omega u.sigma).
-
-    u = (m, 0, -n sin k) / sin(omega), so v is the group velocity.  Where
-    sin(omega) = 0 the axis is zero (see ``_mode``), which makes every power
-    cos(omega t) I.
-    """
-    m = _check_mass(m)
-    _, ck, _, sw, v = _mode(np.asarray(k, dtype=float), m)
-    return _angle(sw, ck, m), v, _over(m, sw)
-
-
-def dirac_axis(k, m):
-    """(lambda, k/lambda, m/lambda): angle and axis of the continuum step exp(-i H_D).
-
-    The zero axis stands in at lambda = sqrt(k^2 + m^2) = 0.
-    """
-    k = np.asarray(k, dtype=float)
-    lam = np.asarray(dirac_omega(k, m))
-    return lam, _over(k, lam), _over(m, lam)
-
-
-def su2_power(angle, v, u_x, t):
-    """(c, v s, u_x s) with c = cos(angle t), s = sin(angle t).
-
-    The t-th power of the rotation with axis (u_x, 0, -v) is
-    [[c + i v s, -i u_x s], [-i u_x s, c - i v s]]; a zero axis gives c I.
-    """
-    phase = angle * t
-    s = np.sin(phase)
-    return np.cos(phase), v * s, u_x * s

@@ -37,6 +37,7 @@ from dirac_qca import (
     validate_bound_montecarlo,
 )
 from dirac_qca.constants import PLANCK_TIME_SECONDS
+from dirac_qca.discrimination import BOUND_REL_TOL
 from dirac_qca.wavepacket import WavepacketSpec, build, position_moments
 
 from conftest import FIG4_X0, alpha_beta, dispersion_correction
@@ -217,7 +218,7 @@ class TestCriterion8InequalitySuite:
         f = math.acos(math.cos(math.pi / (2 * n_bar)) + beta_bar) / alpha_bar
         inp = DiscriminationInput(m=m, k_bar=k_bar, N_bar=n_bar, t=0.8 * f)
         mc = validate_bound_montecarlo(inp, samples=10_000, seed=42)
-        ok = mc.max_observed <= mc.bound + 1e-9
+        ok = mc.max_observed <= mc.bound * (1.0 + BOUND_REL_TOL)
         assert report(f"8 monte-carlo proposition (N_bar={n_bar}, 1e4 samples, seed 42)", ok,
                       f"max={mc.max_observed:.6f} <= bound={mc.bound:.6f}")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,21 @@ class TestEvolveMomentum:
         spec = transform(random_field(8))
         with pytest.raises(ValueError):
             evolve_momentum(spec, AutomatonParams(0.5), -0.5)
+
+    def test_memory_beyond_the_output(self):
+        # each per-mode piece is dropped after its last read: at most 11 arrays of L doubles live at once, plus
+        # 4 KiB for the objects around them
+        L = 65536
+        spec = transform(random_field(L, seed=8))
+        params = AutomatonParams(0.3)
+        evolve_momentum(spec, params, 10.0)  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            out = evolve_momentum(spec, params, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.modes.nbytes <= 11 * L * 8 + 4096
 
 
 class TestTransform:

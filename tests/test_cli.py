@@ -405,7 +405,7 @@ class TestValidateBoundCommand:
         )
         assert code == 0
         results = load_json(out / "validate_bound.json")["results"]
-        assert results["max_observed"] <= results["bound"] + 1e-9
+        assert results["max_observed"] <= results["bound"] * (1.0 + discrimination.BOUND_REL_TOL)
         assert results["seed"] == 42
 
     @pytest.mark.parametrize(

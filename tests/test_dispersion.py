@@ -21,7 +21,6 @@ from dirac_qca import (
     schrodinger_evolve,
     unitary_k,
 )
-from dirac_qca import dispersion
 from dirac_qca.dispersion import branch_spinors, sin_omega
 
 from conftest import dirac_hamiltonian_k, dispersion_correction, hamiltonian_k, omega_longdouble, regime_series
@@ -84,27 +83,6 @@ class TestOmega:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             omega(0.1, 1.5)
-
-
-class TestKernelReaders:
-    """The readers of the one per-mode kernel ``dispersion._mode`` agree bit for bit."""
-
-    # k = 0, +-pi and both neighbours of +-pi/2
-    KS = np.array([-np.pi, -np.nextafter(np.pi / 2, 4), -np.nextafter(np.pi / 2, 0), -0.3, 0.0, 1e-8,
-                   np.nextafter(np.pi / 2, 0), np.pi / 2, np.nextafter(np.pi / 2, 4), 2.0, np.pi])
-
-    @pytest.mark.parametrize("m", [0.0, 1e-19, 0.6, 1.0])
-    def test_lattice_axis_angle_is_omega(self, m):
-        assert np.array_equal(dispersion.lattice_axis(self.KS, m)[0], omega(self.KS, m))
-        for k in self.KS:
-            assert dispersion.lattice_axis(k, m)[0] == omega(k, m)
-
-    @pytest.mark.parametrize("m", [0.0, 1e-19, 0.6, 1.0])
-    def test_lattice_axis_velocity_is_derivatives_v(self, m):
-        ks = self.KS[self.KS != 0.0] if m == 0.0 else self.KS  # no derivative on the cone at (0, 0)
-        assert np.array_equal(dispersion.lattice_axis(ks, m)[1], derivatives(ks, m).v)
-        for k in ks:
-            assert dispersion.lattice_axis(k, m)[1] == derivatives(k, m).v
 
 
 class TestDiracOmega:
