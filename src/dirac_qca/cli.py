@@ -16,7 +16,7 @@ Conventions shared by every subcommand:
   (``dataclasses.asdict``);
 * exit codes: 0 success, 1 usage/config error, 2 numerical-invariant failure.
 
-Re-running a command with the same configuration and seed produces
+Re-running a command with the same configuration produces
 byte-identical files: nothing here reads the clock or ambient state.
 """
 
@@ -139,6 +139,7 @@ OPTIONS = {
         "t": (float, None),
         "samples": (int, 10000),
         "workers": (int, 1),
+        "seed": (int, 0),
     },
     "symcheck": {
         "m": (float, 0.6),
@@ -161,7 +162,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(command)
         p.add_argument("--out-dir", dest="out_dir", default=None)
         p.add_argument("--config", dest="config", default=None)
-        p.add_argument("--seed", dest="seed", type=int, default=None)
         for dest, (coerce, _) in options.items():
             flag = "--" + dest.replace("_", "-")
             if coerce is _bool:
@@ -189,14 +189,11 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults < config file < explicit flags, with strict key checking."""
     spec = OPTIONS[command]
     merged = {dest: default for dest, (_, default) in spec.items()}
-    merged["seed"] = 0
     given = set()
     if args.config:
         for key, raw in _read_config(args.config).items():
             dest = key.replace("-", "_")
-            if dest == "seed":
-                merged["seed"] = int(raw)
-            elif dest in spec:
+            if dest in spec:
                 merged[dest] = spec[dest][0](raw)
                 given.add(dest)
             else:
@@ -206,8 +203,6 @@ def _resolve_params(command: str, args: argparse.Namespace) -> dict:
         if value is not None:
             merged[dest] = coerce(value)
             given.add(dest)
-    if args.seed is not None:
-        merged["seed"] = args.seed
     name = merged.get("preset")
     if name is not None:
         if name not in PRESETS[command]:
@@ -345,7 +340,8 @@ def _times(params: dict) -> list:
     times = params["times"]
     if not times:
         raise ConfigError("times must be a nonempty list")
-    dispersion._check_time(times)
+    for t in times:
+        dispersion._check_time(t)
     return [t + 0.0 for t in times]  # -0.0 + 0.0 is 0.0: one time, one file name
 
 

@@ -101,34 +101,32 @@ class DiscriminationReport:
 
 
 def mu(k, m, t, *, out=None):
-    """Relative rotation angle arccos(Re Tr V / 2) in [0, pi], from the trace identity; k and t broadcast.
+    """Relative rotation angle arccos(Re Tr V / 2) in [0, pi] at each momentum k and one time t, by the trace identity.
 
     mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
     terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
     any scale.  The kernel runs over blocks of ``MU_BLOCK`` momenta, whose size does not change the bits, and the
-    rest of each block is formed in the kernel's own arrays and the output.  ``out``, a C-contiguous float64 array
-    of the broadcast shape, takes the result and is returned; it may be k (or t) itself, since the kernel copies |k|
-    for each block before that block is written, but no other array that overlaps them.  On 200000 momenta the
-    call holds about 11 ``MU_BLOCK``-sized arrays beyond its output.  The phase sigma t/2 is formed only where
-    beta > 0, so where beta = 0 (as at m = 0) an overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is
-    nan where beta is (sin omega underflows, see ``_alpha_beta``), and, without a warning, where a weighed phase
-    overflows.
+    rest of each block is formed in the kernel's own arrays and the output.  ``out`` may be k itself, a
+    C-contiguous float64 array, which then takes the result and is returned, since the kernel copies |k| for each
+    block before that block is written; any other ``out`` is a ``ValueError``.  On 200000 momenta the call holds
+    about 11 ``MU_BLOCK``-sized arrays beyond its output.  The phase sigma t/2 is formed only where beta > 0, so
+    where beta = 0 (as at m = 0) an overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where
+    beta is (sin omega underflows, see ``_alpha_beta``), and, without a warning, where a weighed phase overflows.
     """
+    t = float(t)  # one time: an array of times is a TypeError
     _check_time(t)
-    given = np.asarray(k, dtype=float), np.asarray(t, dtype=float)
-    k, t = np.broadcast_arrays(*given)
+    half_t = 0.5 * t
     if out is None:
+        k = np.asarray(k, dtype=float)
         result = np.empty(k.shape)
-    elif (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == k.shape and out.flags.c_contiguous
-          and all(out is a or not np.may_share_memory(out, a) for a in given)):
+    elif out is k and isinstance(k, np.ndarray) and k.dtype == np.float64 and k.flags.c_contiguous:
         result = out
     else:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {k.shape}, k or t or apart from both")
-    flat, k, t = result.reshape(-1), k.reshape(-1), t.reshape(-1)  # views, except where a broadcast must copy
+        raise ValueError("out must be k itself, a C-contiguous float64 array, or None")
+    flat, k = result.reshape(-1), k.reshape(-1)  # views, except where k is not contiguous
     for start in range(0, flat.size, MU_BLOCK):
         block = slice(start, start + MU_BLOCK)
         alpha, beta, sigma = _alpha_beta(k[block], m)
-        half_t = np.multiply(0.5, t[block], out=flat[block])  # the output holds t/2 until it holds the radicand
         alpha *= half_t
         np.sin(alpha, out=alpha)
         np.square(alpha, out=alpha)
@@ -137,7 +135,7 @@ def mu(k, m, t, *, out=None):
             np.sin(sigma, out=sigma)
         np.square(sigma, out=sigma)
         beta *= 0.5
-        radicand = np.subtract(1.0, beta, out=half_t)
+        radicand = np.subtract(1.0, beta, out=flat[block])
         radicand *= alpha
         sigma *= beta  # 0 where beta = 0, whatever sigma holds there
         radicand += sigma
@@ -155,22 +153,21 @@ _K_MINUS_SIN_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(8, -
 _PI_LOW = 1.2246467991473532e-16  # pi - math.pi: the part of pi that math.pi drops
 
 
-def _k_minus_sin(k, out=None):
+def _k_minus_sin(k, out):
     """k - sin k to full relative precision: the series in place, in Horner form, below |k| = 1; k - sin k from 1.
 
-    k is a 1-d array; the result is formed in ``out`` (not k) or a new buffer.
+    k is a 1-d array; the result is formed in ``out`` (not k).
     """
     x = k * k
-    poly = np.empty(k.shape) if out is None else out
-    poly.fill(_K_MINUS_SIN_SERIES[0])
+    out.fill(_K_MINUS_SIN_SERIES[0])
     for coefficient in _K_MINUS_SIN_SERIES[1:]:
-        poly *= x
-        poly += coefficient
+        out *= x
+        out += coefficient
     x *= k
-    poly *= x  # k (k^2) poly, in np.polyval's rounding
+    out *= x  # k (k^2) poly, in np.polyval's rounding
     big = np.abs(k, out=x) >= 1.0
-    poly[big] = k[big] - np.sin(k[big])
-    return poly
+    out[big] = k[big] - np.sin(k[big])
+    return out
 
 
 def _one_minus_sinc(x, out):

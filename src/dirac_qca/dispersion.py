@@ -50,9 +50,8 @@ def _check_branch(s: int) -> int:
 
 
 def _check_time(t):
-    """Reject a time outside [0, inf), nan included; arrays are checked entrywise."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr < math.inf)):
+    """Reject a time outside [0, inf), nan included."""
+    if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
 
 

@@ -50,11 +50,11 @@ def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
     return rows[rows != 0][:-1].tobytes().decode("ascii")
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / (count - 1)
+    raw = span / 4  # five ticks, before the step is rounded up to 1, 2, 2.5, 5 or 10 times a power of ten
     mag = 10.0 ** math.floor(math.log10(raw))
     for step in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= step * mag:
@@ -69,8 +69,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return ticks
 
 
-def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
-    """Write one SVG file with the given curves [(label, xs, ys), ...].
+def write_plot(path, curves, *, title, xlabel, ylabel):
+    """Write one SVG file with the given curves [(label, xs, ys), ...], its title and its axis labels.
 
     ``xs`` and ``ys`` are equal-length sequences or arrays of numbers; points
     whose y is not finite are left out of the polyline and of the y range.
@@ -113,9 +113,8 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>')
 
     axis_y = HEIGHT - MARGIN_B
     parts.append(
@@ -130,15 +129,13 @@ def write_plot(path, curves, *, title="", xlabel="", ylabel=""):
         y = sy(t)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
-    if xlabel:
-        parts.append(
-            f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{(MARGIN_T + axis_y) / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(MARGIN_T + axis_y) / 2})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{(MARGIN_T + axis_y) / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {(MARGIN_T + axis_y) / 2})">{ylabel}</text>'
+    )
 
     for i, (label, xs, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]

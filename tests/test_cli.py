@@ -648,6 +648,32 @@ class TestConfigHandling:
         record = json.loads(capsys.readouterr().out)
         assert "masss" in record["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--samples", "8"],
+            ["evolve", "--L", "64", "--x0", "32", "--sigma-hat", "4", "--times", "0,1"],
+            ["compare", "--times", "0"],
+            ["discriminate", "--m", "0.3", "--kbar", "0.8"],
+            ["flytime", "--m", "0.3", "--k", "0.5", "--sigma-hat", "10"],
+            ["symcheck", "--k-samples", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_seed_is_an_option_of_validate_bound_only(self, tmp_path, capsys, argv, form):
+        # each of these runs exits 0 without the seed; only validate-bound draws random numbers
+        if form == "flag":
+            argv = argv + ["--seed", "1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = 9\n")
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        assert run(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert record["error"]["type"] == "config"
+        assert "seed" in record["error"]["message"]
+        assert not (tmp_path / "o" / (argv[0] + ".json")).exists()
+
     def test_malformed_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("just some text\n")
@@ -761,9 +787,16 @@ class TestParserReuse:
 
     def test_config_does_not_carry_over(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("m = 0.3\nsamples = 8\nsvg = true\nseed = 9\n")
+        config.write_text("m = 0.3\nsamples = 8\nsvg = true\n")
         assert run(["dispersion", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 0
         assert load_json(tmp_path / "a" / "dispersion.json")["params"]["samples"] == 8
         assert run(["dispersion", "--out-dir", str(tmp_path / "b")]) == 0
         params = load_json(tmp_path / "b" / "dispersion.json")["params"]
-        assert params == {"m": [0.6], "samples": 512, "preset": None, "svg": False, "seed": 0}
+        assert params == {"m": [0.6], "samples": 512, "preset": None, "svg": False}
+        config.write_text("m = 0.3\nkbar = 0.8\nt = 50\nsamples = 8\nseed = 9\n")
+        assert run(["validate-bound", "--config", str(config), "--out-dir", str(tmp_path / "c")]) == 0
+        assert load_json(tmp_path / "c" / "validate_bound.json")["params"]["seed"] == 9
+        argv = ["validate-bound", "--m", "0.3", "--kbar", "0.8", "--t", "50", "--samples", "8"]
+        assert run(argv + ["--out-dir", str(tmp_path / "d")]) == 0
+        params = load_json(tmp_path / "d" / "validate_bound.json")["params"]
+        assert params == {"m": 0.3, "kbar": 0.8, "nbar": 1, "t": 50.0, "samples": 8, "workers": 1, "seed": 0}

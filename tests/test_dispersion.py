@@ -35,7 +35,7 @@ def _time_entry_points():
         "evolve_position": lambda t: evolve_position(SpinorField(np.eye(8, 2, dtype=complex)), p, t),
         "schrodinger_evolve": lambda t: schrodinger_evolve(spec, p, 0.3, 1, t),
         "accuracy_bound": lambda t: accuracy_bound(spec, p, 0.3, 0.5, t),
-        "mu": lambda t: mu(0.3, 0.5, np.array([1.0, t])),  # times are checked entrywise
+        "mu": lambda t: mu(0.3, 0.5, t),
         "broadening": lambda t: broadening(FlytimeInput(m=0.5, k=0.3, sigma_hat=10.0), t),
     }
 

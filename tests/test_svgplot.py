@@ -12,7 +12,10 @@ from dirac_qca.svgplot import (
 )
 
 
-def reference_svg(curves, *, title="", xlabel="", ylabel=""):
+LABELS = dict(title="t", xlabel="x", ylabel="y")
+
+
+def reference_svg(curves, *, title, xlabel, ylabel):
     """Oracle: the SVG text of the per-point implementation, with Python lists and scalar sx/sy.
 
     ``write_plot`` maps whole arrays with the same affine expressions, so its
@@ -41,9 +44,8 @@ def reference_svg(curves, *, title="", xlabel="", ylabel=""):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>')
     axis_y = HEIGHT - MARGIN_B
     parts.append(f'<line x1="{MARGIN_L}" y1="{axis_y}" x2="{WIDTH - MARGIN_R}" y2="{axis_y}" stroke="black"/>')
     parts.append(f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" y2="{axis_y}" stroke="black"/>')
@@ -55,15 +57,13 @@ def reference_svg(curves, *, title="", xlabel="", ylabel=""):
         y = sy(t)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
-    if xlabel:
-        parts.append(
-            f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{(MARGIN_T + axis_y) / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(MARGIN_T + axis_y) / 2})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{(MARGIN_T + axis_y) / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {(MARGIN_T + axis_y) / 2})">{ylabel}</text>'
+    )
     for i, (label, xs, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(y))
@@ -108,12 +108,11 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_write_plot_matches_per_point_oracle(tmp_path, name):
     curves = CASES[name]
-    labels = dict(title="t", xlabel="x", ylabel="y")
     path = tmp_path / "plot.svg"
-    svgplot.write_plot(path, curves, **labels)
+    svgplot.write_plot(path, curves, **LABELS)
     text = path.read_bytes().decode()
     # the oracle sees the values as the old callers passed them: Python scalars in lists
-    assert text == reference_svg(_as_lists(curves), **labels)
+    assert text == reference_svg(_as_lists(curves), **LABELS)
 
 
 def test_span_beyond_the_double_range_fails_as_the_oracle_does(tmp_path):
@@ -121,9 +120,9 @@ def test_span_beyond_the_double_range_fails_as_the_oracle_does(tmp_path):
     # ticks fail with a bare OverflowError, write_plot with a ValueError that names the series
     curves = [("a", [-1e308, 0.0, 1e308], [1.0, 2.0, 3.0])]
     with pytest.raises(OverflowError):
-        reference_svg(curves)
+        reference_svg(curves, **LABELS)
     with pytest.raises(ValueError, match=r"^x range \[-1e\+308, 1e\+308\] of series 'a': no positive finite width$"):
-        svgplot.write_plot(tmp_path / "plot.svg", curves)
+        svgplot.write_plot(tmp_path / "plot.svg", curves, **LABELS)
     assert not list(tmp_path.iterdir())
 
 
@@ -147,7 +146,7 @@ def test_span_beyond_the_double_range_fails_as_the_oracle_does(tmp_path):
 )
 def test_unplottable_values_name_their_series(tmp_path, curves, message):
     with pytest.raises(ValueError, match=message):
-        svgplot.write_plot(tmp_path / "plot.svg", curves)
+        svgplot.write_plot(tmp_path / "plot.svg", curves, **LABELS)
     assert not list(tmp_path.iterdir())
 
 
@@ -192,7 +191,7 @@ def test_polyline_points_match_per_point_oracle(name):
 )
 def test_nothing_to_plot(tmp_path, curves):
     with pytest.raises(ValueError, match="nothing to plot"):
-        svgplot.write_plot(tmp_path / "plot.svg", curves)
+        svgplot.write_plot(tmp_path / "plot.svg", curves, **LABELS)
     assert not list(tmp_path.iterdir())
 
 
