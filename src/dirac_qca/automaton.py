@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dispersion
 from .dispersion import _angle, _check_mass, _check_time, _mode, _n, _over
 
 __all__ = [
@@ -165,34 +166,55 @@ def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> Mo
     """Multiply each mode by U(k_j)^t; ``t`` may be any nonnegative real.
 
     U^t = [[c + i v s, -i u_x s], [-i u_x s, c - i v s]] with c, s = cos, sin(omega t) and the axis (u_x, 0, -v).
-    Each piece is dropped after its last read: at L = 65536 the call holds 11 arrays of L doubles beyond its output.
+    It is formed over blocks of ``dispersion.MODE_BLOCK`` modes, each written into the output before the next is
+    formed, and the bits do not depend on the block size.  Each piece is dropped after its last read: at L = 65536
+    the call holds about 4 arrays of L doubles beyond its output, the mode momenta and one block's pieces.
     """
     _check_time(t)
     out = np.empty_like(spec.modes)  # before the per-mode temporaries, which would fragment the heap under it
-    m = params.m
-    sk, ck, s2, sw, v = _mode(spec.ks, m)
-    del sk, s2  # the power reads only cos k, sin omega and v
-    phase = _angle(sw, ck, m) * float(t)
-    u_x = _over(m, sw)
-    del ck, sw
-    s = np.sin(phase)
-    c, vs, us = np.cos(phase), v * s, u_x * s
-    del phase, s, v, u_x
-    a, b = c + 1j * vs, -1j * us  # U^t = [[a, b], [b, conj(a)]]
-    psi_r, psi_l = spec.modes[:, 0], spec.modes[:, 1]
-    out[:, 0] = a * psi_r + b * psi_l
-    out[:, 1] = b * psi_r + np.conj(a) * psi_l
+    m, ks = params.m, spec.ks
+    for start in range(0, spec.L, dispersion.MODE_BLOCK):
+        block = slice(start, start + dispersion.MODE_BLOCK)
+        sk, ck, s2, sw, v = _mode(ks[block], m)
+        del sk, s2  # the power reads only cos k, sin omega and v
+        phase = _angle(sw, ck, m) * float(t)
+        u_x = _over(m, sw)
+        del ck, sw
+        s = np.sin(phase)
+        c, vs, us = np.cos(phase), v * s, u_x * s
+        del phase, s, v, u_x
+        a, b = c + 1j * vs, -1j * us  # U^t = [[a, b], [b, conj(a)]]
+        del c, vs, us
+        psi_r, psi_l = spec.modes[block, 0], spec.modes[block, 1]
+        out[block, 0] = a * psi_r + b * psi_l
+        out[block, 1] = b * psi_r + np.conj(a) * psi_l
     return ModeSpectrum(out)
 
 
+def _dft(array: np.ndarray, fft) -> np.ndarray:
+    """``fft`` of each spinor component of the (L, 2) ``array``, one at a time: the bits of ``fft(array, axis=0)``."""
+    out = np.empty_like(array)
+    for c in range(2):
+        out[:, c] = fft(array[:, c])
+    return out
+
+
 def transform(field: SpinorField) -> ModeSpectrum:
-    """Unitary DFT per spinor component (Parseval-preserving)."""
-    return ModeSpectrum(np.fft.fft(field.sites, axis=0) / math.sqrt(field.L))
+    """Unitary DFT per spinor component (Parseval-preserving), one component at a time."""
+    modes = _dft(field.sites, np.fft.fft)
+    modes /= math.sqrt(field.L)
+    return ModeSpectrum(modes)
 
 
 def inverse_transform(spec: ModeSpectrum) -> SpinorField:
-    """Inverse of :func:`transform`; round-trips to 1e-12 per amplitude."""
-    return SpinorField(np.fft.ifft(spec.modes, axis=0) * math.sqrt(spec.L))
+    """Inverse of :func:`transform`; round-trips to 1e-12 per amplitude.
+
+    Each spinor component is transformed on its own into the output, which is then scaled in place, so the
+    call never holds a second (L, 2) array; ``spec`` is left as it was.
+    """
+    sites = _dft(spec.modes, np.fft.ifft)
+    sites *= math.sqrt(spec.L)
+    return SpinorField(sites)
 
 
 @dataclass

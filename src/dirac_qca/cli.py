@@ -17,7 +17,9 @@ Conventions shared by every subcommand:
 * exit codes: 0 success, 1 usage/config error, 2 numerical-invariant failure.
 
 Re-running a command with the same configuration produces
-byte-identical files: nothing here reads the clock or ambient state.
+byte-identical files: nothing here reads the clock or ambient state.  The
+bytes hold on one platform and numpy CPU dispatch level: numpy picks the
+SIMD loops of some float functions by CPU at run time.
 """
 
 from __future__ import annotations
@@ -390,13 +392,14 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
             if not abs(norm - 1.0) <= NORM_TOL:
                 raise NumericalInvariantError(f"norm {norm!r} at t = {t:g} is more than {NORM_TOL:g} from 1")
             density = state.density()
-            mean_x, var_x = wavepacket.position_moments(state)
             del state  # not needed while the CSV is built or the next time is evolved
+            mean_x, var_x = wavepacket.position_moments(density)
             _write_csv(os.path.join(out_dir, files[i]), ["x", "density"], (x, density))
+            curve = (f"t={t:g}", x, density) if params["svg"] else None
+            del density  # only the plot's curve keeps it past its CSV
             previous = t
         summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
-        if params["svg"]:
-            curves[i] = (f"t={t:g}", x, density)
+        curves[i] = curve
     if params["svg"]:
         path = os.path.join(out_dir, "evolve.svg")
         svgplot.write_plot(path, curves, title="probability density", xlabel="x", ylabel="density")

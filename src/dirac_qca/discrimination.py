@@ -38,6 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import dispersion
 from .dispersion import _angle, _check_mass, _check_time, _mode, _n, _over, dirac_omega
 from .errors import BoundViolationError, MonotonicityError
 
@@ -53,7 +54,6 @@ __all__ = [
     "validate_bound_montecarlo",
 ]
 
-MU_BLOCK = 16384  # momenta per kernel pass of mu: bounds its temporaries, and the bits do not depend on it
 GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
 MONOTONE_REL_TOL = 1e-12  # slack of that grid check, relative to the endpoint values
 MC_BLOCK = 1024  # samples per Monte Carlo block at N_bar <= 20: fixes the stream layout, bounds memory
@@ -105,11 +105,11 @@ def mu(k, m, t, *, out=None):
 
     mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
     terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
-    any scale.  The kernel runs over blocks of ``MU_BLOCK`` momenta, whose size does not change the bits, and the
-    rest of each block is formed in the kernel's own arrays and the output.  ``out`` may be k itself, a
+    any scale.  The kernel runs over blocks of ``dispersion.MODE_BLOCK`` momenta, whose size does not change the
+    bits, and the rest of each block is formed in the kernel's own arrays and the output.  ``out`` may be k itself, a
     C-contiguous float64 array, which then takes the result and is returned, since the kernel copies |k| for each
     block before that block is written; any other ``out`` is a ``ValueError``.  On 200000 momenta the call holds
-    about 11 ``MU_BLOCK``-sized arrays beyond its output.  The phase sigma t/2 is formed only where beta > 0, so
+    about 11 ``MODE_BLOCK``-sized arrays beyond its output.  The phase sigma t/2 is formed only where beta > 0, so
     where beta = 0 (as at m = 0) an overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where
     beta is (sin omega underflows, see ``_alpha_beta``), and, without a warning, where a weighed phase overflows.
     """
@@ -124,8 +124,8 @@ def mu(k, m, t, *, out=None):
     else:
         raise ValueError("out must be k itself, a C-contiguous float64 array, or None")
     flat, k = result.reshape(-1), k.reshape(-1)  # views, except where k is not contiguous
-    for start in range(0, flat.size, MU_BLOCK):
-        block = slice(start, start + MU_BLOCK)
+    for start in range(0, flat.size, dispersion.MODE_BLOCK):
+        block = slice(start, start + dispersion.MODE_BLOCK)
         alpha, beta, sigma = _alpha_beta(k[block], m)
         alpha *= half_t
         np.sin(alpha, out=alpha)
@@ -435,7 +435,7 @@ def validate_bound_montecarlo(
     time, so memory is bounded by workers x block whatever the sample count.
     One block of ``MC_BLOCK`` samples at N_bar = 20 (about 86000 particle
     draws) peaks at about 2.1 MiB under ``tracemalloc``: its momenta, which
-    ``mu`` overwrites with their angles, and ``mu``'s arrays of ``MU_BLOCK``
+    ``mu`` overwrites with their angles, and ``mu``'s arrays of ``MODE_BLOCK``
     momenta.
     Block maxima are reduced in block order; the first block with a sample
     above ``bound * (1 + BOUND_REL_TOL)``, or with a nan, raises

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+MODE_BLOCK = 16384  # momenta per pass of evolve_momentum and discrimination.mu: bounds their temporaries, not the bits
+
+
 def _check_mass(m: float) -> float:
     m = float(m)
     if not 0.0 <= m <= 1.0:  # also rejects nan

@@ -17,6 +17,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    """``text`` as XML character data: what ``xml.sax.saxutils.escape`` does, without importing urllib and http."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _polyline_points(xs: np.ndarray, ys: np.ndarray) -> str:
     """The points attribute "x,y x,y ..." with each coordinate spelled as f"{v:.2f}" spells it, in one numpy pass.
 
@@ -74,7 +79,8 @@ def write_plot(path, curves, *, title, xlabel, ylabel):
 
     ``xs`` and ``ys`` are equal-length sequences or arrays of numbers; points
     whose y is not finite are left out of the polyline and of the y range.
-    Every polyline coordinate is spelled as ``f"{v:.2f}"`` would spell it.
+    Every polyline coordinate is spelled as ``f"{v:.2f}"`` would spell it, and the title and
+    labels are XML-escaped (``&``, ``<``, ``>``).
     An x that is not finite, or an axis range whose width (after padding) is
     not a positive finite double, is a ``ValueError`` naming its series.
     """
@@ -113,7 +119,7 @@ def write_plot(path, curves, *, title, xlabel, ylabel):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>',
     ]
 
     axis_y = HEIGHT - MARGIN_B
@@ -130,11 +136,11 @@ def write_plot(path, curves, *, title, xlabel, ylabel):
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
     parts.append(
-        f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" text-anchor="middle">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="16" y="{(MARGIN_T + axis_y) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(MARGIN_T + axis_y) / 2})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {(MARGIN_T + axis_y) / 2})">{_escape(ylabel)}</text>'
     )
 
     for i, (label, xs, ys) in enumerate(curves):
@@ -145,7 +151,7 @@ def write_plot(path, curves, *, title, xlabel, ylabel):
         ly = MARGIN_T + 16 * (i + 1)
         lx = WIDTH - MARGIN_R - 150
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 30}" y="{ly}">{label}</text>')
+        parts.append(f'<text x="{lx + 30}" y="{ly}">{_escape(label)}</text>')
 
     parts.append("</svg>")
     write_text(path, "\n".join(parts) + "\n")

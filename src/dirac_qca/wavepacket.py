@@ -169,11 +169,10 @@ def bandwidth(spectrum: ModeSpectrum, k0: float, sigma: float) -> BandwidthRepor
     return BandwidthReport(sigma=float(sigma), epsilon=float(max(0.0, 1.0 - inside / total)))
 
 
-def position_moments(field: SpinorField) -> Tuple[float, float]:
-    """Circular mean position (in site units) and wrapped variance."""
-    weights = field.density()
-    weights = weights / weights.sum()
-    L = field.L
+def position_moments(density: np.ndarray) -> Tuple[float, float]:
+    """Circular mean position (in site units) and wrapped variance of a per-site density (``SpinorField.density``)."""
+    weights = density / density.sum()
+    L = weights.size
     angles = 2.0 * np.pi * np.arange(L) / L
     mean_angle = math.atan2(float(np.sum(weights * np.sin(angles))), float(np.sum(weights * np.cos(angles))))
     mean_site = (mean_angle / (2.0 * np.pi) * L) % L

@@ -80,7 +80,7 @@ class TestCriterion2Fig4:
         details = []
         for t in (100.0, 200.0):
             state = inverse_transform(evolve_momentum(spectrum, params, t))
-            mean_x, _ = position_moments(state)
+            mean_x, _ = position_moments(state.density())
             offset = mean_x - (FIG4_X0 + v * t)
             details.append(f"t={t:g}: centroid-(x0+vt)={offset:+.2f}")
             centroid_ok &= abs(offset) <= 3.0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dirac_qca import (
     AutomatonParams,
     automaton,
+    dispersion,
     ModeSpectrum,
     SpinorField,
     evolve_momentum,
@@ -245,8 +246,9 @@ class TestEvolveMomentum:
             evolve_momentum(spec, AutomatonParams(0.5), -0.5)
 
     def test_memory_beyond_the_output(self):
-        # each per-mode piece is dropped after its last read: at most 11 arrays of L doubles live at once, plus
-        # 4 KiB for the objects around them
+        # the mode momenta, and one block's pieces, each dropped after its last read: at most 12 arrays of
+        # MODE_BLOCK doubles, plus 4 KiB for the objects around them; 4 arrays of L doubles at L = 65536, where
+        # the whole-ring form held 11
         L = 65536
         spec = transform(random_field(L, seed=8))
         params = AutomatonParams(0.3)
@@ -257,7 +259,16 @@ class TestEvolveMomentum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.modes.nbytes <= 11 * L * 8 + 4096
+        assert peak - out.modes.nbytes <= L * 8 + 12 * dispersion.MODE_BLOCK * 8 + 4096
+
+    @pytest.mark.parametrize("m", [0.0, 0.3, 1.0])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
+        spec = transform(random_field(1000, seed=9))
+        results = []
+        for block in (1, 7, dispersion.MODE_BLOCK, spec.L):
+            monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
+            results.append(evolve_momentum(spec, AutomatonParams(m), 123.4).modes.tobytes())
+        assert len(set(results)) == 1
 
 
 class TestTransform:
@@ -285,6 +296,17 @@ class TestTransform:
         back = inverse_transform(spec)
         assert np.max(np.abs(back.sites - field.sites)) <= 1e-12
         assert abs(spec.norm() - field.norm()) <= 1e-12
+
+    @pytest.mark.parametrize("L", [2, 3, 128, 1000, 1024, 65536])
+    def test_bits_of_the_whole_array_transforms(self, L):
+        # oracle: the transforms over axis 0 of the whole (L, 2) array; the spectrum going back is left as it was
+        field = random_field(L, seed=L)
+        spec = transform(field)
+        assert spec.modes.tobytes() == (np.fft.fft(field.sites, axis=0) / math.sqrt(L)).tobytes()
+        kept = spec.modes.copy()
+        back = inverse_transform(spec)
+        assert back.sites.tobytes() == (np.fft.ifft(kept, axis=0) * math.sqrt(L)).tobytes()
+        assert spec.modes.tobytes() == kept.tobytes()
 
     def test_mode_grid_is_first_zone(self):
         spec = transform(random_field(10))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -129,9 +130,23 @@ class TestEvolveCommand:
         assert calls == [0.0, 100.0]
 
     def test_one_inverse_fft_per_distinct_time(self, tmp_path, monkeypatch):
-        calls = count_ifft(monkeypatch)
+        calls = []
+        original = cli.inverse_transform
+
+        def counted(spec):
+            calls.append(spec.L)
+            return original(spec)
+
+        monkeypatch.setattr(cli, "inverse_transform", counted)
         assert run(["evolve", "--preset", "fig4", "--times", "0,100,100", "--out-dir", str(tmp_path / "o")]) == 0
-        assert len(calls) == 2
+        assert calls == [1024, 1024]
+
+    def test_repeated_time_reuses_its_curve(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["evolve", "--preset", "fig4", "--times", "100,0,100", "--svg", "--out-dir", str(out)]) == 0
+        polylines = re.findall(r'points="([^"]*)"', (out / "evolve.svg").read_text())
+        assert len(polylines) == 3
+        assert polylines[0] == polylines[2] != polylines[1]
 
     def test_unsorted_and_repeated_times_match_single_time_runs(self, tmp_path):
         times = [7500.0, 0.0, 2500.0, 2500.0, 10000.0, 1.0]

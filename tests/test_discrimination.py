@@ -20,7 +20,7 @@ from dirac_qca import (
     unitary_k,
     validate_bound_montecarlo,
 )
-from dirac_qca import discrimination
+from dirac_qca import discrimination, dispersion
 from dirac_qca.discrimination import BOUND_REL_TOL, MC_BLOCK, _pairwise_trace_distance
 from dirac_qca.errors import BoundViolationError, MonotonicityError, NumericalInvariantError
 
@@ -143,8 +143,8 @@ class TestMu:
         rng = np.random.default_rng(26)
         ks = np.concatenate([rng.uniform(-3.1, 3.1, 500), np.exp(rng.uniform(np.log(1e-12), 0.0, 200))])
         results = []
-        for block in (1, 7, discrimination.MU_BLOCK, ks.size):
-            monkeypatch.setattr(discrimination, "MU_BLOCK", block)
+        for block in (1, 7, dispersion.MODE_BLOCK, ks.size):
+            monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
             in_place = ks.copy()
             assert mu(in_place, m, 10.0, out=in_place) is in_place  # out may be the momenta themselves
             results.append(mu(ks, m, 10.0).tobytes())
@@ -190,7 +190,7 @@ class TestMu:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ks.nbytes + 12 * discrimination.MU_BLOCK * ks.itemsize
+        assert peak <= ks.nbytes + 12 * dispersion.MODE_BLOCK * ks.itemsize
 
     @given(
         k=st.floats(-3.1, 3.1),

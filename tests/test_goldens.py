@@ -1,9 +1,10 @@
 """Byte identity of every CLI output against the committed record ``tests/goldens.json``.
 
 The record is taken with ``python3 tools/goldens.py --out tests/goldens.json``
-and holds the Python, numpy and orjson versions it was taken under.  A
-different version fails the test and names both sets: recording again is a
-deliberate act, in the change that moves an output.
+and holds the Python, numpy and orjson versions and numpy's CPU dispatch level
+it was taken under: outputs are byte-identical only on one platform and
+dispatch level.  A different version or level fails the test and names both
+sets: recording again is a deliberate act, in the change that moves an output.
 """
 
 import importlib.util
@@ -30,7 +31,7 @@ def test_outputs_match_recorded_goldens():
 
 def test_comparison_names_versions_and_every_file():
     tool = _goldens_tool()
-    versions = {"python": "3.0.0", "numpy": "1.0", "orjson": "3.8.3"}
+    versions = {"python": "3.0.0", "numpy": "1.0", "orjson": "3.8.3", "dispatch": "X86_V4"}
     base = {"versions": versions, "files": {"a": "1", "b": "2", "c": "3"}}
     current = {"versions": {**versions, "numpy": "2.0"}, "files": {"a": "1", "b": "9", "d": "4"}}
     lines = tool.compare(current, base)
@@ -38,6 +39,8 @@ def test_comparison_names_versions_and_every_file():
     assert "'numpy': '1.0'" in lines[0] and "'numpy': '2.0'" in lines[0]
     assert lines[1:] == ["differs  b", "missing  c", "extra    d"]
     assert tool.compare(base, base) == []
+    (line,) = tool.compare({"versions": {**versions, "dispatch": "X86_V3"}, "files": base["files"]}, base)
+    assert "'dispatch': 'X86_V4'" in line and "'dispatch': 'X86_V3'" in line
 
 
 def test_value_diff_names_ulps_and_peak_share(tmp_path):

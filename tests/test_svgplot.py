@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+from xml.etree import ElementTree
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -193,6 +195,16 @@ def test_nothing_to_plot(tmp_path, curves):
     with pytest.raises(ValueError, match="nothing to plot"):
         svgplot.write_plot(tmp_path / "plot.svg", curves, **LABELS)
     assert not list(tmp_path.iterdir())
+
+
+def test_markup_in_labels_is_escaped(tmp_path):
+    # every label is XML character data: the file parses, and the parser gives back each label as it was given
+    path = tmp_path / "plot.svg"
+    svgplot.write_plot(path, [("m<1 & k", [0, 1], [0, 1])], title="a&b", xlabel="x>0", ylabel="<y>")
+    texts = [element.text for element in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a&b", "x>0", "<y>", "m<1 & k"} <= set(texts)
+    labels = ["m<1 & k", "a&b", "&amp;", "x>0", "plain"]
+    assert [svgplot._escape(label) for label in labels] == [saxutils.escape(label) for label in labels]
 
 
 def test_non_ascii_labels_are_utf8_under_the_c_locale(tmp_path):

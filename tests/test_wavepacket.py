@@ -81,7 +81,7 @@ class TestBuild:
         spectrum = build(spec, AutomatonParams(0.92), 128)
         field = inverse_transform(spectrum)
         assert field.norm() == pytest.approx(1.0, abs=1e-12)
-        mean, _ = position_moments(field)
+        mean, _ = position_moments(field.density())
         assert mean == pytest.approx(30.0, abs=0.2)
         k_mean, _ = momentum_spread(spectrum)
         assert k_mean == pytest.approx(0.3 * np.pi, abs=0.02)
@@ -174,6 +174,6 @@ class TestHelpers:
 
     def test_position_moments_of_delta(self):
         state = localized(5, (1.0, 0.0), 32)
-        mean, var = position_moments(state)
+        mean, var = position_moments(state.density())
         assert mean == pytest.approx(5.0, abs=1e-9)
         assert var == pytest.approx(0.0, abs=1e-12)

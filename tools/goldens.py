@@ -7,8 +7,10 @@ Usage, from the root of a checkout::
     python3 tools/goldens.py --compare tests/goldens.json # the record the test suite checks
     python3 tools/goldens.py --diff ../parent             # how far each value moved from another checkout's
 
-A record holds the Python, numpy and orjson versions it was taken under
-(``versions``) and maps each output file to its sha256 (``files``).  It covers
+A record holds the Python, numpy and orjson versions and numpy's CPU dispatch
+level it was taken under (``versions``) and maps each output file to its
+sha256 (``files``).  Outputs are byte-identical only on one platform and
+dispatch level.  It covers
 
 * the four ``scripts/`` runs, each in its own working directory
   (a script's standard output is kept too, as ``scripts/<script>/stdout``);
@@ -92,11 +94,29 @@ def emit(root: Path, dest: Path):
                     raise RuntimeError(f"{workload} seed {seed} job {i} exited {code}: {job}")
 
 
+def dispatch() -> str:
+    """numpy's active x86 dispatch level, the highest of X86_V4, X86_V3 and X86_V2 it reports, else the machine.
+
+    numpy picks its SIMD loops for arctan2, arcsin, exp, log and power by this level at run time, and they round
+    differently from one level to the next, so a record binds only on its own level.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return next((level for level in ("X86_V4", "X86_V3", "X86_V2") if __cpu_features__.get(level)), platform.machine())
+
+
 def versions() -> dict:
     import numpy
     import orjson
 
-    return {"python": platform.python_version(), "numpy": numpy.__version__, "orjson": orjson.__version__}
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "orjson": orjson.__version__,
+        "dispatch": dispatch(),
+    }
 
 
 def record() -> dict:
