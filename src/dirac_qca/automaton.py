@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion
-from .dispersion import _angle, _check_mass, _check_time, _mode, _n, _over
+from .dispersion import _angle, _blocks, _check_mass, _check_time, _mode, _n, _over
 
 __all__ = [
     "AutomatonParams",
@@ -115,7 +114,7 @@ class ModeSpectrum:
     @property
     def ks(self) -> np.ndarray:
         """Mode momenta 2*pi*j/L folded into [-pi, pi), in FFT order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.L)
+        return _momenta(self.L, slice(None))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.modes))
@@ -123,6 +122,13 @@ class ModeSpectrum:
     def mode_weights(self) -> np.ndarray:
         """Per-mode probability |g_j|^2 summed over both components."""
         return np.abs(self.modes[:, 0]) ** 2 + np.abs(self.modes[:, 1]) ** 2
+
+
+def _momenta(L: int, block: slice) -> np.ndarray:
+    """The momenta of the DFT modes ``block`` of an L-site ring: the bits of ``2 pi fftfreq(L)[block]``, built alone."""
+    j = np.arange(*block.indices(L))
+    j[j > (L - 1) // 2] -= L  # fftfreq's negative half
+    return 2.0 * np.pi * (j * (1.0 / L))
 
 
 def _stencil(params: AutomatonParams):
@@ -167,15 +173,14 @@ def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> Mo
 
     U^t = [[c + i v s, -i u_x s], [-i u_x s, c - i v s]] with c, s = cos, sin(omega t) and the axis (u_x, 0, -v).
     It is formed over blocks of ``dispersion.MODE_BLOCK`` modes, each written into the output before the next is
-    formed, and the bits do not depend on the block size.  Each piece is dropped after its last read: at L = 65536
-    the call holds about 4 arrays of L doubles beyond its output, the mode momenta and one block's pieces.
+    formed, and the bits do not depend on the block size.  Each piece, the block's momenta too, is dropped after
+    its last read, so beyond its output the call holds only one block's pieces.
     """
     _check_time(t)
     out = np.empty_like(spec.modes)  # before the per-mode temporaries, which would fragment the heap under it
-    m, ks = params.m, spec.ks
-    for start in range(0, spec.L, dispersion.MODE_BLOCK):
-        block = slice(start, start + dispersion.MODE_BLOCK)
-        sk, ck, s2, sw, v = _mode(ks[block], m)
+    m = params.m
+    for block in _blocks(spec.L):
+        sk, ck, s2, sw, v = _mode(_momenta(spec.L, block), m)
         del sk, s2  # the power reads only cos k, sin omega and v
         phase = _angle(sw, ck, m) * float(t)
         u_x = _over(m, sw)
@@ -191,9 +196,14 @@ def evolve_momentum(spec: ModeSpectrum, params: AutomatonParams, t: float) -> Mo
     return ModeSpectrum(out)
 
 
-def _dft(array: np.ndarray, fft) -> np.ndarray:
-    """``fft`` of each spinor component of the (L, 2) ``array``, one at a time: the bits of ``fft(array, axis=0)``."""
-    out = np.empty_like(array)
+def _dft(array: np.ndarray, fft, out=None) -> np.ndarray:
+    """``fft`` of each spinor component of the (L, 2) ``array``, one at a time: the bits of ``fft(array, axis=0)``.
+
+    The result goes to ``out``, a new array by default; ``out`` may be ``array`` itself, since each component is
+    read in full before it is written.
+    """
+    if out is None:
+        out = np.empty_like(array)
     for c in range(2):
         out[:, c] = fft(array[:, c])
     return out
@@ -206,13 +216,17 @@ def transform(field: SpinorField) -> ModeSpectrum:
     return ModeSpectrum(modes)
 
 
-def inverse_transform(spec: ModeSpectrum) -> SpinorField:
+def inverse_transform(spec: ModeSpectrum, *, out=None) -> SpinorField:
     """Inverse of :func:`transform`; round-trips to 1e-12 per amplitude.
 
     Each spinor component is transformed on its own into the output, which is then scaled in place, so the
-    call never holds a second (L, 2) array; ``spec`` is left as it was.
+    call never holds a second (L, 2) array.  By default the output is new and ``spec`` is left as it was.
+    ``out=spec.modes`` transforms in place, with the same bits: the spectrum is consumed, and the returned
+    field's sites are that array.  Any other ``out`` is a ``ValueError``.
     """
-    sites = _dft(spec.modes, np.fft.ifft)
+    if out is not None and out is not spec.modes:
+        raise ValueError("out must be None or the spectrum's own modes")
+    sites = _dft(spec.modes, np.fft.ifft, out)
     sites *= math.sqrt(spec.L)
     return SpinorField(sites)
 

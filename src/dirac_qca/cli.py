@@ -376,16 +376,16 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
         raise ConfigError("the localized state's light cone needs integer times")
     summaries = [None] * len(times)
     curves = [None] * len(times)
-    x = np.arange(params["L"])
     if localized:  # each site's distance from x0 around the ring: the time at which the light cone reaches it
+        x = np.arange(params["L"])
         distance = np.minimum((x - int(params["x0"])) % params["L"], (int(params["x0"]) - x) % params["L"])
     previous = None
     for i in sorted(range(len(times)), key=times.__getitem__):
         t = times[i]
         if t != previous:
             evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
-            state = inverse_transform(evolved)
-            del evolved  # not needed while the CSV is built
+            state = inverse_transform(evolved, out=evolved.modes)  # evolved is this loop's own: transformed in place
+            del evolved
             if localized:  # the closed form leaves roundoff outside the cone, which is empty once 2t + 1 >= L
                 state.sites[distance > t] = 0.0
             norm = state.norm()
@@ -394,9 +394,10 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
             density = state.density()
             del state  # not needed while the CSV is built or the next time is evolved
             mean_x, var_x = wavepacket.position_moments(density)
+            x = np.arange(params["L"])  # formed per CSV: no site index is held while a time is evolved
             _write_csv(os.path.join(out_dir, files[i]), ["x", "density"], (x, density))
             curve = (f"t={t:g}", x, density) if params["svg"] else None
-            del density  # only the plot's curve keeps it past its CSV
+            del x, density  # only the plot's curve keeps them past their CSV
             previous = t
         summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
         curves[i] = curve

@@ -124,8 +124,7 @@ def mu(k, m, t, *, out=None):
     else:
         raise ValueError("out must be k itself, a C-contiguous float64 array, or None")
     flat, k = result.reshape(-1), k.reshape(-1)  # views, except where k is not contiguous
-    for start in range(0, flat.size, dispersion.MODE_BLOCK):
-        block = slice(start, start + dispersion.MODE_BLOCK)
+    for block in dispersion._blocks(flat.size):
         alpha, beta, sigma = _alpha_beta(k[block], m)
         alpha *= half_t
         np.sin(alpha, out=alpha)

@@ -36,7 +36,14 @@ __all__ = [
 ]
 
 
-MODE_BLOCK = 16384  # momenta per pass of evolve_momentum and discrimination.mu: bounds their temporaries, not the bits
+MODE_BLOCK = 16384  # momenta per pass of the per-mode kernels (see _blocks): bounds their temporaries, not the bits
+
+
+def _blocks(size: int):
+    """Slices of ``MODE_BLOCK`` entries that cover ``range(size)``, the last one shorter; read as the loop starts."""
+    step = MODE_BLOCK
+    for start in range(0, size, step):
+        yield slice(start, min(start + step, size))
 
 
 def _check_mass(m: float) -> float:

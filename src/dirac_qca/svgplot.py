@@ -17,8 +17,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+# outside XML 1.0's Char production, so no escape can carry them: C0 controls but tab, LF and CR, U+FFFE, U+FFFF
+# (a lone surrogate, the other such character, already fails as UTF-8)
+_NOT_XML = frozenset(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
+
+
 def _escape(text: str) -> str:
-    """``text`` as XML character data: what ``xml.sax.saxutils.escape`` does, without importing urllib and http."""
+    """``text`` as XML character data: what ``xml.sax.saxutils.escape`` does, without importing urllib and http.
+
+    A character that XML cannot carry at all is a ``ValueError``.
+    """
+    if bad := _NOT_XML.intersection(text):
+        raise ValueError(f"label {text!r} holds {min(bad)!r}, which XML cannot carry")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -80,7 +90,8 @@ def write_plot(path, curves, *, title, xlabel, ylabel):
     ``xs`` and ``ys`` are equal-length sequences or arrays of numbers; points
     whose y is not finite are left out of the polyline and of the y range.
     Every polyline coordinate is spelled as ``f"{v:.2f}"`` would spell it, and the title and
-    labels are XML-escaped (``&``, ``<``, ``>``).
+    labels are XML-escaped (``&``, ``<``, ``>``); one that holds a character XML cannot carry
+    (``_NOT_XML``, or a lone surrogate) is a ``ValueError``, and nothing is written.
     An x that is not finite, or an axis range whose width (after padding) is
     not a positive finite double, is a ``ValueError`` naming its series.
     """

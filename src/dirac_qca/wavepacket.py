@@ -16,8 +16,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .automaton import AutomatonParams, ModeSpectrum, SpinorField
-from .dispersion import _check_branch, branch_spinors
+from .automaton import AutomatonParams, ModeSpectrum, SpinorField, _momenta
+from .dispersion import _blocks, _check_branch, branch_spinors
 
 __all__ = [
     "WavepacketSpec",
@@ -116,6 +116,10 @@ def build(spec: WavepacketSpec, params: AutomatonParams, L: int) -> ModeSpectrum
 
     The support precondition 6 * sigma_hat < L keeps the wrapped envelope
     tails negligible on the ring; the centre x0 must lie in [0, L).
+    The scalar packet and the dressed modes are formed over blocks of
+    ``dispersion.MODE_BLOCK`` sites and modes, each written into its one
+    whole-ring array, so beyond the output the call holds the scalar's
+    transform and one block's pieces; the bits do not depend on the block size.
     """
     if 6.0 * spec.sigma_hat >= L:
         raise ValueError(
@@ -123,12 +127,18 @@ def build(spec: WavepacketSpec, params: AutomatonParams, L: int) -> ModeSpectrum
         )
     if not 0.0 <= spec.x0 < L:
         raise ValueError(f"packet center must satisfy 0 <= x0 < L, got x0={spec.x0}, L={L}")
-    x = np.arange(L, dtype=float)
-    displacement = (x - spec.x0 + L / 2.0) % L - L / 2.0
-    scalar = np.exp(1j * spec.k0 * x) * _envelope(spec, displacement)
-    g = np.fft.fft(scalar) / math.sqrt(L)
-    ks = 2.0 * np.pi * np.fft.fftfreq(L)
-    modes = g[:, None] * branch_spinors(ks, params.m, spec.s)
+    scalar = np.empty(L, dtype=complex)
+    for block in _blocks(L):
+        x = np.arange(*block.indices(L), dtype=float)
+        displacement = (x - spec.x0 + L / 2.0) % L - L / 2.0
+        np.multiply(np.exp(1j * spec.k0 * x), _envelope(spec, displacement), out=scalar[block])
+    g = np.fft.fft(scalar)
+    del scalar
+    g /= math.sqrt(L)
+    modes = np.empty((L, 2), dtype=complex)
+    for block in _blocks(L):  # g before the spinor: complex products are not bitwise commutative
+        np.multiply(g[block, None], branch_spinors(_momenta(L, block), params.m, spec.s), out=modes[block])
+    del g
     norm = np.linalg.norm(modes)
     if not norm >= math.sqrt(np.finfo(float).tiny):  # below this, the squared norm is no normal double; nan fails too
         raise ValueError(f"packet envelope underflows: sigma_hat={spec.sigma_hat} is too narrow for x0={spec.x0}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ def regime_series(k, m, regime):
     if regime == "nonrelativistic":
         return k / m, k / m * (1.0 + m * m / 3.0), 1.0 / m, 1.0 / m * (1.0 + 5.0 * k * k / 6.0)
     raise ValueError(f"unknown regime {regime!r}")
+
+
+def traced_peak(call):
+    """(``call()``'s result, the peak bytes ``tracemalloc`` saw during it), after one untraced call that keeps
+    first-call allocations out of the peak."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def build_fig4(L: int = FIG4_L):

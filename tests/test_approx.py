@@ -7,6 +7,7 @@ from dirac_qca import (
     WavepacketSpec,
     accuracy_bound,
     build,
+    dispersion,
     evolve_momentum,
     fidelity,
     omega,
@@ -16,12 +17,20 @@ from dirac_qca.automaton import ModeSpectrum
 from dirac_qca.dispersion import derivatives
 from dirac_qca.wavepacket import wrap_momentum
 
-from conftest import FIG4_COEFFS, FIG4_K0
+from conftest import FIG4_COEFFS, FIG4_K0, traced_peak
 
 
 def evolve_with_phase(spec, phase, s, t):
     """Multiply mode j by exp(-i s phase[j] t), leaving spinor parts untouched."""
     return ModeSpectrum(spec.modes * np.exp(-1j * s * phase * t)[:, None])
+
+
+def random_pair(L, seed):
+    """Two random unit (L, 2) spectra about 0.1 apart, so their overlap is neither 0 nor 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((L, 2)) + 1j * rng.standard_normal((L, 2))
+    b = a + 0.1 * (rng.standard_normal((L, 2)) + 1j * rng.standard_normal((L, 2)))
+    return ModeSpectrum(a / np.linalg.norm(a)), ModeSpectrum(b / np.linalg.norm(b))
 
 
 def gaussian_state(m=0.0, k0=np.pi / 2, sigma_hat=10.0, L=256, s=+1):
@@ -99,6 +108,24 @@ class TestSchrodingerEvolve:
         assert fidelity(exact, taylor) >= 0.999
 
 
+    @pytest.mark.parametrize("m", [0.0, 0.3, 1.0])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
+        _, params, spectrum = gaussian_state(m=m, k0=-0.4 * np.pi, sigma_hat=3.0, L=1000)
+        results = []
+        for block in (1, 7, dispersion.MODE_BLOCK, spectrum.L):
+            monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
+            results.append(schrodinger_evolve(spectrum, params, -0.4 * np.pi, -1, 123.4).modes.tobytes())
+        assert len(set(results)) == 1
+
+    def test_memory_beyond_the_output(self):
+        # one block's phase and factor: at most 8 arrays of MODE_BLOCK doubles, plus 4 KiB for the objects around
+        # them; 2 arrays of L doubles at L = 65536, where the whole-ring form held 17
+        L = 65536
+        spectrum, _ = random_pair(L, seed=1)
+        out, peak = traced_peak(lambda: schrodinger_evolve(spectrum, AutomatonParams(0.3), 1.0, +1, 10.0))
+        assert peak - out.modes.nbytes <= 8 * dispersion.MODE_BLOCK * 8 + 4096
+
+
 class TestFidelity:
     def test_identical_states(self, fig4_state):
         _, _, _, spectrum = fig4_state
@@ -116,6 +143,27 @@ class TestFidelity:
         b = ModeSpectrum(np.zeros((16, 2), dtype=complex))
         with pytest.raises(ValueError):
             fidelity(a, b)
+
+    @pytest.mark.parametrize("L", [2, 3, 33, 67, 1000, 16384, 20000, 49152, 65536, 100000, 131072, 200003])
+    def test_bits_of_the_whole_array_sum(self, L):
+        # the oracle forms the whole product and sums it at once; the blocked sum splits where that sum splits
+        a, b = random_pair(L, seed=L)
+        assert fidelity(a, b) == float(abs(np.sum(np.conj(a.modes) * b.modes)))
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        a, b = random_pair(4097, seed=5)
+        results = []
+        for block in (1, 7, 100, dispersion.MODE_BLOCK, a.L):
+            monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
+            results.append(fidelity(a, b))
+        assert len(set(results)) == 1
+
+    def test_memory_is_one_block_product(self):
+        # conj(a) b over one block of modes: 4 arrays of MODE_BLOCK doubles, plus 8 KiB for the views and objects
+        # around them; 1 array of L doubles at L = 65536, where the whole product took 4
+        a, b = random_pair(65536, seed=2)
+        _, peak = traced_peak(lambda: fidelity(a, b))
+        assert peak <= 4 * dispersion.MODE_BLOCK * 8 + 8192
 
     @given(t=st.floats(0.0, 1000.0))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,9 @@ from dirac_qca import (
     transform,
     unitary_k,
 )
+from dirac_qca.automaton import _momenta
+
+from conftest import traced_peak
 
 # frozen oracle: 2 * 0.8 * cos(3*pi/10) to 20 digits via mpmath
 TRACE_AT_FIG4_POINT = 0.94045640366795700667
@@ -246,20 +248,13 @@ class TestEvolveMomentum:
             evolve_momentum(spec, AutomatonParams(0.5), -0.5)
 
     def test_memory_beyond_the_output(self):
-        # the mode momenta, and one block's pieces, each dropped after its last read: at most 12 arrays of
-        # MODE_BLOCK doubles, plus 4 KiB for the objects around them; 4 arrays of L doubles at L = 65536, where
-        # the whole-ring form held 11
+        # one block's pieces, its momenta too, each dropped after its last read: at most 12 arrays of MODE_BLOCK
+        # doubles, plus 4 KiB for the objects around them; 3 arrays of L doubles at L = 65536, where the whole-ring
+        # form held 11 and the form with whole-ring momenta 4
         L = 65536
         spec = transform(random_field(L, seed=8))
-        params = AutomatonParams(0.3)
-        evolve_momentum(spec, params, 10.0)  # first-call allocations stay out of the peak
-        tracemalloc.start()
-        try:
-            out = evolve_momentum(spec, params, 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - out.modes.nbytes <= L * 8 + 12 * dispersion.MODE_BLOCK * 8 + 4096
+        out, peak = traced_peak(lambda: evolve_momentum(spec, AutomatonParams(0.3), 10.0))
+        assert peak - out.modes.nbytes <= 12 * dispersion.MODE_BLOCK * 8 + 4096
 
     @pytest.mark.parametrize("m", [0.0, 0.3, 1.0])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
@@ -307,6 +302,32 @@ class TestTransform:
         back = inverse_transform(spec)
         assert back.sites.tobytes() == (np.fft.ifft(kept, axis=0) * math.sqrt(L)).tobytes()
         assert spec.modes.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("L", [2, 3, 128, 1000, 65536])
+    def test_in_place_inverse_gives_the_same_bits(self, L):
+        spec = transform(random_field(L, seed=L))
+        expected = inverse_transform(spec).sites.tobytes()
+        modes = spec.modes
+        back = inverse_transform(spec, out=spec.modes)
+        assert back.sites is modes
+        assert back.sites.tobytes() == expected
+
+    def test_inverse_out_may_only_be_the_spectrum_itself(self):
+        spec = transform(random_field(16, seed=3))
+        kept = spec.modes.copy()
+        for out in (np.empty_like(spec.modes), spec.modes.copy(), spec.modes[:], spec.modes.view()):
+            with pytest.raises(ValueError, match="out"):
+                inverse_transform(spec, out=out)
+        assert spec.modes.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 1000, 65537])
+    def test_mode_momenta_are_the_fft_frequencies(self, L):
+        # ks and any run of blocks of it: the bits of 2 pi fftfreq(L)
+        expected = (2.0 * np.pi * np.fft.fftfreq(L)).tobytes()
+        assert ModeSpectrum(np.zeros((L, 2))).ks.tobytes() == expected
+        for step in (1, 7, L):
+            blocks = [_momenta(L, slice(start, start + step)) for start in range(0, L, step)]
+            assert np.concatenate(blocks).tobytes() == expected
 
     def test_mode_grid_is_first_zone(self):
         spec = transform(random_field(10))

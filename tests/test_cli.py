@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from dirac_qca import SpinorField, approx, automaton, cli, derivatives, dirac_omega, discrimination, dispersion, omega
 
+from conftest import traced_peak
 from test_csv import assert_csv_of
 
 
@@ -133,13 +134,24 @@ class TestEvolveCommand:
         calls = []
         original = cli.inverse_transform
 
-        def counted(spec):
+        def counted(spec, **kwargs):
             calls.append(spec.L)
-            return original(spec)
+            return original(spec, **kwargs)
 
         monkeypatch.setattr(cli, "inverse_transform", counted)
         assert run(["evolve", "--preset", "fig4", "--times", "0,100,100", "--out-dir", str(tmp_path / "o")]) == 0
         assert calls == [1024, 1024]
+
+    def test_memory_of_a_time_step_on_a_large_ring(self, tmp_path):
+        # the initial, exact and drift-diffusion spectra (L x 2 complex each) and one block's pieces, at most 8 arrays
+        # of MODE_BLOCK doubles, plus 64 KiB for the run's objects: 7.06 MiB at L = 65536, where the step's
+        # whole-ring temporaries took the peak to 8.63 MiB; the first run keeps first-call allocations out
+        L = 65536
+        job = ["evolve", "--L", str(L), "--x0", "30000", "--k0", "1.0", "--times", "1000", "--out-dir", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, peak = traced_peak(lambda: run(job))
+        assert code == 0
+        assert peak <= 3 * L * 32 + 8 * dispersion.MODE_BLOCK * 8 + 65536
 
     def test_repeated_time_reuses_its_curve(self, tmp_path):
         out = tmp_path / "o"

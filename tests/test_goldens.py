@@ -9,7 +9,11 @@ sets: recording again is a deliberate act, in the change that moves an output.
 
 import importlib.util
 import json
+import os
 from pathlib import Path
+from xml.etree import ElementTree
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,12 +25,32 @@ def _goldens_tool():
     return module
 
 
-def test_outputs_match_recorded_goldens():
-    tool = _goldens_tool()
+def _recorded():
     with open(ROOT / "tests" / "goldens.json", encoding="utf-8") as handle:
-        recorded = json.load(handle)
-    differences = tool.compare(tool.record(), recorded)
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def emitted(tmp_path_factory):
+    """The directory of every output the record covers, written once for all the tests that read them."""
+    dest = tmp_path_factory.mktemp("goldens")
+    _goldens_tool().emit(ROOT, dest)
+    return dest
+
+
+def test_outputs_match_recorded_goldens(emitted):
+    tool = _goldens_tool()
+    differences = tool.compare(tool.hashes(emitted), _recorded())
     assert not differences, "outputs differ from tests/goldens.json:\n" + "\n".join(differences)
+
+
+def test_every_emitted_svg_parses(emitted):
+    # the four scripts' plots and every workload job's: each is well-formed XML with an SVG root
+    svgs = sorted(path.relative_to(emitted).as_posix() for path in emitted.rglob("*.svg"))
+    assert svgs == sorted(name for name in _recorded()["files"] if name.endswith(".svg"))
+    assert any(name.startswith("scripts/") for name in svgs) and any(name.startswith("jobs/") for name in svgs)
+    for name in svgs:
+        assert ElementTree.parse(emitted / name).getroot().tag == "{http://www.w3.org/2000/svg}svg", name
 
 
 def test_comparison_names_versions_and_every_file():
@@ -72,3 +96,34 @@ def test_value_diff_names_ulps_and_peak_share(tmp_path):
         "missing  gone.csv",
         "extra    new.csv",
     ]
+
+
+def test_base_env_reaches_the_base_interpreter_alone(monkeypatch, tmp_path, capsys):
+    tool = _goldens_tool()
+    runs = []
+
+    def fake_run(command, **kwargs):
+        runs.append((command, kwargs.get("env")))
+        Path(command[4]).mkdir(parents=True)  # argv: python, -c, code, root, dest, tools
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    features = "X86_V4 AVX512_ICL AVX512_SPR"
+    code = tool.main(["--diff", str(tmp_path), "--base-env", f"NPY_DISABLE_CPU_FEATURES={features}", "--base-env", "A="])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"0 files differ from {tmp_path}'s"
+    (base_command, base_env), (current_command, current_env) = runs
+    assert base_command[3] == str(tmp_path.resolve()) and current_command[3] == str(tool.ROOT)
+    assert base_env == dict(os.environ, NPY_DISABLE_CPU_FEATURES=features, A="")
+    assert current_env is None  # this checkout's side runs under the caller's own environment
+
+    runs.clear()
+    assert tool.main(["--diff", str(tmp_path)]) == 0
+    assert [env for _, env in runs] == [None, None]
+
+
+@pytest.mark.parametrize("argv", [["--diff", ".", "--base-env", "NOEQUALS"], ["--diff", ".", "--base-env", "=1"],
+                                  ["--compare", "x.json", "--base-env", "A=1"]])
+def test_base_env_needs_an_assignment_and_diff(argv):
+    with pytest.raises(SystemExit) as stopped:
+        _goldens_tool().main(argv)
+    assert stopped.value.code == 2

@@ -207,6 +207,26 @@ def test_markup_in_labels_is_escaped(tmp_path):
     assert [svgplot._escape(label) for label in labels] == [saxutils.escape(label) for label in labels]
 
 
+@pytest.mark.parametrize("where", ["series", "title", "xlabel", "ylabel"])
+@pytest.mark.parametrize("bad", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_characters_xml_cannot_carry_are_rejected(tmp_path, where, bad):
+    # escaping cannot save these: written, the file would not parse; nothing is written, no temporary file is left
+    labels = dict(LABELS)
+    label = f"a{bad}b"
+    if where != "series":
+        labels[where], label = label, "s"
+    with pytest.raises(ValueError, match="XML cannot carry|surrogates not allowed"):
+        svgplot.write_plot(tmp_path / "plot.svg", [(label, [0, 1], [0, 1])], **labels)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tab_newline_and_every_other_character_are_kept(tmp_path):
+    label = "a\tb\nc\rd \u00e9\ud7ff\ue000\ufffd\U0001f600\U0010ffff"
+    path = tmp_path / "plot.svg"
+    svgplot.write_plot(path, [(label, [0, 1], [0, 1])], **LABELS)
+    ElementTree.parse(path)  # well-formed; XML normalizes a CR in character data, so the text is not compared
+
+
 def test_non_ascii_labels_are_utf8_under_the_c_locale(tmp_path):
     # the locale's encoding is ASCII here; the file must still be UTF-8, as CSV and JSON are
     curves = [("\u03c9(k)", [0.0, 1.0], [0.5, 2.0])]

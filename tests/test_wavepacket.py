@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac_qca import AutomatonParams, WavepacketSpec, bandwidth, build, inverse_transform, localized, transform
+from dirac_qca import (
+    AutomatonParams,
+    WavepacketSpec,
+    bandwidth,
+    build,
+    dispersion,
+    inverse_transform,
+    localized,
+    transform,
+)
 from dirac_qca.automaton import ModeSpectrum
 from dirac_qca.dispersion import branch_spinors
 from dirac_qca.wavepacket import position_moments, wrap_momentum
 
-from conftest import FIG4_COEFFS
+from conftest import FIG4_COEFFS, traced_peak
 
 
 def momentum_spread(spectrum):
@@ -132,6 +141,24 @@ class TestBuild:
         field = inverse_transform(spectrum)
         assert field.norm() == pytest.approx(1.0, abs=1e-12)
         assert spectrum.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [0.0, 0.3, 1.0])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
+        # a Hermite packet centred next to the wrap point, so its envelope is split between the first and last blocks
+        spec = WavepacketSpec(k0=-0.7, sigma_hat=30.0, x0=995.5, hermite_coeffs=FIG4_COEFFS)
+        results = []
+        for block in (1, 7, dispersion.MODE_BLOCK, 1000):
+            monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
+            results.append(build(spec, AutomatonParams(m), 1000).modes.tobytes())
+        assert len(set(results)) == 1
+
+    def test_memory_beyond_the_output(self):
+        # the scalar's transform (L complex) and one block's pieces: at most 12 arrays of MODE_BLOCK doubles, plus
+        # 4 KiB for the objects around them; 5 arrays of L doubles at L = 65536, where the whole-ring form held 12
+        L = 65536
+        spec = WavepacketSpec(k0=1.0, sigma_hat=20.0, x0=30000.0)
+        out, peak = traced_peak(lambda: build(spec, AutomatonParams(0.6), L))
+        assert peak - out.modes.nbytes <= L * 16 + 12 * dispersion.MODE_BLOCK * 8 + 4096
 
 
 class TestBandwidth:

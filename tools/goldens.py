@@ -6,6 +6,7 @@ Usage, from the root of a checkout::
     python3 tools/goldens.py --compare base.json          # check against a record
     python3 tools/goldens.py --compare tests/goldens.json # the record the test suite checks
     python3 tools/goldens.py --diff ../parent             # how far each value moved from another checkout's
+    python3 tools/goldens.py --diff . --base-env NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
 
 A record holds the Python, numpy and orjson versions and numpy's CPU dispatch
 level it was taken under (``versions``) and maps each output file to its
@@ -34,6 +35,10 @@ masked gets the largest change of its numbers in ulps of the other
 checkout's value, and the largest change relative to the peak absolute
 value of its column (CSV) or of the file (JSON, SVG, stdout); values that
 leave 0 or reach it are counted apart.  It exits as ``--compare`` does.
+``--base-env NAME=VALUE``, which may be repeated, sets a variable for the
+interpreter that writes the other checkout's outputs alone.  With ``--diff .``
+and numpy's ``NPY_DISABLE_CPU_FEATURES``, as in the last usage line, it sizes
+how far each output moves from a lower CPU dispatch level to this one.
 """
 
 from __future__ import annotations
@@ -119,12 +124,16 @@ def versions() -> dict:
     }
 
 
+def hashes(dest: Path) -> dict:
+    """The versions and the hash of each output file under ``dest``, as ``emit`` wrote them in this interpreter."""
+    return {"versions": versions(), "files": {key: _sha256(path.read_bytes()) for key, path in _files(dest).items()}}
+
+
 def record() -> dict:
     """The versions and the hashes of every output file of this checkout."""
     with tempfile.TemporaryDirectory() as work:
         emit(ROOT, Path(work))
-        files = {key: _sha256(path.read_bytes()) for key, path in _files(Path(work)).items()}
-    return {"versions": versions(), "files": files}
+        return hashes(Path(work))
 
 
 def _differences(base: dict, current: dict, change) -> list:
@@ -202,14 +211,26 @@ _EMIT = "import sys; sys.path[:0] = [sys.argv[1] + '/src', sys.argv[3]]; from pa
 goldens.emit(Path(sys.argv[1]), Path(sys.argv[2]))"
 
 
-def _diff(checkout: Path) -> list:
-    """``value_diff`` of this checkout's outputs against those of ``checkout``, each written in a fresh interpreter."""
+def _diff(checkout: Path, base_env=None) -> list:
+    """``value_diff`` of this checkout's outputs against those of ``checkout``, each written in a fresh interpreter.
+
+    ``base_env`` (a dict) is added to the environment of ``checkout``'s interpreter only.
+    """
     with tempfile.TemporaryDirectory() as work:
         base, current = Path(work, "base"), Path(work, "current")
-        for root, dest in ((checkout, base), (ROOT, current)):
+        sides = ((checkout, base, dict(os.environ, **base_env) if base_env else None), (ROOT, current, None))
+        for root, dest, env in sides:
             command = [sys.executable, "-c", _EMIT, str(root), str(dest), str(Path(__file__).parent)]
-            subprocess.run(command, capture_output=True, check=True)
+            subprocess.run(command, env=env, capture_output=True, check=True)
         return value_diff(base, current)
+
+
+def _assignment(text: str):
+    """``NAME=VALUE`` as (NAME, VALUE), for ``--base-env``."""
+    name, equals, value = text.partition("=")
+    if not name or not equals:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
 
 
 def main(argv=None) -> int:
@@ -217,24 +238,34 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the hashes to this JSON file")
     parser.add_argument("--compare", metavar="BASE.json", help="compare against a recorded hash file")
     parser.add_argument("--diff", metavar="CHECKOUT", help="compare the values of each output with another checkout's")
+    parser.add_argument(
+        "--base-env",
+        metavar="NAME=VALUE",
+        type=_assignment,
+        action="append",
+        default=[],
+        help="with --diff: set this variable for the interpreter that writes CHECKOUT's outputs (repeatable)",
+    )
     args = parser.parse_args(argv)
+    if args.base_env and not args.diff:
+        parser.error("--base-env needs --diff")
 
     sys.path.insert(0, str(SRC))
     if args.diff:
-        differences = _diff(Path(args.diff).resolve())
+        differences = _diff(Path(args.diff).resolve(), dict(args.base_env))
         for line in differences:
             print(line)
         print(f"{len(differences)} files differ from {args.diff}'s")
         return 1 if differences else 0
-    hashes = record()
+    current = record()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(hashes, handle, indent=1, sort_keys=True)
+            json.dump(current, handle, indent=1, sort_keys=True)
             handle.write("\n")
-    print(f"{len(hashes['files'])} files hashed")
+    print(f"{len(current['files'])} files hashed")
     if args.compare:
         with open(args.compare, encoding="utf-8") as handle:
-            differences = compare(hashes, json.load(handle))
+            differences = compare(current, json.load(handle))
         for line in differences:
             print(line)
         if differences:
