@@ -413,11 +413,12 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
     times = _times(params)
     _wraparound_warning(params, times, warnings)
     sigma = params["sigma"] if params["sigma"] is not None else 3.0 / spec.sigma_hat
-    rows = []
-    for t in times:
+    distinct = {}  # one row per distinct time, in first-seen order
+    for t in dict.fromkeys(times):
         _, fid = _exact_and_fidelity(spectrum, auto, spec, t)
         bound = approx.accuracy_bound(spectrum, auto, spec.k0, sigma, t)
-        rows.append({"fidelity": fid, **dataclasses.asdict(bound)})
+        distinct[t] = {"fidelity": fid, **dataclasses.asdict(bound)}
+    rows = [distinct[t] for t in times]  # a repeated time reuses its row
     header = ["t", "fidelity", "bound", "epsilon", "gamma", "sigma"]
     columns = {key: [row[key] for row in rows] for key in header}
     path = os.path.join(out_dir, "compare.csv")

@@ -106,12 +106,14 @@ def mu(k, m, t, *, out=None):
     mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
     terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
     any scale.  The kernel runs over blocks of ``dispersion.MODE_BLOCK`` momenta, whose size does not change the
-    bits, and the rest of each block is formed in the kernel's own arrays and the output.  ``out`` may be k itself, a
-    C-contiguous float64 array, which then takes the result and is returned, since the kernel copies |k| for each
-    block before that block is written; any other ``out`` is a ``ValueError``.  On 200000 momenta the call holds
-    about 11 ``MODE_BLOCK``-sized arrays beyond its output.  The phase sigma t/2 is formed only where beta > 0, so
-    where beta = 0 (as at m = 0) an overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where
-    beta is (sin omega underflows, see ``_alpha_beta``), and, without a warning, where a weighed phase overflows.
+    bits, and the rest of each block is formed in the kernel's own arrays and the output: this combination and the
+    kernel's beta half work in place for the Monte Carlo sampler's memory pins, while its alpha identities are plain
+    expressions over each half-zone's selection.  ``out`` may be k itself, a C-contiguous float64 array, which then
+    takes the result and is returned, since the kernel copies |k| for each block before that block is written; any
+    other ``out`` is a ``ValueError``.  On 200000 momenta the call holds about 10.8 ``MODE_BLOCK``-sized arrays
+    beyond its output.  The phase sigma t/2 is formed only where beta > 0, so where beta = 0 (as at m = 0) an
+    overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where beta is (sin omega underflows, see
+    ``_alpha_beta``), and, without a warning, where a weighed phase overflows.
     """
     t = float(t)  # one time: an array of times is a TypeError
     _check_time(t)
@@ -169,9 +171,9 @@ def _k_minus_sin(k, out):
     return out
 
 
-def _one_minus_sinc(x, out):
-    """1 - sin(x)/x for x >= 0, with the value 0 at x = 0 (where k - sin k is 0); formed in ``out`` (not x)."""
-    result = _k_minus_sin(x, out)
+def _one_minus_sinc(x):
+    """1 - sin(x)/x for x >= 0, with the value 0 at x = 0 (where k - sin k is 0), in a new array."""
+    result = _k_minus_sin(x, np.empty(x.shape))
     return np.divide(result, x, out=result, where=x > 0.0)
 
 
@@ -189,9 +191,11 @@ def _alpha_beta(k, m):
     positive terms only; v + v_c > 0 for k > 0, and hypot multiplies d in before dividing by v + v_c ~ k, so nothing
     under- or overflows at tiny k.  beta(0) = 0; beta is nan where sin w underflows to 0 (k and m below ~1e-162).
 
-    The kernel works in place: after the pieces, each step writes into an array whose value is no longer needed, and
-    every product and sum keeps its operands, so the bits are those of the plain expressions above.  The caller's k
-    is never written.
+    The alpha identities are the plain expressions above, each read through its half-zone's boolean selection and
+    written back through it.  The beta half works in place, for the Monte Carlo sampler's memory pins: after the
+    pieces, each step writes into an array whose value is no longer needed, and every product and sum keeps its
+    operands, so its bits are those of the plain expressions.  The caller's k is never written.  On one block of
+    ``dispersion.MODE_BLOCK`` momenta the call holds at most about 12.3 arrays of that size at once, outputs included.
     """
     shape = np.shape(k)
     k = np.abs(np.asarray(k, dtype=float).reshape(-1))  # a 1-d copy
@@ -222,61 +226,23 @@ def _alpha_beta(k, m):
     np.square(beta, out=beta)
     beta *= 0.5
     sigma += lam
+    lam_k = lam + k  # lambda + k, in both identities of alpha
 
-    alpha = u_xc
-    alpha.fill(0.0)  # its value at m = 0; otherwise each identity fills its own momenta
+    del ck, spare, den, s2, gap, dv, v, u_xc, lam  # the beta half's other buffers, dead from here on
+    alpha = np.zeros(k.shape)  # its value at m = 0
     if m2 > 0.0:
         n1 = 1.0 + _n(m)
-        lam_k = np.add(lam, k, out=lam)  # lambda + k, in both identities
         lower = k < math.pi / 2.0
-        below, above = np.flatnonzero(lower), np.flatnonzero(~lower)
-        # take's mode "clip" writes straight into out (the default buffers it); every index is in range
-        h, e, s_e = (buffer[:below.size] for buffer in (spare, gap, v))  # below pi/2: B from e and h
-        np.take(lam_k, below, out=h, mode="clip")
-        np.multiply(2.0, h, out=e)
-        np.divide(m2, e, out=e)
-        _one_minus_sinc(e, out=s_e)
-        h /= 2.0
-        s_h = _one_minus_sinc(h, out=e)
-        mix = np.subtract(1.0, s_e, out=h)
-        mix *= s_h
-        mix += s_e  # s(e) + (1 - s(e)) s(h)
-        b = np.take(k, below, out=s_h, mode="clip")
-        b /= 2.0
-        np.sin(b, out=b)
-        np.square(b, out=b)
-        b *= 4.0
-        b -= m2 / n1
-        b /= n1
-        b -= mix
-        b *= m2
-        half_sum = np.take(sigma, below, out=mix, mode="clip")
-        half_sum /= 2.0
-        np.sin(half_sum, out=half_sum)
-        half_sum *= 4.0
-        b /= half_sum
-        np.arcsin(b, out=b)
-        b *= 2.0
-        alpha.put(below, b)
-
-        kappa, half, lk = (buffer[:above.size] for buffer in (spare, gap, v))  # from pi/2 on
-        np.take(k, above, out=kappa, mode="clip")
-        np.subtract(math.pi, kappa, out=kappa)
-        kappa += _PI_LOW  # pi - k exactly, then rounded once
-        c_kappa = np.cos(kappa, out=half)
-        w = _angle(np.take(sw, above, out=lk, mode="clip"), c_kappa, m)  # omega(kappa): sin omega(kappa) = sin omega(k)
-        w += kappa
-        w /= 2.0
-        np.sin(w, out=w)
-        w *= 2.0 * n1
-        c_kappa *= m2
-        c_kappa /= w
-        np.arcsin(c_kappa, out=half)
-        np.take(lam_k, above, out=lk, mode="clip")
-        np.divide(m2, lk, out=lk)
-        half *= 2.0
-        lk += half
-        alpha.put(above, lk)
+        upper = ~lower
+        s_e = _one_minus_sinc(m2 / (2.0 * lam_k[lower]))  # s(e), e = m^2 / (2 (lambda + k))
+        mix = s_e + _one_minus_sinc(lam_k[lower] / 2.0) * (1.0 - s_e)  # s(e) + (1 - s(e)) s(h), h = (lambda + k)/2
+        b = m2 * ((4.0 * np.sin(k[lower] / 2.0) ** 2 - m2 / n1) / n1 - mix)
+        alpha[lower] = 2.0 * np.arcsin(b / (4.0 * np.sin(sigma[lower] / 2.0)))
+        kappa = (math.pi - k[upper]) + _PI_LOW  # pi - k exactly, then rounded once
+        c_kappa = np.cos(kappa)
+        w = _angle(sw[upper], c_kappa, m)  # omega(kappa): sin omega(kappa) = sin omega(k)
+        # the asin term first, so that m^2/(lambda + k) is not held while it is formed
+        alpha[upper] = 2.0 * np.arcsin(m2 * c_kappa / ((2.0 * n1) * np.sin((w + kappa) / 2.0))) + m2 / lam_k[upper]
     return alpha.reshape(shape), beta.reshape(shape), sigma.reshape(shape)
 
 
@@ -433,9 +399,11 @@ def validate_bound_montecarlo(
     threads (numpy releases the GIL in its loops), two blocks per thread at a
     time, so memory is bounded by workers x block whatever the sample count.
     One block of ``MC_BLOCK`` samples at N_bar = 20 (about 86000 particle
-    draws) peaks at about 2.1 MiB under ``tracemalloc``: its momenta, which
+    draws) peaks at about 2.13 MiB under ``tracemalloc``: its momenta, which
     ``mu`` overwrites with their angles, and ``mu``'s arrays of ``MODE_BLOCK``
-    momenta.
+    momenta.  That figure is why ``mu``'s combination and the kernel's beta
+    half work in place; the kernel's alpha identities are plain expressions
+    over each half-zone's selection.
     Block maxima are reduced in block order; the first block with a sample
     above ``bound * (1 + BOUND_REL_TOL)``, or with a nan, raises
     :class:`BoundViolationError` -- that would falsify the analytic cap.

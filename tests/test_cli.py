@@ -305,6 +305,23 @@ class TestCompareCommand:
         for row in rows:
             assert row["fidelity"] >= row["bound"] - 1e-9
 
+    def test_one_evolution_per_distinct_time(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.evolve_momentum
+
+        def counted(spectrum, params, t):
+            calls.append(t)
+            return original(spectrum, params, t)
+
+        monkeypatch.setattr(cli, "evolve_momentum", counted)
+        out = tmp_path / "o"
+        assert run(["compare", "--preset", "fig4", "--times", "0,100,100,600", "--out-dir", str(out)]) == 0
+        assert calls == [0.0, 100.0, 600.0]
+        lines = (out / "compare.csv").read_text().splitlines()  # the header, then one line per requested time
+        assert len(lines) == 5
+        assert lines[2] == lines[3] != lines[4]
+        assert float(lines[2].split(",")[0]) == 100.0
+
     def test_rejects_localized_preset(self, tmp_path, capsys):
         assert run(["compare", "--preset", "fig2", "--out-dir", str(tmp_path / "o")]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "config"

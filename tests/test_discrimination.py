@@ -24,7 +24,7 @@ from dirac_qca import discrimination, dispersion
 from dirac_qca.discrimination import BOUND_REL_TOL, MC_BLOCK, _pairwise_trace_distance
 from dirac_qca.errors import BoundViolationError, MonotonicityError, NumericalInvariantError
 
-from conftest import alpha_beta, dirac_hamiltonian_k, hamiltonian_k
+from conftest import alpha_beta, dirac_hamiltonian_k, hamiltonian_k, traced_peak
 
 # frozen mpmath references (60-digit arithmetic, evaluated at the exact
 # float64 representations of the inputs; ALPHA_PROTON at 250 digits)
@@ -181,15 +181,10 @@ class TestMu:
         assert math.isnan(mu(3.0, 0.5, 1e308))
 
     def test_peak_memory_is_a_few_blocks(self):
-        # the kernel works in place: about 11 block-sized arrays at once (out of place it took 23)
+        # the kernel's beta half and mu's combination work in place: about 10.8 block-sized arrays at once beyond
+        # the output (out of place it took 23)
         ks = np.random.default_rng(27).uniform(-3.1, 3.1, 200_000)
-        mu(ks[:10], 0.01, 10.0)  # first-call allocations stay out of the peak
-        tracemalloc.start()
-        try:
-            mu(ks, 0.01, 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: mu(ks, 0.01, 10.0))
         assert peak <= ks.nbytes + 12 * dispersion.MODE_BLOCK * ks.itemsize
 
     @given(
@@ -258,7 +253,7 @@ class TestAlphaBeta:
         assert discrimination._k_minus_sin(ks, np.empty(ks.shape)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [0.0, 1e-19, 0.01, 0.6, 1.0])
-    def test_in_place_kernel_matches_one_call_per_momentum(self, m):
+    def test_one_call_matches_one_call_per_momentum(self, m):
         # both half-zones in one call, each momentum's bits as in a call of its own (0-d in, 0-d out)
         ks = np.array([0.0, -0.0, 5e-324, 1e-310, 1e-8, 0.4, -1.0, math.pi / 2, np.nextafter(math.pi / 2, 0.0),
                        2.0, -3.0, np.nextafter(math.pi, 0.0), math.pi])
@@ -268,6 +263,13 @@ class TestAlphaBeta:
             assert all(part[column].shape == () for part in alone)
             assert values.tobytes() == np.array([part[column] for part in alone]).tobytes()
         assert all(x.shape == (0,) for x in discrimination._alpha_beta(np.array([]), m))
+
+    def test_peak_memory_from_half_the_zone_on(self):
+        # one block, every momentum in [pi/2, pi), so only the second alpha identity runs: about 12.3 block-sized
+        # arrays at once, the three outputs included
+        ks = np.random.default_rng(33).uniform(math.pi / 2, math.pi, dispersion.MODE_BLOCK)
+        _, peak = traced_peak(lambda: discrimination._alpha_beta(ks, 0.3))
+        assert peak <= 13 * ks.nbytes
 
     def test_beta_nonnegative(self):
         for k in np.linspace(0.0, 3.0, 31):
@@ -622,15 +624,10 @@ class TestMonteCarlo:
         assert np.max(np.abs(phases.ravel() - reference)) <= 1e-14
 
     def test_block_peak_memory(self):
-        # mu writes the angles into the momenta, and the signs multiply them in place: about 2.1 MiB (8.0 out of place)
+        # mu writes the angles into the momenta, and the signs multiply them in place: about 2.13 MiB (8.0 out of
+        # place); every momentum is below pi/2, so this also pins the kernel's first alpha identity
         inp = self._input(m=0.01, k_bar=0.5, n_bar=20)
-        discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(1))  # first-call allocations stay out
-        tracemalloc.start()
-        try:
-            discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(1)))
         assert peak <= 2.3 * 2**20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
