@@ -374,33 +374,29 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     localized = spec is None
     if localized and any(t != int(t) for t in times):
         raise ConfigError("the localized state's light cone needs integer times")
-    summaries = [None] * len(times)
-    curves = [None] * len(times)
     if localized:  # each site's distance from x0 around the ring: the time at which the light cone reaches it
         x = np.arange(params["L"])
         distance = np.minimum((x - int(params["x0"])) % params["L"], (int(params["x0"]) - x) % params["L"])
-    previous = None
-    for i in sorted(range(len(times)), key=times.__getitem__):
-        t = times[i]
-        if t != previous:
-            evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
-            state = inverse_transform(evolved, out=evolved.modes)  # evolved is this loop's own: transformed in place
-            del evolved
-            if localized:  # the closed form leaves roundoff outside the cone, which is empty once 2t + 1 >= L
-                state.sites[distance > t] = 0.0
-            norm = state.norm()
-            if not abs(norm - 1.0) <= NORM_TOL:
-                raise NumericalInvariantError(f"norm {norm!r} at t = {t:g} is more than {NORM_TOL:g} from 1")
-            density = state.density()
-            del state  # not needed while the CSV is built or the next time is evolved
-            mean_x, var_x = wavepacket.position_moments(density)
-            x = np.arange(params["L"])  # formed per CSV: no site index is held while a time is evolved
-            _write_csv(os.path.join(out_dir, files[i]), ["x", "density"], (x, density))
-            curve = (f"t={t:g}", x, density) if params["svg"] else None
-            del x, density  # only the plot's curve keeps them past their CSV
-            previous = t
-        summaries[i] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}
-        curves[i] = curve
+    distinct = {}  # time -> (summary, curve), filled in ascending time
+    for t, name in sorted(dict(zip(times, files)).items()):
+        evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
+        state = inverse_transform(evolved, out=evolved.modes)  # evolved is this loop's own: transformed in place
+        del evolved
+        if localized:  # the closed form leaves roundoff outside the cone, which is empty once 2t + 1 >= L
+            state.sites[distance > t] = 0.0
+        norm = state.norm()
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise NumericalInvariantError(f"norm {norm!r} at t = {t:g} is more than {NORM_TOL:g} from 1")
+        density = state.density()
+        del state  # not needed while the CSV is built or the next time is evolved
+        mean_x, var_x = wavepacket.position_moments(density)
+        x = np.arange(params["L"])  # formed per CSV: no site index is held while a time is evolved
+        _write_csv(os.path.join(out_dir, name), ["x", "density"], (x, density))
+        curve = (f"t={t:g}", x, density) if params["svg"] else None
+        del x, density  # only the plot's curve keeps them past their CSV
+        distinct[t] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}, curve
+    summaries = [distinct[t][0] for t in times]
+    curves = [distinct[t][1] for t in times]
     if params["svg"]:
         path = os.path.join(out_dir, "evolve.svg")
         svgplot.write_plot(path, curves, title="probability density", xlabel="x", ylabel="density")

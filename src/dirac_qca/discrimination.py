@@ -100,51 +100,27 @@ class DiscriminationReport:
     pe_lower: Optional[float] = None
 
 
-def mu(k, m, t, *, out=None):
+def mu(k, m, t):
     """Relative rotation angle arccos(Re Tr V / 2) in [0, pi] at each momentum k and one time t, by the trace identity.
 
     mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
     terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
-    any scale.  The kernel runs over blocks of ``dispersion.MODE_BLOCK`` momenta, whose size does not change the
-    bits, and the rest of each block is formed in the kernel's own arrays and the output: this combination and the
-    kernel's beta half work in place for the Monte Carlo sampler's memory pins, while its alpha identities are plain
-    expressions over each half-zone's selection.  ``out`` may be k itself, a C-contiguous float64 array, which then
-    takes the result and is returned, since the kernel copies |k| for each block before that block is written; any
-    other ``out`` is a ``ValueError``.  On 200000 momenta the call holds about 10.8 ``MODE_BLOCK``-sized arrays
-    beyond its output.  The phase sigma t/2 is formed only where beta > 0, so where beta = 0 (as at m = 0) an
-    overflowed phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where beta is (sin omega underflows, see
-    ``_alpha_beta``), and, without a warning, where a weighed phase overflows.
+    any scale.  The phase sigma t/2 is formed only where beta > 0, so where beta = 0 (as at m = 0) an overflowed
+    phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where beta is (sin omega underflows, see
+    ``_alpha_beta``), and, without a warning, where a weighed phase overflows.  Its memory grows with k: on one block
+    of ``dispersion.MODE_BLOCK`` momenta it holds at most about 9.7 arrays of that size beyond its output, on
+    200000 momenta about 119, so a caller with many momenta walks ``dispersion._blocks`` itself, as ``_draw_block``
+    does.
     """
     t = float(t)  # one time: an array of times is a TypeError
     _check_time(t)
     half_t = 0.5 * t
-    if out is None:
-        k = np.asarray(k, dtype=float)
-        result = np.empty(k.shape)
-    elif out is k and isinstance(k, np.ndarray) and k.dtype == np.float64 and k.flags.c_contiguous:
-        result = out
-    else:
-        raise ValueError("out must be k itself, a C-contiguous float64 array, or None")
-    flat, k = result.reshape(-1), k.reshape(-1)  # views, except where k is not contiguous
-    for block in dispersion._blocks(flat.size):
-        alpha, beta, sigma = _alpha_beta(k[block], m)
-        alpha *= half_t
-        np.sin(alpha, out=alpha)
-        np.square(alpha, out=alpha)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed phase is nan, as documented
-            np.multiply(sigma, half_t, out=sigma, where=beta > 0.0)
-            np.sin(sigma, out=sigma)
-        np.square(sigma, out=sigma)
-        beta *= 0.5
-        radicand = np.subtract(1.0, beta, out=flat[block])
-        radicand *= alpha
-        sigma *= beta  # 0 where beta = 0, whatever sigma holds there
-        radicand += sigma
-        np.sqrt(radicand, out=radicand)
-        np.arcsin(radicand, out=radicand)
-        radicand *= 2.0
-        del alpha, beta, sigma  # freed before the next block's kernel runs
-    return result if result.ndim or out is not None else float(result)
+    alpha, beta, sigma = _alpha_beta(k, m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed phase is nan, as documented
+        sin2_phase = np.sin(np.where(beta > 0.0, sigma, 0.0) * half_t) ** 2
+    half_beta = beta * 0.5
+    result = 2.0 * np.arcsin(np.sqrt((1.0 - half_beta) * np.sin(alpha * half_t) ** 2 + sin2_phase * half_beta))
+    return result if result.ndim else float(result)
 
 
 # -- stable alpha and beta ------------------------------------------------
@@ -154,26 +130,27 @@ _K_MINUS_SIN_SERIES = [(-1) ** j / math.factorial(2 * j + 3) for j in range(8, -
 _PI_LOW = 1.2246467991473532e-16  # pi - math.pi: the part of pi that math.pi drops
 
 
-def _k_minus_sin(k, out):
-    """k - sin k to full relative precision: the series in place, in Horner form, below |k| = 1; k - sin k from 1.
+def _k_minus_sin(k):
+    """k - sin k to full relative precision, in a new array: the series in Horner form below |k| = 1, k - sin k from 1.
 
-    k is a 1-d array; the result is formed in ``out`` (not k).
+    The Horner loop runs in place on the result, so a step holds no temporary.
     """
     x = k * k
-    out.fill(_K_MINUS_SIN_SERIES[0])
+    result = np.full(k.shape, _K_MINUS_SIN_SERIES[0])
     for coefficient in _K_MINUS_SIN_SERIES[1:]:
-        out *= x
-        out += coefficient
+        result *= x
+        result += coefficient
     x *= k
-    out *= x  # k (k^2) poly, in np.polyval's rounding
-    big = np.abs(k, out=x) >= 1.0
-    out[big] = k[big] - np.sin(k[big])
-    return out
+    result *= x  # k (k^2) poly, in np.polyval's rounding
+    del x  # before |k| is formed
+    big = np.abs(k) >= 1.0
+    result[big] = k[big] - np.sin(k[big])
+    return result
 
 
 def _one_minus_sinc(x):
     """1 - sin(x)/x for x >= 0, with the value 0 at x = 0 (where k - sin k is 0), in a new array."""
-    result = _k_minus_sin(x, np.empty(x.shape))
+    result = _k_minus_sin(x)
     return np.divide(result, x, out=result, where=x > 0.0)
 
 
@@ -191,44 +168,34 @@ def _alpha_beta(k, m):
     positive terms only; v + v_c > 0 for k > 0, and hypot multiplies d in before dividing by v + v_c ~ k, so nothing
     under- or overflows at tiny k.  beta(0) = 0; beta is nan where sin w underflows to 0 (k and m below ~1e-162).
 
-    The alpha identities are the plain expressions above, each read through its half-zone's boolean selection and
-    written back through it.  The beta half works in place, for the Monte Carlo sampler's memory pins: after the
-    pieces, each step writes into an array whose value is no longer needed, and every product and sum keeps its
-    operands, so its bits are those of the plain expressions.  The caller's k is never written.  On one block of
-    ``dispersion.MODE_BLOCK`` momenta the call holds at most about 12.3 arrays of that size at once, outputs included.
+    Both halves are the plain expressions above; each alpha identity reads its half-zone through a boolean selection
+    and writes back through it, and each piece is deleted after its last read.  The caller's k is never written.
+    On one block of ``dispersion.MODE_BLOCK`` momenta the call holds at most about 12.3 arrays of that size at once,
+    outputs included: 12.3 from pi/2 on, 11.3 below it, 10.8 on a block over both half-zones and 9.1 at m = 0.
     """
     shape = np.shape(k)
     k = np.abs(np.asarray(k, dtype=float).reshape(-1))  # a 1-d copy
     m2 = m * m
     sk, ck, s2, sw, v = _mode(k, m)
     sigma = _angle(sw, ck, m)  # omega until lambda is added in
-    gap = _k_minus_sin(k, out=s2)
-    spare = np.add(k, sk, out=ck)
-    gap *= spare
-    np.square(sk, out=sk)
-    sk *= m2
-    gap += sk
+    del s2, ck
+    gap = _k_minus_sin(k) * (k + sk) + (sk * sk) * m2  # (k - sin k)(k + sin k) + m^2 sin^2 k
+    del sk
     lam = dirac_omega(k, m)  # reads only k and m: formed late, its arrays miss k - sin k's temporaries
-    v_c, u_xc = _over(k, lam), _over(m, lam)  # the continuum axis (u_xc, 0, -v_c), zero where lambda = 0
-    _over(gap, np.add(lam, sw, out=spare), out=gap)  # lambda - sin w, 0 at k = 0 (even at m = 0)
-    gap *= m
-    den = np.multiply(lam, sw, out=spare)  # 0 where sin w underflows: beta is undefined there (nan), but beta(0) = 0
-    d = sk
-    d.fill(0.0)
-    np.copyto(d, math.nan, where=k > 0.0)
-    np.divide(gap, den, out=d, where=den > 0.0)
-    dv = _over(m, sw, out=gap)  # u_x, until it is d (u_x + u_x^c) / (v + v_c) = v_c - v
-    dv += u_xc
-    dv *= d
-    _over(dv, np.add(v, v_c, out=v), out=dv)
-    del v_c  # its last use
-    beta = np.hypot(d, dv, out=d)
-    np.square(beta, out=beta)
-    beta *= 0.5
-    sigma += lam
+    gap = _over(gap, lam + sw)  # lambda - sin w, 0 at k = 0 (even at m = 0)
+    den = lam * sw  # 0 where sin w underflows: beta is undefined there (nan), but beta(0) = 0
+    d = _over(gap * m, den)  # u_x - u_x^c
+    d[~(den > 0.0) & (k > 0.0)] = math.nan  # not den <= 0: a nan den, as at k = inf, gives nan too
+    del gap, den
+    # d (u_x + u_x^c) / (v + v_c) = v_c - v, over the continuum axis (u_x^c, 0, -v_c), zero where lambda = 0
+    dv = _over((_over(m, sw) + _over(m, lam)) * d, v + _over(k, lam))
+    del v
+    beta = np.hypot(d, dv) ** 2 * 0.5
+    del d, dv
+    sigma = sigma + lam
     lam_k = lam + k  # lambda + k, in both identities of alpha
+    del lam
 
-    del ck, spare, den, s2, gap, dv, v, u_xc, lam  # the beta half's other buffers, dead from here on
     alpha = np.zeros(k.shape)  # its value at m = 0
     if m2 > 0.0:
         n1 = 1.0 + _n(m)
@@ -363,8 +330,9 @@ def _draw_block(inp: DiscriminationInput, count: int, stream):
     rng = np.random.default_rng(stream)
     c = CONFIGS_PER_STATE
     counts = rng.integers(1, inp.N_bar + 1, size=count * c)
-    momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())
-    angles = mu(momenta, inp.m, inp.t, out=momenta)  # the angles take the momenta's place
+    angles = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())  # the momenta, until their angles replace them
+    for block in dispersion._blocks(angles.size):  # mu's memory grows with its input: one MODE_BLOCK at a time
+        angles[block] = mu(angles[block], inp.m, inp.t)
     signs = rng.integers(0, 2, size=angles.size)  # the indices rng.choice([-1.0, 1.0]) draws, in the stream's order
     signs *= 2
     signs -= 1  # index i picks the sign 2 i - 1
@@ -400,10 +368,8 @@ def validate_bound_montecarlo(
     time, so memory is bounded by workers x block whatever the sample count.
     One block of ``MC_BLOCK`` samples at N_bar = 20 (about 86000 particle
     draws) peaks at about 2.13 MiB under ``tracemalloc``: its momenta, which
-    ``mu`` overwrites with their angles, and ``mu``'s arrays of ``MODE_BLOCK``
-    momenta.  That figure is why ``mu``'s combination and the kernel's beta
-    half work in place; the kernel's alpha identities are plain expressions
-    over each half-zone's selection.
+    ``_draw_block`` overwrites with their angles one ``MODE_BLOCK`` at a time,
+    and one ``mu`` call's arrays.
     Block maxima are reduced in block order; the first block with a sample
     above ``bound * (1 + BOUND_REL_TOL)``, or with a nan, raises
     :class:`BoundViolationError` -- that would falsify the analytic cap.

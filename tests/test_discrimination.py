@@ -82,7 +82,6 @@ class TestUnitaryPair:
             assert np.max(np.abs(power - scipy.linalg.expm(-1j * t * hamiltonian_k(k, m)))) <= 1e-12
 
 
-_KS = np.linspace(-1.0, 1.0, 12)
 
 
 class TestMu:
@@ -140,29 +139,14 @@ class TestMu:
 
     @pytest.mark.parametrize("m", [0.01, 0.6, 1e-10])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
-        rng = np.random.default_rng(26)
-        ks = np.concatenate([rng.uniform(-3.1, 3.1, 500), np.exp(rng.uniform(np.log(1e-12), 0.0, 200))])
+        # the sampler walks mu over blocks of MODE_BLOCK momenta: one momentum, 7, the default, or all its draws
+        inp = DiscriminationInput(m, 3.1, 20, 10.0)
         results = []
-        for block in (1, 7, dispersion.MODE_BLOCK, ks.size):
+        for block in (1, 7, dispersion.MODE_BLOCK, discrimination.MC_BLOCK_DRAWS):
             monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
-            in_place = ks.copy()
-            assert mu(in_place, m, 10.0, out=in_place) is in_place  # out may be the momenta themselves
-            results.append(mu(ks, m, 10.0).tobytes())
-            results.append(in_place.tobytes())
+            drawn = discrimination._draw_block(inp, 16, np.random.SeedSequence(26))  # about 1300 momenta
+            results.append(b"".join(a.tobytes() for a in drawn))
         assert len(set(results)) == 1
-
-    @pytest.mark.parametrize(
-        "k, out",
-        [(_KS, np.empty(11)), (_KS, np.empty((3, 4))), (_KS, np.empty(12)), (_KS[:-1], _KS[1:]),
-         (_KS.astype(np.float32), "k"), (_KS.astype(">f8"), "k"), (np.repeat(_KS, 2)[::2], "k"),
-         (_KS.reshape(4, 3).T, "k"), (list(_KS), "k")],
-        ids=["short", "2-d", "apart from k", "k one place ahead", "float32", "big-endian", "strided", "fortran",
-             "list"],
-    )
-    def test_out_must_match_the_broadcast_shape_and_layout(self, k, out):
-        # out is k itself, a C-contiguous float64 array ("k" below), or nothing
-        with pytest.raises(ValueError, match="out must be"):
-            mu(k, 0.2, 4.0, out=k if isinstance(out, str) else out)
 
     def test_leaves_the_callers_momenta_alone(self):
         ks = np.linspace(-3.1, 3.1, 101)
@@ -181,11 +165,11 @@ class TestMu:
         assert math.isnan(mu(3.0, 0.5, 1e308))
 
     def test_peak_memory_is_a_few_blocks(self):
-        # the kernel's beta half and mu's combination work in place: about 10.8 block-sized arrays at once beyond
-        # the output (out of place it took 23)
-        ks = np.random.default_rng(27).uniform(-3.1, 3.1, 200_000)
+        # one block over both half-zones: about 9.7 block-sized arrays at once beyond the output; mu's memory grows
+        # with its input, so a caller with more momenta walks the blocks itself
+        ks = np.random.default_rng(27).uniform(-3.1, 3.1, dispersion.MODE_BLOCK)
         _, peak = traced_peak(lambda: mu(ks, 0.01, 10.0))
-        assert peak <= ks.nbytes + 12 * dispersion.MODE_BLOCK * ks.itemsize
+        assert peak <= ks.nbytes + 12 * ks.nbytes
 
     @given(
         k=st.floats(-3.1, 3.1),
@@ -250,7 +234,7 @@ class TestAlphaBeta:
         # oracle: the np.piecewise form, which evaluated each side only on its own momenta
         sides = [lambda k: k * (k * k) * np.polyval(discrimination._K_MINUS_SIN_SERIES, k * k), lambda k: k - np.sin(k)]
         expected = np.piecewise(ks, [np.abs(ks) < 1.0], sides)
-        assert discrimination._k_minus_sin(ks, np.empty(ks.shape)).tobytes() == expected.tobytes()
+        assert discrimination._k_minus_sin(ks).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [0.0, 1e-19, 0.01, 0.6, 1.0])
     def test_one_call_matches_one_call_per_momentum(self, m):
@@ -269,6 +253,17 @@ class TestAlphaBeta:
         # arrays at once, the three outputs included
         ks = np.random.default_rng(33).uniform(math.pi / 2, math.pi, dispersion.MODE_BLOCK)
         _, peak = traced_peak(lambda: discrimination._alpha_beta(ks, 0.3))
+        assert peak <= 13 * ks.nbytes
+
+    @pytest.mark.parametrize(
+        "low, high, m",
+        [(0.0, math.pi / 2, 0.3), (-3.1, 3.1, 0.3), (-3.1, 3.1, 0.0)],
+        ids=["below-half-the-zone", "both-half-zones", "massless"],
+    )
+    def test_peak_memory_of_the_other_kinds_of_block(self, low, high, m):
+        # the same bound on the blocks the case above leaves out: about 11.3, 10.8 and 9.1 block-sized arrays
+        ks = np.random.default_rng(33).uniform(low, high, dispersion.MODE_BLOCK)
+        _, peak = traced_peak(lambda: discrimination._alpha_beta(ks, m))
         assert peak <= 13 * ks.nbytes
 
     def test_beta_nonnegative(self):
@@ -624,8 +619,8 @@ class TestMonteCarlo:
         assert np.max(np.abs(phases.ravel() - reference)) <= 1e-14
 
     def test_block_peak_memory(self):
-        # mu writes the angles into the momenta, and the signs multiply them in place: about 2.13 MiB (8.0 out of
-        # place); every momentum is below pi/2, so this also pins the kernel's first alpha identity
+        # each block's angles are written over its momenta, and the signs multiply them in place: about 2.13 MiB
+        # (8.0 out of place); every momentum is below pi/2, so this also pins the kernel's first alpha identity
         inp = self._input(m=0.01, k_bar=0.5, n_bar=20)
         _, peak = traced_peak(lambda: discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(1)))
         assert peak <= 2.3 * 2**20
@@ -703,7 +698,7 @@ class TestMonteCarlo:
     def test_violation_stops_the_remaining_blocks(self, monkeypatch):
         calls = []
 
-        def huge_angles(k, m, t, out=None):
+        def huge_angles(k, m, t):
             calls.append(1)
             return np.full(np.shape(k), math.pi / 2)
 
@@ -714,7 +709,7 @@ class TestMonteCarlo:
 
     def test_nan_angle_is_a_violation(self, monkeypatch):
         # a nan compares false with the cap, so a test written as "worst > cap" let it through with exit 0
-        monkeypatch.setattr(discrimination, "mu", lambda k, m, t, out=None: np.full(np.shape(k), math.nan))
+        monkeypatch.setattr(discrimination, "mu", lambda k, m, t: np.full(np.shape(k), math.nan))
         with pytest.raises(BoundViolationError, match="nan"):
             validate_bound_montecarlo(self._input(), samples=10, seed=1)
 
@@ -731,7 +726,7 @@ class TestMonteCarlo:
             assert validate_bound_montecarlo(inp, samples=10, seed=1).max_observed == worst
 
     def test_block_error_propagates(self, monkeypatch):
-        def broken(k, m, t, out=None):
+        def broken(k, m, t):
             raise NumericalInvariantError("synthetic")
 
         monkeypatch.setattr(discrimination, "mu", broken)

@@ -17,7 +17,10 @@ dispatch level.  It covers
   (a script's standard output is kept too, as ``scripts/<script>/stdout``);
 * every job of ``perfbench.workloads.jobs(w, s)`` for each workload ``w``
   and ``s`` in {0, 1}, run in-process through ``dirac_qca.cli.main`` with
-  one output directory per job.
+  one output directory per job;
+* ``kernel/alpha_beta_mu.txt``: ``discrimination._alpha_beta`` and ``mu``
+  over a fixed grid of momenta, masses and times, each value spelled by
+  ``repr``, so the kernel's own bits are gated and ``--diff`` sizes a move.
 
 The package is imported from this checkout's ``src``.  To record the
 goldens of another commit, run the script from a copy of that commit.
@@ -61,6 +64,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SCRIPTS = ["reproduce_fig2.py", "reproduce_fig3.py", "reproduce_fig4.py", "headline_numbers.py"]
 SEEDS = (0, 1)
+# the kernel file's grid: both half-zones, k down to 1e-300 and the zone edge, masses from 0 to 1, times to 1e20
+KERNEL_KS = np.array([0.0, 1e-300, 1e-160, 1e-19, 1e-8, 1e-3, 0.5, -1.0, np.nextafter(np.pi / 2, 0.0), np.pi / 2,
+                      2.0, -3.0, np.nextafter(np.pi, 0.0), np.pi])
+KERNEL_MASSES = (0.0, 1e-19, 0.01, 0.6, 1.0)
+KERNEL_TIMES = (0.0, 10.0, 1e20)
 
 
 def _sha256(data: bytes) -> str:
@@ -97,6 +105,20 @@ def emit(root: Path, dest: Path):
                 code = main(job + ["--out-dir", str(dest / "jobs" / workload / f"s{seed}" / f"job{i:02d}")])
                 if code != 0:
                     raise RuntimeError(f"{workload} seed {seed} job {i} exited {code}: {job}")
+    (dest / "kernel").mkdir()
+    (dest / "kernel" / "alpha_beta_mu.txt").write_text(_kernel_text(), encoding="utf-8")
+
+
+def _kernel_text() -> str:
+    """One line per mass and momentum of the kernel grid: m, k, alpha, beta, sigma and mu at each time, by ``repr``."""
+    from dirac_qca.discrimination import _alpha_beta, mu
+
+    lines = ["m k alpha beta sigma " + " ".join(f"mu(t={t!r})" for t in KERNEL_TIMES)]
+    with np.errstate(all="ignore"):  # beta and mu are nan where sin omega underflows (k = 1e-300 at m = 0)
+        for m in KERNEL_MASSES:
+            columns = [KERNEL_KS, *_alpha_beta(KERNEL_KS, m), *(mu(KERNEL_KS, m, t) for t in KERNEL_TIMES)]
+            lines += [" ".join(map(repr, [m, *map(float, row)])) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 def dispatch() -> str:
