@@ -20,6 +20,16 @@ state has trace distance at most sin g, hence error probability at least
 cap f is the root of g(f) = pi/2, so it is also the perfect-discrimination
 time ``t_min_exact``.  No cosine next to 1 is formed, so nothing cancels.
 
+The endpoints suffice: alpha and beta are nondecreasing in k on [0, pi).  At m = 0 both are 0.  For m > 0, with
+cos theta = v and cos theta_c = v_c (both in [0, pi/2]), beta = 2 sin^2((theta - theta_c)/2), and on (0, pi)
+
+    alpha'             = v_c - v = m^2 [(k - sin k)(k + sin k) + m^2 sin^2 k] / (lambda^2 sin^2 w (v + v_c)) > 0
+    (theta - theta_c)' = m (sin^2 w - n lambda^2 cos k) / (lambda^2 sin^2 w) > 0
+
+Every term of alpha' is positive, and so is (theta - theta_c)' from pi/2 on.  Below pi/2 the test suite holds
+(theta - theta_c)' >= 0.0919 m at 50 digits, and near k = m = 0 the two slopes are k m^2 (k^2 + 3 m^2)/(6 lambda^3)
+and m (k^4 + 3 m^4)/(6 lambda^4), with no cancelling leading term.
+
 alpha and beta vanish in the deep sub-Planckian regime (alpha ~ 1e-47 at
 proton scale), where their defining differences cancel, so both are built from
 pieces that do not: alpha from one identity on each side of k = pi/2, beta as
@@ -40,7 +50,7 @@ import numpy as np
 
 from . import dispersion
 from .dispersion import _angle, _check_mass, _check_time, _mode, _n, _over, dirac_omega
-from .errors import BoundViolationError, MonotonicityError
+from .errors import BoundViolationError, NumericalInvariantError
 
 __all__ = [
     "DiscriminationInput",
@@ -54,8 +64,6 @@ __all__ = [
     "validate_bound_montecarlo",
 ]
 
-GRID_POINTS = 256  # monotonicity grid of extremal_alpha_beta
-MONOTONE_REL_TOL = 1e-12  # slack of that grid check, relative to the endpoint values
 MC_BLOCK = 1024  # samples per Monte Carlo block at N_bar <= 20: fixes the stream layout, bounds memory
 CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample state
 MC_BLOCK_DRAWS = MC_BLOCK * CONFIGS_PER_STATE * 20  # particle draws per block: fewer samples for N_bar > 20
@@ -214,31 +222,21 @@ def _alpha_beta(k, m):
 
 
 def extremal_alpha_beta(k_bar: float, m: float) -> Tuple[float, float]:
-    """max |alpha| and max |beta| over [0, k_bar], realized on {0, k_bar}.
+    """(max(|alpha(0)|, |alpha(k_bar)|), beta(k_bar)): max |alpha| and max beta over [0, k_bar], from one kernel call.
 
-    The endpoint property follows from alpha and beta being nondecreasing in
-    k on [0, pi); both facts are re-verified here on a ``GRID_POINTS`` grid,
-    and a violation beyond ``MONOTONE_REL_TOL`` times the endpoint scale
-    (max |alpha| and beta(k_bar)) raises :class:`MonotonicityError`.  (|alpha|
-    itself is not monotone: alpha starts negative at k = 0 and crosses zero,
-    but a monotone function still attains its extreme modulus at an endpoint.)
-    A positive ``m`` and ``k_bar`` whose ``alpha_bar`` falls below the normal
-    double range (zero or subnormal) raise ``ValueError``.
+    alpha and beta are nondecreasing in k (see the module docstring); |alpha| is not (alpha starts negative and
+    crosses zero), but a monotone function attains its extreme modulus at an endpoint.  A non-finite endpoint value
+    raises :class:`NumericalInvariantError`; a positive ``m`` and ``k_bar`` whose ``alpha_bar`` falls below the
+    normal double range (zero or subnormal) raise ``ValueError``.
     """
     _check_k_bar(k_bar)
     _check_mass(m)
-    ks = np.linspace(0.0, k_bar, GRID_POINTS)  # ks[-1] == k_bar exactly
-    alphas, betas, _ = _alpha_beta(ks, m)
-    alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[-1])), betas[-1]  # beta(0) = 0
-    finite = np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))  # a nan on the grid fails below, as exit 2
-    if finite and m > 0.0 and k_bar > 0.0 and alpha_bar < sys.float_info.min:
+    alphas, betas, _ = _alpha_beta(np.array([0.0, k_bar]), m)
+    if not (np.all(np.isfinite(alphas)) and np.all(np.isfinite(betas))):  # before max, for max(1.0, nan) is 1.0
+        raise NumericalInvariantError(f"alpha/beta not finite at the endpoints of [0, {k_bar}] at m = {m}")
+    alpha_bar, beta_bar = max(abs(alphas[0]), abs(alphas[1])), betas[1]  # beta(0) = 0
+    if m > 0.0 and k_bar > 0.0 and alpha_bar < sys.float_info.min:
         raise ValueError(f"alpha_bar = {float(alpha_bar)!r} at m = {m!r} lies below the normal double range")
-    alpha_slack, beta_slack = MONOTONE_REL_TOL * alpha_bar, MONOTONE_REL_TOL * beta_bar
-    # written so that a nan anywhere on the grid fails them
-    if not (np.all(np.diff(alphas) >= -alpha_slack) and np.all(np.diff(betas) >= -beta_slack)):
-        raise MonotonicityError(f"alpha/beta not finite and nondecreasing on [0, {k_bar}] at m = {m}")
-    if not (np.max(np.abs(alphas)) <= alpha_bar + alpha_slack and np.max(betas) <= beta_bar + beta_slack):
-        raise MonotonicityError("interior grid maximum exceeded the endpoint values")
     return float(alpha_bar), float(beta_bar)
 
 

@@ -57,11 +57,13 @@ class SeparationTimes(NamedTuple):
 
 
 def separation_time(inp: FlytimeInput) -> SeparationTimes:
-    """Time for the two drift velocities to open a gap of one packet width.
+    """Estimates of the time for the two drift velocities to open a gap of one packet width.
 
     t_general = sigma_hat |6 (k^2+m^2)^{3/2} / (m^2 k^2 (2 m^2 + k))|; for
-    m << k this collapses to 6 sigma_hat / m^2.  The step is parity
-    symmetric, so the time is even in k: the formula takes |k|.
+    m << k this collapses to 6 sigma_hat / m^2.  It matches the velocity-gap
+    time sigma_hat / |v_c - v| only for m << k: it is 4x too long at
+    m = k = 1e-3 (ROADMAP item 4).  The step is parity symmetric, so the
+    time is even in k: the formula takes |k|.
     """
     m, k, sh = inp.m, abs(inp.k), inp.sigma_hat
     lam2 = k * k + m * m

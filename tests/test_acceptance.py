@@ -195,9 +195,10 @@ class TestCriterion8InequalitySuite:
         for m in np.linspace(0.1, 0.9, 9):
             alphas = np.array([alpha_beta(k, m)[0] for k in ks])
             betas = np.array([alpha_beta(k, m)[1] for k in ks])
-            worst = min(worst, float(np.diff(alphas).min()), float(np.diff(betas).min()))
-            # and the consequence actually used downstream: endpoint extremality
-            extremal_alpha_beta(ks[-1], m)  # raises MonotonicityError on failure
+            # and the consequence used downstream: no grid value beats the endpoint values
+            alpha_bar, beta_bar = extremal_alpha_beta(ks[-1], m)
+            worst = min(worst, float(np.diff(alphas).min()), float(np.diff(betas).min()),
+                        alpha_bar - float(np.abs(alphas).max()), beta_bar - float(betas.max()))
         assert report("8 mismatch monotonicity slack >= -1e-10", worst >= -1e-10, f"worst={worst:.2e}")
 
     def test_angle_cap_sandwich(self):

@@ -374,13 +374,6 @@ class TestDiscriminateCommand:
         results = load_json(out / "discriminate.json")["results"]
         assert results["beta_bar"] == 0.0 and math.isfinite(results["f_limit"])
 
-    def test_nan_on_the_monotonicity_grid_is_exit_2(self, tmp_path, capsys):
-        # sin^2 omega underflows to 0 at the smallest grid momenta, where beta is nan
-        assert run(["discriminate", "--m", "1e-200", "--kbar", "1e-160", "--out-dir", str(tmp_path / "o")]) == 2
-        record = json.loads(capsys.readouterr().out)
-        assert record["error"]["type"] == "numerical-invariant"
-        assert not (tmp_path / "o" / "discriminate.json").exists()
-
     def test_missing_required_flag(self, tmp_path, capsys):
         assert run(["discriminate", "--kbar", "0.5", "--out-dir", str(tmp_path / "o")]) == 1
         assert "--m" in json.loads(capsys.readouterr().out)["error"]["message"]
@@ -552,6 +545,7 @@ class TestInputBoundaries:
             ["discriminate", "--m", "1e-152", "--kbar", "1e-8"],
             ["discriminate", "--m", "1e-154", "--kbar", "1e-8"],
             ["discriminate", "--m", "1e-155", "--kbar", "1"],
+            ["discriminate", "--m", "1e-200", "--kbar", "1e-160"],  # its alpha_bar is 0.0
         ],
     )
     def test_rejects_nonfinite_or_empty_input(self, tmp_path, capsys, argv):

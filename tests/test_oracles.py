@@ -6,8 +6,9 @@ checks omega across the whole zone, v and D next to m = 1, alpha and beta
 against their defining formulas across the Brillouin half-zone, next to
 k = pi/2 and k = pi, and around alpha's sign change, the discrimination
 chain (g, the time cap f and its beta_bar test, the validator's cap) built
-on them, the relative rotation angle mu, and the phase of long-time mode
-evolution.
+on them, the relative rotation angle mu, the phase of long-time mode
+evolution, and the monotonicity in k of alpha and beta that
+``extremal_alpha_beta`` rests on.
 """
 
 import math
@@ -18,8 +19,9 @@ import pytest
 
 from dirac_qca import AutomatonParams, ModeSpectrum, derivatives, evolve_momentum, omega
 from dirac_qca.discrimination import (
-    DiscriminationInput, _alpha_beta, mu, pe_lower_bound, validate_bound_montecarlo,
+    DiscriminationInput, _alpha_beta, extremal_alpha_beta, mu, pe_lower_bound, validate_bound_montecarlo,
 )
+from dirac_qca.flytime import FlytimeInput, separation_time
 
 import test_discrimination as td
 from conftest import alpha_beta
@@ -401,3 +403,105 @@ def test_long_time_phase(m, t):
     spectrum = ModeSpectrum(modes)
     got = evolve_momentum(spectrum, AutomatonParams(m), t).modes
     assert np.max(np.abs(got - _mp_evolve(spectrum.ks, m, t, modes))) <= PHASE_ERROR_PER_STEP * t
+
+
+# -- alpha and beta are nondecreasing in k, so extremal_alpha_beta reads only k = 0 and k = k_bar --------------------
+
+SLOPE_DPS = 50
+# the smallest alpha'/(k m^2) and (theta - theta_c)'/m on the property's grid are 0.18555 (in the m -> 0 limit, at
+# k ~ 1.39) and 0.0919998 (m = 1, k -> pi, where it is 1/(1 + k^2))
+ALPHA_SLOPE_FLOOR = 0.185
+ANGLE_SLOPE_FLOOR = 0.0919
+
+
+def mp_slopes(k, m):
+    """(alpha', (theta - theta_c)') at (k, m) by their closed forms, at ``SLOPE_DPS`` digits.
+
+    alpha' = v_c - v is the velocity gap.  theta = atan2(m, n sin k) and theta_c = atan2(m, k) are the angles with
+    cos theta = v and cos theta_c = v_c, and beta = 2 sin^2((theta - theta_c)/2).
+    """
+    with mp.workdps(SLOPE_DPS):
+        k, m = mp.mpf(k), mp.mpf(m)
+        n = mp.sqrt(1 - m * m)
+        sw2 = m * m + (n * mp.sin(k)) ** 2  # sin^2 omega, free of cancellation
+        lam2 = k * k + m * m
+        gap = k / mp.sqrt(lam2) - n * mp.sin(k) / mp.sqrt(sw2)
+        return gap, m * (sw2 - n * lam2 * mp.cos(k)) / (lam2 * sw2)
+
+
+class TestEndpointExtremality:
+    """alpha and beta rise with k on (0, pi): the argument of ``discrimination``'s module docstring, checked."""
+
+    MASSES = [1e-19, *np.logspace(-12.0, 0.0, 41)]  # the proton scale, then 41 masses over [1e-12, 1]
+    MOMENTA = np.logspace(-10.0, math.log10(3.14159), 120)
+
+    @pytest.mark.parametrize("k,m", [(1e-3, 1e-4), (0.5, 0.3), (2.0, 0.7), (3.1, 1.0)])
+    def test_closed_forms_are_the_derivatives(self, k, m):
+        with mp.workdps(SLOPE_DPS):
+            k_, m_ = mp.mpf(k), mp.mpf(m)
+            n = mp.sqrt(1 - m_ * m_)
+
+            def angle(x):  # theta - theta_c
+                return mp.atan2(m_, n * mp.sin(x)) - mp.atan2(m_, x)
+
+            pairs = [  # pytest.approx would round mpf values to doubles
+                (mp.diff(lambda x: mp.sqrt(x * x + m_ * m_) - mp_omega(x, m_), k_), mp_slopes(k, m)[0]),
+                (mp.diff(angle, k_), mp_slopes(k, m)[1]),
+                (2 * mp.sin(angle(k_) / 2) ** 2, mp_beta(k, m)),
+            ]
+            for value, closed_form in pairs:
+                assert abs(value / closed_form - 1) <= mp.mpf("1e-25")
+
+    def test_both_slopes_are_positive_over_the_zone(self):
+        alpha_ratio = angle_ratio = math.inf
+        for m in self.MASSES:
+            for k in self.MOMENTA:
+                alpha_slope, angle_slope = mp_slopes(k, m)
+                alpha_ratio = min(alpha_ratio, float(alpha_slope / (mp.mpf(k) * mp.mpf(m) ** 2)))
+                angle_ratio = min(angle_ratio, float(angle_slope / m))
+        assert alpha_ratio >= ALPHA_SLOPE_FLOOR
+        assert angle_ratio >= ANGLE_SLOPE_FLOOR
+
+    def test_slopes_near_the_origin(self):
+        import sympy as sp
+
+        a, b, eps = sp.symbols("a b epsilon", positive=True)
+        k, m = eps * a, eps * b  # k, m -> 0 along a ray
+        n = sp.sqrt(1 - m ** 2)
+        sw2, lam2 = m ** 2 + (n * sp.sin(k)) ** 2, k ** 2 + m ** 2
+        lam = eps * sp.sqrt(a ** 2 + b ** 2)
+        alpha_slope = a / sp.sqrt(a ** 2 + b ** 2) - n * sp.sin(k) / sp.sqrt(sw2)
+        angle_slope = m * (sw2 - n * lam2 * sp.cos(k)) / (lam2 * sw2)
+        # both leading terms are the whole series to one order past them: the next order is 0
+        alpha_lead = k * m ** 2 * (k ** 2 + 3 * m ** 2) / (6 * lam ** 3)  # of order eps^2
+        angle_lead = m * (k ** 4 + 3 * m ** 4) / (6 * lam ** 4)  # of order eps
+        assert sp.simplify(sp.series(alpha_slope, eps, 0, 4).removeO() - alpha_lead) == 0
+        assert sp.simplify(sp.series(angle_slope, eps, 0, 3).removeO() - angle_lead) == 0
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 8: below pi/2 alpha is 2 asin(b / (4 sin(sigma/2))), with b = m^2 (...) ~ 2 alpha sin(sigma/2); "
+           "where b leaves the normal double range, alpha keeps few digits though alpha_bar is a normal double",
+    raises=AssertionError,
+    strict=True,
+)
+def test_extremal_alpha_where_the_identity_product_is_subnormal():
+    # 77% off at (3e-136, 1.7e-81), where b(0) ~ m^4/3, and 26% off at (1.6e-66, 2.8e-96), where b(k_bar) ~ m^2 k^2
+    for k_bar, m in [(3e-136, 1.7e-81), (1.6e-66, 2.8e-96)]:
+        with mp.workdps(700):  # lambda - omega cancels 192 digits here, and acos(n cos k) 132 more
+            k_, m_ = mp.mpf(k_bar), mp.mpf(m)
+            exact = max(abs(mp.sqrt(k_ * k_ + m_ * m_) - mp_omega(k_, m_)), abs(m_ - mp.asin(m_)))
+            assert abs(extremal_alpha_beta(k_bar, m)[0] / exact - 1) <= 1e-14
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 4: t_general = 6 sigma_hat lambda^3/(m^2 k^2 (2 m^2 + k)) is sigma_hat/|v_c - v| only "
+           "for m << k",
+    raises=AssertionError,
+    strict=True,
+)
+def test_flytime_separation_is_the_velocity_gap_time():
+    # t_general / (sigma_hat/|v_c - v|) is 1.0000032, 3.99 and 1.66 at these points
+    for m, k in [(1e-6, 1e-3), (1e-3, 1e-3), (0.3, 0.5)]:
+        t_general = separation_time(FlytimeInput(m, k, 1.0)).t_general
+        assert t_general == pytest.approx(float(1 / abs(mp_slopes(k, m)[0])), rel=1e-12)
