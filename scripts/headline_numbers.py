@@ -3,16 +3,20 @@
 
 - drift and diffusion coefficients of the reference Hermite packet point;
 - minimum perfect-discrimination time (~3pi x 10^46 Planck times ~ 10^3 s);
+- the trace-distance cap sin g at t = 1e40 and how close the supremum of
+  ``validate-bound``'s sampled states comes to it (tightness = sup / cap);
 - flying-time separation (~6 x 10^60 Planck times ~ 10^17 s) and visibility.
 """
 import math
 
 from dirac_qca import (
+    DiscriminationInput,
     FlytimeInput,
     derivatives,
     separation_time,
     t_min_approx,
     t_min_exact,
+    validate_bound_montecarlo,
     visibility_report,
 )
 from dirac_qca.constants import planck_times_to_seconds
@@ -29,6 +33,9 @@ def main():
     t_exc = t_min_exact(m, k, 1)
     print(f"t_min({m:g}, {k:g}, 1): approx = {t_apx:.4e} Planck times "
           f"({planck_times_to_seconds(t_apx):.0f} s), exact = {t_exc:.4e}")
+    mc = validate_bound_montecarlo(DiscriminationInput(m, k, 1, 1e40), samples=1000, seed=0)
+    print(f"trace-distance cap at t = 1e40: sin g = {mc.bound:.10e}, sup = {mc.sup:.10e} at k* = {mc.k_star:.4g}, "
+          f"tightness = {mc.tightness:.6f}")
 
     inp = FlytimeInput(m=m, k=k, sigma_hat=1e22)
     times = separation_time(inp)

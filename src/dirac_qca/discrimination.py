@@ -67,6 +67,7 @@ __all__ = [
 MC_BLOCK = 1024  # samples per Monte Carlo block at N_bar <= 20: fixes the stream layout, bounds memory
 CONFIGS_PER_STATE = 8  # joint eigenmodes superposed in each Monte Carlo sample state
 MC_BLOCK_DRAWS = MC_BLOCK * CONFIGS_PER_STATE * 20  # particle draws per block: fewer samples for N_bar > 20
+MU_GRID_POINTS = 16384  # momenta of the Monte Carlo mu table over [0, k_bar]; fixes the sampled family and its supremum
 # a sample may exceed the cap sin g by this much, relatively: g and sin g to 6 eps, mu to 16 ulp, and the trace
 # distance's own rounding a few eps more
 BOUND_REL_TOL = 32 * sys.float_info.epsilon
@@ -114,11 +115,11 @@ def mu(k, m, t):
     mu = 2 asin(sqrt((1 - beta/2) sin^2(alpha t/2) + (beta/2) sin^2(sigma t/2))) over ``_alpha_beta``: both
     terms are nonnegative and their weights sum to 1 (beta <= 1), so nothing is clamped, and nothing cancels at
     any scale.  The phase sigma t/2 is formed only where beta > 0, so where beta = 0 (as at m = 0) an overflowed
-    phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where beta is (sin omega underflows, see
+    phase is never weighed by 0: mu(3, 0, 1e308) = 0.  mu is nan where beta is (sin omega underflows at m > 0, see
     ``_alpha_beta``), and, without a warning, where a weighed phase overflows.  Its memory grows with k: on one block
     of ``dispersion.MODE_BLOCK`` momenta it holds at most about 9.7 arrays of that size beyond its output, on
-    200000 momenta about 119, so a caller with many momenta walks ``dispersion._blocks`` itself, as ``_draw_block``
-    does.
+    200000 momenta about 119, so a caller with many momenta walks ``dispersion._blocks`` itself, as ``_mu_table``
+    does (about 1.53 MiB on its 16384 momenta, grid and table included).
     """
     t = float(t)  # one time: an array of times is a TypeError
     _check_time(t)
@@ -174,7 +175,8 @@ def _alpha_beta(k, m):
     beta uses v - v_c = -d (u_x + u_x^c)/(v + v_c) (unit axes) and d = u_x - u_x^c = m (lambda - sin w)/(lambda sin w),
         lambda - sin w = [(k - sin k)(k + sin k) + m^2 sin^2 k]/(lambda + sin w),
     positive terms only; v + v_c > 0 for k > 0, and hypot multiplies d in before dividing by v + v_c ~ k, so nothing
-    under- or overflows at tiny k.  beta(0) = 0; beta is nan where sin w underflows to 0 (k and m below ~1e-162).
+    under- or overflows at tiny k.  beta(0) = 0, and beta = 0 at m = 0; at m > 0 beta is nan where sin w underflows to
+    0 (k and m below ~1e-162).
 
     Both halves are the plain expressions above; each alpha identity reads its half-zone through a boolean selection
     and writes back through it, and each piece is deleted after its last read.  The caller's k is never written.
@@ -193,7 +195,8 @@ def _alpha_beta(k, m):
     gap = _over(gap, lam + sw)  # lambda - sin w, 0 at k = 0 (even at m = 0)
     den = lam * sw  # 0 where sin w underflows: beta is undefined there (nan), but beta(0) = 0
     d = _over(gap * m, den)  # u_x - u_x^c
-    d[~(den > 0.0) & (k > 0.0)] = math.nan  # not den <= 0: a nan den, as at k = inf, gives nan too
+    if m > 0.0:  # at m = 0 the two axes coincide, so d = 0 even where sin w underflows
+        d[~(den > 0.0) & (k > 0.0)] = math.nan  # not den <= 0: a nan den, as at k = inf, gives nan too
     del gap, den
     # d (u_x + u_x^c) / (v + v_c) = v_c - v, over the continuum axis (u_x^c, 0, -v_c), zero where lambda = 0
     dv = _over((_over(m, sw) + _over(m, lam)) * d, v + _over(k, lam))
@@ -321,16 +324,32 @@ class MonteCarloReport:
     bound: float
     max_observed: float
     margin: float
+    sup: float  # sin(min(N_bar mu*, pi/2)), mu* the largest mu on the grid: the supremum of the sampled family
+    k_star: float  # the grid momentum of mu*
+    tightness: Optional[float]  # sup / bound; None where bound = 0
 
 
-def _draw_block(inp: DiscriminationInput, count: int, stream):
-    """Phases and probabilities, each (count, CONFIGS_PER_STATE), of one block of states, from kept particles only."""
+def _mu_table(inp: DiscriminationInput) -> Tuple[np.ndarray, np.ndarray]:
+    """(grid, mu(grid, m, t)): ``MU_GRID_POINTS`` momenta spread evenly over [0, k_bar], both ends included.
+
+    mu is even in k, so the grid needs no negative momenta.  mu's memory grows with its input, so the table is formed
+    one ``dispersion.MODE_BLOCK`` at a time; the bits do not depend on the block size.  At 16384 points (one block)
+    the build peaks at about 1.53 MiB under ``tracemalloc``: the grid, the table and one ``mu`` call's arrays.
+    """
+    grid = np.linspace(0.0, inp.k_bar, MU_GRID_POINTS)
+    return grid, np.concatenate([mu(grid[block], inp.m, inp.t) for block in dispersion._blocks(grid.size)])
+
+
+def _draw_block(inp: DiscriminationInput, table: np.ndarray, count: int, stream):
+    """Phases and probabilities, each (count, CONFIGS_PER_STATE), of one block of states, from kept particles only.
+
+    Each kept particle draws a grid index uniformly and reads its angle from ``_mu_table``'s table, so every angle
+    is an exact ``mu`` value at an admissible momentum.
+    """
     rng = np.random.default_rng(stream)
     c = CONFIGS_PER_STATE
     counts = rng.integers(1, inp.N_bar + 1, size=count * c)
-    angles = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())  # the momenta, until their angles replace them
-    for block in dispersion._blocks(angles.size):  # mu's memory grows with its input: one MODE_BLOCK at a time
-        angles[block] = mu(angles[block], inp.m, inp.t)
+    angles = table[rng.integers(0, table.size, size=counts.sum())]
     signs = rng.integers(0, 2, size=angles.size)  # the indices rng.choice([-1.0, 1.0]) draws, in the stream's order
     signs *= 2
     signs -= 1  # index i picks the sign 2 i - 1
@@ -350,11 +369,35 @@ def validate_bound_montecarlo(
     *,
     workers: int = 1,
 ) -> MonteCarloReport:
-    """Sample admissible pure states and check none beats the trace-distance cap.
+    """Sample admissible pure states and check none beats the trace-distance cap, nor the supremum of their family.
 
     Each sample state is a superposition of ``CONFIGS_PER_STATE`` joint
     eigenmodes with particle number uniform on {1..N_bar}, momenta uniform on
-    [-k_bar, k_bar], branch signs uniform, and spherically drawn amplitudes.
+    the ``MU_GRID_POINTS`` grid of ``_mu_table`` over [0, k_bar], branch signs
+    uniform, and spherically drawn amplitudes.  The table of mu on that grid
+    is formed once, as the thread pool's first task, before any block is
+    drawn; a nan in it (an overflowed phase) raises
+    :class:`BoundViolationError`.
+
+    The same table gives the supremum of the sampled family.  A phase is a
+    signed sum of at most N_bar table values, so the phases lie in
+    [-N_bar mu*, N_bar mu*], mu* the table's maximum, and on an arc of width
+    W <= pi the largest sqrt(1 - |sum p e^{i phi}|^2) is sin(W/2).  So
+    ``sup`` = sin(min(N_bar mu*, pi/2)), attained by the equal superposition
+    of N_bar particles at ``k_star`` on the + branch and on the - branch.
+    Two invariants are checked, each a :class:`BoundViolationError`:
+
+    * ``sup <= bound * (1 + BOUND_REL_TOL)``: the paper's cap on the grid;
+    * every sample's trace distance <= ``sup * (1 + tol)``, with
+      tol = (N_bar + 64) eps.  With u = eps/2: a phase sums at most N_bar
+      table values in N_bar - 1 roundings, so the computed phases lie on an
+      arc of width at most 2 N_bar mu* (1 + (N_bar - 1) u), and
+      sin(a x) <= a sin(x) for a >= 1 and a x <= pi; each half difference
+      of two phases adds u to a sine's argument; numpy's sin (1 ulp), the
+      square, the products 2 p p', the sum of 64 nonnegative terms and
+      (sum p)^2 near 1 add about 100 u to the squared distance, half of it
+      after sqrt; and ``sup`` itself is rounded twice.  That is
+      (N_bar + 55) u to first order, which tol covers twice over.
 
     Samples are drawn in blocks of min(``MC_BLOCK``, ``MC_BLOCK_DRAWS`` //
     (``CONFIGS_PER_STATE`` N_bar)) samples, at least one, so a block holds at
@@ -365,12 +408,10 @@ def validate_bound_montecarlo(
     threads (numpy releases the GIL in its loops), two blocks per thread at a
     time, so memory is bounded by workers x block whatever the sample count.
     One block of ``MC_BLOCK`` samples at N_bar = 20 (about 86000 particle
-    draws) peaks at about 2.13 MiB under ``tracemalloc``: its momenta, which
-    ``_draw_block`` overwrites with their angles one ``MODE_BLOCK`` at a time,
-    and one ``mu`` call's arrays.
+    draws) peaks at about 1.82 MiB under ``tracemalloc``: its grid indices,
+    their angles, which the signs multiply in place, and the signs.
     Block maxima are reduced in block order; the first block with a sample
-    above ``bound * (1 + BOUND_REL_TOL)``, or with a nan, raises
-    :class:`BoundViolationError` -- that would falsify the analytic cap.
+    above either limit, or with a nan, raises :class:`BoundViolationError`.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -380,6 +421,7 @@ def validate_bound_montecarlo(
     if not report.hypotheses_ok:
         raise ValueError("the analytic bound requires the time-cap hypotheses to hold")
     bound = math.sin(report.g)
+    cap = bound * (1.0 + BOUND_REL_TOL)
 
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import path
 
@@ -391,18 +433,39 @@ def validate_bound_montecarlo(
         # SeedSequence(seed, spawn_key=(i,)) is spawn(n_blocks)[i], built lazily
         stream = np.random.SeedSequence(seed, spawn_key=(i,))
         count = min(block, samples - i * block)
-        phases, probs = _draw_block(inp, count, stream)
+        phases, probs = _draw_block(inp, table, count, stream)
         return float(_pairwise_trace_distance(phases, probs).max())
 
     max_observed = 0.0
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        # formed on a pool thread, the table leaves mu's freed temporaries where the blocks reuse them; on the calling
+        # thread they stayed in its own heap, and the montecarlo job's peak RSS was 1 MiB higher
+        grid, table = pool.submit(_mu_table, inp).result()
+        peak = int(np.argmax(table))  # argmax stops at the first nan, so a nan anywhere is table[peak]
+        mu_star, k_star = float(table[peak]), float(grid[peak])
+        if math.isnan(mu_star):
+            raise BoundViolationError(
+                f"mu is nan at k = {k_star!r} on the grid over [0, {inp.k_bar!r}], so a sampled trace distance "
+                f"would be nan against the analytic cap {bound}"
+            )
+        sup = math.sin(min(inp.N_bar * mu_star, math.pi / 2.0))
+        if not sup <= cap:
+            raise BoundViolationError(
+                f"the supremum {sup} of the sampled states, at k = {k_star!r}, exceeds the analytic cap {bound}"
+            )
+        ceiling = sup * (1.0 + (inp.N_bar + 64) * sys.float_info.epsilon)
+
         # map blocks in batches of two per thread, so few are queued at once;
         # map cancels a batch's unstarted blocks when one of them raises
         for start in range(0, n_blocks, 2 * threads):
             for worst in pool.map(run_block, range(start, min(start + 2 * threads, n_blocks))):
-                if not worst <= bound * (1.0 + BOUND_REL_TOL):  # a nan fails it too
+                if not worst <= cap:  # a nan fails it too
                     raise BoundViolationError(
                         f"sampled trace distance {worst} exceeds the analytic cap {bound}"
+                    )
+                if not worst <= ceiling:
+                    raise BoundViolationError(
+                        f"sampled trace distance {worst} exceeds the supremum {sup} of the sampled states"
                     )
                 max_observed = max(max_observed, worst)
 
@@ -413,4 +476,7 @@ def validate_bound_montecarlo(
         bound=bound,
         max_observed=max_observed,
         margin=bound - max_observed,
+        sup=sup,
+        k_star=k_star,
+        tightness=sup / bound if bound > 0.0 else None,
     )

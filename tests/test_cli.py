@@ -442,7 +442,9 @@ class TestValidateBoundCommand:
         )
         assert code == 0
         results = load_json(out / "validate_bound.json")["results"]
-        assert results["max_observed"] <= results["bound"] * (1.0 + discrimination.BOUND_REL_TOL)
+        assert results["max_observed"] <= results["sup"] <= results["bound"] * (1.0 + discrimination.BOUND_REL_TOL)
+        assert results["tightness"] == results["sup"] / results["bound"]
+        assert 0.0 <= results["k_star"] <= 0.8
         assert results["seed"] == 42
 
     @pytest.mark.parametrize(
@@ -466,6 +468,16 @@ class TestValidateBoundCommand:
         assert run(argv) == 0
         results = load_json(out / "validate_bound.json")["results"]
         assert results["max_observed"] == 0.0 == results["bound"]
+
+    def test_underflowed_sin_omega_at_zero_mass_is_exit_0(self, tmp_path):
+        # sin omega underflows to 0 on the whole grid; at m = 0 the two axes coincide, so beta = 0 there, not nan
+        out = tmp_path / "o"
+        argv = ["validate-bound", "--m", "0", "--kbar", "1e-161", "--nbar", "1", "--t", "1e250", "--samples", "100",
+                "--out-dir", str(out)]
+        assert run(argv) == 0
+        results = load_json(out / "validate_bound.json")["results"]
+        assert results["max_observed"] == results["sup"] == results["bound"] == 0.0
+        assert results["tightness"] is None
 
     def test_overflowed_phase_at_positive_mass_is_exit_2(self, tmp_path, capsys):
         # alpha_bar = 2.4e-308 puts the time cap past 6.2e307, where sigma t/2 overflows for |k| > 2.9

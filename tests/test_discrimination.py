@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -139,14 +140,20 @@ class TestMu:
 
     @pytest.mark.parametrize("m", [0.01, 0.6, 1e-10])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, m):
-        # the sampler walks mu over blocks of MODE_BLOCK momenta: one momentum, 7, the default, or all its draws
+        # the validator's table walks mu over blocks of MODE_BLOCK momenta: 13, 1000, the default (the whole grid)
+        # or twice the grid; the sample blocks drawn from it read the table alone
         inp = DiscriminationInput(m, 3.1, 20, 10.0)
         results = []
-        for block in (1, 7, dispersion.MODE_BLOCK, discrimination.MC_BLOCK_DRAWS):
+        for block in (13, 1000, dispersion.MODE_BLOCK, 2 * discrimination.MU_GRID_POINTS):
             monkeypatch.setattr(dispersion, "MODE_BLOCK", block)
-            drawn = discrimination._draw_block(inp, 16, np.random.SeedSequence(26))  # about 1300 momenta
-            results.append(b"".join(a.tobytes() for a in drawn))
+            grid, table = discrimination._mu_table(inp)
+            drawn = discrimination._draw_block(inp, table, 16, np.random.SeedSequence(26))  # about 1300 draws
+            results.append(b"".join(a.tobytes() for a in (grid, table, *drawn)))
         assert len(set(results)) == 1
+        # one momentum at a time, at 64 grid points
+        picks = np.random.default_rng(26).integers(0, grid.size, 64)
+        alone = np.array([mu(grid[i:i + 1], inp.m, inp.t)[0] for i in picks])
+        assert alone.tobytes() == table[picks].tobytes()
 
     def test_leaves_the_callers_momenta_alone(self):
         ks = np.linspace(-3.1, 3.1, 101)
@@ -540,6 +547,7 @@ class TestMonteCarlo:
         report = validate_bound_montecarlo(inp, samples=200, seed=1)
         assert report.bound == 0.0
         assert report.max_observed <= 1e-9
+        assert report.sup == 0.0 and report.tightness is None
 
     def test_single_momentum_pure_eigenphase_pair(self):
         # equal superposition of the two branches at one momentum: the trace
@@ -553,6 +561,34 @@ class TestMonteCarlo:
         report = validate_bound_montecarlo(self._input(), samples=10_000, seed=42)
         assert report.max_observed <= report.bound * (1.0 + BOUND_REL_TOL)
         assert report.margin >= 0.0
+
+    BRACKET_JOBS = pytest.mark.parametrize(
+        "m, k_bar, n_bar, t",
+        [(0.01, 0.5, 20, 10.0), (0.3, 0.8, 2, 50.0), (1e-19, 1e-8, 1, 1e40), (1e-10, 1e-5, 1, 1e20)],
+        ids=["montecarlo-job", "readme-example", "headline", "m1e-10"],
+    )
+
+    @BRACKET_JOBS
+    def test_samples_stay_under_the_supremum_under_the_cap(self, m, k_bar, n_bar, t):
+        report = validate_bound_montecarlo(DiscriminationInput(m, k_bar, n_bar, t), samples=2000, seed=37)
+        assert report.max_observed <= report.sup <= report.bound * (1.0 + BOUND_REL_TOL)
+
+    @BRACKET_JOBS
+    def test_supremum_is_attained_at_k_star(self, m, k_bar, n_bar, t):
+        # the equal superposition of N_bar particles at k* on the + branch and on the - branch
+        inp = DiscriminationInput(m, k_bar, n_bar, t)
+        report = validate_bound_montecarlo(inp, samples=1, seed=0)
+        mu_star = mu(np.array([report.k_star]), m, t)[0]
+        assert mu_star == discrimination._mu_table(inp)[1].max()
+        phase = n_bar * mu_star
+        attained = float(_pairwise_trace_distance(np.array([phase, -phase]), np.array([0.5, 0.5])))
+        assert abs(attained - report.sup) <= 2 * math.ulp(report.sup)
+
+    def test_supremum_is_tight_at_the_montecarlo_job(self):
+        report = validate_bound_montecarlo(DiscriminationInput(0.01, 0.5, 20, 10.0), samples=1, seed=0)
+        assert report.tightness >= 0.96
+        assert report.tightness == report.sup / report.bound
+        assert report.k_star == pytest.approx(0.4925, abs=1e-4)  # inside the grid, not at k_bar
 
     def test_reproducible_given_seed_and_workers(self):
         inp = self._input()
@@ -580,20 +616,22 @@ class TestMonteCarlo:
     def test_block_streams_are_spawned_children(self):
         inp, samples = self._input(), MC_BLOCK + 5
         streams = np.random.SeedSequence(8).spawn(2)
+        table = discrimination._mu_table(inp)[1]
         expected = max(
-            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, n, s)).max())
+            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, table, n, s)).max())
             for n, s in zip((MC_BLOCK, 5), streams)
         )
         assert validate_bound_montecarlo(inp, samples=samples, seed=8).max_observed == expected
 
     def test_masked_phase_sums_match_full_tensor(self):
-        # only the kept particles are drawn, in one flat run; the reference sums
-        # each configuration's own run of counts[i] signed angles, one at a time
+        # only the kept particles are drawn, in one flat run; the reference sums each configuration's own run of
+        # counts[i] signed angles, one at a time, with mu called on the drawn grid momenta themselves
         inp, c = self._input(n_bar=4), discrimination.CONFIGS_PER_STATE
-        phases, _ = discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(11))
+        grid, table = np.linspace(0.0, inp.k_bar, discrimination.MU_GRID_POINTS), discrimination._mu_table(inp)[1]
+        phases, _ = discrimination._draw_block(inp, table, MC_BLOCK, np.random.SeedSequence(11))
         rng = np.random.default_rng(np.random.SeedSequence(11))
         counts = rng.integers(1, inp.N_bar + 1, size=MC_BLOCK * c)
-        momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())
+        momenta = grid[rng.integers(0, grid.size, size=counts.sum())]
         signs = rng.choice(np.array([-1.0, 1.0]), size=counts.sum())
         signed = signs * mu(momenta, inp.m, inp.t)
         reference, start = [], 0
@@ -605,27 +643,36 @@ class TestMonteCarlo:
         assert np.max(np.abs(phases.ravel() - reference)) <= 1e-14
 
     def test_block_peak_memory(self):
-        # each block's angles are written over its momenta, and the signs multiply them in place: about 2.13 MiB
-        # (8.0 out of place); every momentum is below pi/2, so this also pins the kernel's first alpha identity
+        # a block's grid indices, their angles, which the signs multiply in place, and the signs: about 1.82 MiB
         inp = self._input(m=0.01, k_bar=0.5, n_bar=20)
-        _, peak = traced_peak(lambda: discrimination._draw_block(inp, MC_BLOCK, np.random.SeedSequence(1)))
+        table = discrimination._mu_table(inp)[1]
+        _, peak = traced_peak(lambda: discrimination._draw_block(inp, table, MC_BLOCK, np.random.SeedSequence(1)))
         assert peak <= 2.3 * 2**20
+
+    def test_table_peak_memory(self):
+        # the grid, one mu call on its MU_GRID_POINTS = MODE_BLOCK momenta and the table: about 1.53 MiB; every
+        # momentum is below pi/2, so this also pins the kernel's first alpha identity
+        inp = self._input(m=0.01, k_bar=0.5, n_bar=20)
+        _, peak = traced_peak(lambda: discrimination._mu_table(inp))
+        assert peak <= 1.65 * 2**20
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("n_bar", [1, 20, 64])
     def test_block_matches_drawing_the_signs_by_choice(self, seed, n_bar):
-        # the oracle multiplies by signs from rng.choice; the block maps rng.integers(0, 2)'s index i to 2 i - 1
+        # the oracle calls mu on the drawn grid momenta and multiplies by signs from rng.choice; the block reads the
+        # table at the drawn indices and maps rng.integers(0, 2)'s index i to 2 i - 1
         inp, c = self._input(m=0.01, k_bar=0.5, n_bar=n_bar), discrimination.CONFIGS_PER_STATE
         count = self._block(n_bar)
+        grid, table = np.linspace(0.0, inp.k_bar, discrimination.MU_GRID_POINTS), discrimination._mu_table(inp)[1]
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         counts = rng.integers(1, n_bar + 1, size=count * c)
-        momenta = rng.uniform(-inp.k_bar, inp.k_bar, size=counts.sum())
+        momenta = grid[rng.integers(0, grid.size, size=counts.sum())]
         angles = mu(momenta, inp.m, inp.t) * rng.choice(np.array([-1.0, 1.0]), size=momenta.size)
         amplitudes = rng.standard_normal((count, c)) + 1j * rng.standard_normal((count, c))
         phases = np.add.reduceat(angles, np.cumsum(counts) - counts).reshape(count, c)
         probs = np.abs(amplitudes) ** 2
         probs /= probs.sum(axis=1, keepdims=True)
-        drawn = discrimination._draw_block(inp, count, np.random.SeedSequence(seed))
+        drawn = discrimination._draw_block(inp, table, count, np.random.SeedSequence(seed))
         assert [a.tobytes() for a in drawn] == [phases.tobytes(), probs.tobytes()]
 
     def test_memory_flat_in_sample_count(self):
@@ -668,8 +715,9 @@ class TestMonteCarlo:
         inp, block = self._input(m=0.01, k_bar=0.05, n_bar=n_bar), self._block(n_bar)
         samples = 2 * block + 3
         streams = np.random.SeedSequence(8).spawn(3)
+        table = discrimination._mu_table(inp)[1]
         expected = max(
-            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, n, s)).max())
+            float(discrimination._pairwise_trace_distance(*discrimination._draw_block(inp, table, n, s)).max())
             for n, s in zip((block, block, 3), streams)
         )
         assert validate_bound_montecarlo(inp, samples=samples, seed=8).max_observed == expected
@@ -681,23 +729,45 @@ class TestMonteCarlo:
         reports = [validate_bound_montecarlo(inp, samples=samples, seed=5, workers=w) for w in (1, 2, 3)]
         assert len({r.max_observed for r in reports}) == 1
 
+    def _count_blocks(self, monkeypatch):
+        """The list that each ``_draw_block`` call appends to."""
+        blocks, draw = [], discrimination._draw_block
+
+        def counted(*args):
+            blocks.append(1)
+            return draw(*args)
+
+        monkeypatch.setattr(discrimination, "_draw_block", counted)
+        return blocks
+
     def test_violation_stops_the_remaining_blocks(self, monkeypatch):
-        calls = []
-
-        def huge_angles(k, m, t):
-            calls.append(1)
-            return np.full(np.shape(k), math.pi / 2)
-
-        monkeypatch.setattr(discrimination, "mu", huge_angles)
-        with pytest.raises(BoundViolationError):
+        blocks = self._count_blocks(monkeypatch)
+        monkeypatch.setattr(discrimination, "_pairwise_trace_distance", lambda phases, probs: np.ones(len(phases)))
+        with pytest.raises(BoundViolationError, match="^sampled trace distance 1.0 exceeds the analytic cap"):
             validate_bound_montecarlo(self._input(), samples=50 * MC_BLOCK, seed=1, workers=2)
-        assert len(calls) <= 4  # two blocks in flight per thread, at most two threads
+        assert 1 <= len(blocks) <= 4  # two blocks in flight per thread, at most two threads
 
     def test_nan_angle_is_a_violation(self, monkeypatch):
-        # a nan compares false with the cap, so a test written as "worst > cap" let it through with exit 0
-        monkeypatch.setattr(discrimination, "mu", lambda k, m, t: np.full(np.shape(k), math.nan))
-        with pytest.raises(BoundViolationError, match="nan"):
+        # a nan compares false with the cap, so a test written as "worst > cap" let it through with exit 0; a nan in
+        # the table is caught before any block is drawn
+        blocks = self._count_blocks(monkeypatch)
+        monkeypatch.setattr(discrimination, "mu", lambda k, m, t: np.where(k > 0.4, math.nan, 0.1))
+        with pytest.raises(BoundViolationError, match="^mu is nan at k = 0.4000"):
             validate_bound_montecarlo(self._input(), samples=10, seed=1)
+        assert blocks == []
+
+    def test_nan_sample_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "_pairwise_trace_distance", lambda phases, probs: np.full(1, math.nan))
+        with pytest.raises(BoundViolationError, match="^sampled trace distance nan exceeds the analytic cap"):
+            validate_bound_montecarlo(self._input(), samples=10, seed=1)
+
+    def test_supremum_above_the_cap_is_a_violation(self, monkeypatch):
+        # N_bar mu* = pi/2 > g puts the grid's supremum, 1, above the cap: checked before any block is drawn
+        blocks = self._count_blocks(monkeypatch)
+        monkeypatch.setattr(discrimination, "mu", lambda k, m, t: np.full(np.shape(k), math.pi / 4))
+        with pytest.raises(BoundViolationError, match="^the supremum 1.0 of the sampled states, at k = 0.0, exceeds"):
+            validate_bound_montecarlo(self._input(), samples=10, seed=1)
+        assert blocks == []
 
     @pytest.mark.parametrize("excess, violates", [(0.0, False), (1e-6, True)])
     def test_tolerance_is_relative_to_the_cap(self, monkeypatch, excess, violates):
@@ -711,12 +781,26 @@ class TestMonteCarlo:
         else:
             assert validate_bound_montecarlo(inp, samples=10, seed=1).max_observed == worst
 
+    def test_samples_above_the_supremum_are_a_violation(self, monkeypatch):
+        # at the montecarlo job sup is 0.962 of the cap, so each of these samples lies below the cap
+        inp = DiscriminationInput(0.01, 0.5, 20, 10.0)
+        sup = validate_bound_montecarlo(inp, samples=1, seed=1).sup
+        ceiling = sup * (1.0 + (20 + 64) * sys.float_info.epsilon)
+        cases = ((sup, False), (ceiling, False), (np.nextafter(ceiling, 1.0), True), (sup * 1.000001, True))
+        for worst, violates in cases:
+            monkeypatch.setattr(discrimination, "_pairwise_trace_distance", lambda phases, probs: np.array([worst]))
+            if violates:
+                with pytest.raises(BoundViolationError, match="exceeds the supremum"):
+                    validate_bound_montecarlo(inp, samples=10, seed=1)
+            else:
+                assert validate_bound_montecarlo(inp, samples=10, seed=1).max_observed == worst
+
     def test_block_error_propagates(self, monkeypatch):
-        def broken(k, m, t):
+        def broken(*args):
             raise NumericalInvariantError("synthetic")
 
-        monkeypatch.setattr(discrimination, "mu", broken)
-        with pytest.raises(NumericalInvariantError):
+        monkeypatch.setattr(discrimination, "_draw_block", broken)
+        with pytest.raises(NumericalInvariantError, match="synthetic"):
             validate_bound_montecarlo(self._input(), samples=10 * MC_BLOCK, seed=1, workers=2)
 
     def test_requires_hypotheses(self):
