@@ -7,6 +7,8 @@ momentum turns the per-mode evolution into the pure phase
 
 which solves a momentum-dependent drift-diffusion (Schrodinger-type) equation
 exactly, mode by mode.  The quadratic sign follows the Taylor expansion.
+``_phases`` is its one form.  When every mode is a branch-s eigenvector, the
+exact and approximate states' fidelity is one weighted phase sum, ``fidelity``.
 
 The fidelity floor is 1 - epsilon - gamma sigma^3 t with epsilon the
 out-of-window momentum mass and gamma = |omega'''(k0)| times the in-window
@@ -20,17 +22,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion
 from .automaton import AutomatonParams, ModeSpectrum, _momenta
 from .dispersion import _blocks, _check_branch, _check_time, derivatives, omega
 from .wavepacket import bandwidth, wrap_momentum
 
-__all__ = [
-    "AccuracyBound",
-    "schrodinger_evolve",
-    "fidelity",
-    "accuracy_bound",
-]
+__all__ = ["AccuracyBound", "schrodinger_evolve", "fidelity", "accuracy_bound"]
+
+
+def _phases(L: int, params: AutomatonParams, k0: float):
+    """(block, k, omega0 + v K + D K^2 / 2) per ``_blocks`` block of the L modes' momenta k, v and D taken at k0."""
+    v, d, _ = derivatives(k0, params.m)
+    w0 = omega(k0, params.m)
+    for block in _blocks(L):
+        k = _momenta(L, block)
+        K = wrap_momentum(k - k0)
+        yield block, k, w0 + v * K + 0.5 * d * K * K
 
 
 def schrodinger_evolve(spec: ModeSpectrum, params: AutomatonParams, k0: float, s: int, t: float) -> ModeSpectrum:
@@ -40,38 +46,31 @@ def schrodinger_evolve(spec: ModeSpectrum, params: AutomatonParams, k0: float, s
     """
     _check_time(t)
     s = _check_branch(s)
-    v, d, _ = derivatives(k0, params.m)
-    w0 = omega(k0, params.m)
     out = np.empty_like(spec.modes)
-    for block in _blocks(spec.L):
-        K = wrap_momentum(_momenta(spec.L, block) - k0)
-        phase = w0 + v * K + 0.5 * d * K * K
+    for block, _, phase in _phases(spec.L, params, k0):
         np.multiply(spec.modes[block], np.exp(-1j * s * phase * t)[:, None], out=out[block])
     return ModeSpectrum(out)
 
 
-def _overlap(a: np.ndarray, b: np.ndarray):
-    """sum conj(a) b over two (L, 2) arrays, split where numpy's pairwise sum splits it: the bits of the whole sum.
+def fidelity(spec: ModeSpectrum, params: AutomatonParams, k0: float, times) -> list:
+    """|<U^t spec | schrodinger_evolve(spec, params, k0, s, t)>| per time t, as |sum_k w_k exp(-i t delta_k)|.
 
-    numpy sums a run of n doubles (4 per mode here) in one pass when n <= 128, and otherwise halves it at n/2
-    rounded down to a multiple of 8, an even number of modes.  The runs are taken apart here as numpy would,
-    down to ``dispersion.MODE_BLOCK`` modes, so no whole-ring product is formed, and added in the same order.
+    Precondition: every mode is an eigenvector of one branch s, as ``wavepacket.build`` makes them; s only conjugates
+    the terms, so it leaves the modulus.  w and delta_k = omega(k) - phase are formed once; per time, the blocks'
+    terms fill one buffer of L terms, summed at once, so the bits do not depend on the block size.
     """
-    L = a.shape[0]
-    if L <= max(dispersion.MODE_BLOCK, 32):
-        return np.sum(np.conj(a) * b)
-    half = (L - L % 4) // 2
-    return _overlap(a[:half], b[:half]) + _overlap(a[half:], b[half:])
-
-
-def fidelity(a: ModeSpectrum, b: ModeSpectrum) -> float:
-    """|<a|b>| with the two-component inner product summed over modes, by ``_overlap``.
-
-    It has the bits of ``abs(np.sum(np.conj(a.modes) * b.modes))`` at any block size.
-    """
-    if a.L != b.L:
-        raise ValueError(f"mode counts differ: {a.L} vs {b.L}")
-    return float(abs(_overlap(a.modes, b.modes)))
+    for t in times:
+        _check_time(t)
+    delta = np.empty(spec.L)
+    for block, k, phase in _phases(spec.L, params, k0):
+        np.subtract(omega(k, params.m), phase, out=delta[block])
+    weights, terms = spec.mode_weights(), np.empty(spec.L, dtype=complex)  # after the phases' pieces are freed
+    values = []
+    for t in times:
+        for block in _blocks(spec.L):
+            np.multiply(weights[block], np.exp(-1j * (t * delta[block])), out=terms[block])
+        values.append(float(abs(np.sum(terms))))
+    return values
 
 
 @dataclass(frozen=True)

@@ -347,25 +347,22 @@ def _times(params: dict) -> list:
     return [t + 0.0 for t in times]  # -0.0 + 0.0 is 0.0: one time, one file name
 
 
-def _exact_and_fidelity(spectrum, auto, spec, t: float):
-    """``spectrum`` evolved exactly to ``t``, and its checked fidelity with the drift-diffusion evolution (or None)."""
-    exact = evolve_momentum(spectrum, auto, t)
-    if spec is None:
-        return exact, None
-    fid = approx.fidelity(exact, approx.schrodinger_evolve(spectrum, auto, spec.k0, spec.s, t))
-    if not 0.0 <= fid <= 1.0 + FIDELITY_TOL:
-        raise NumericalInvariantError(f"fidelity {fid!r} at t = {t:g} is outside [0, 1 + {FIDELITY_TOL:g}]")
-    return exact, fid
+def _fidelities(spectrum, auto, spec, times) -> dict:
+    """time -> checked fidelity of the exact and drift-diffusion evolutions, from one ``approx.fidelity`` call."""
+    values = approx.fidelity(spectrum, auto, spec.k0, times)
+    for t, fid in zip(times, values):
+        if not 0.0 <= fid <= 1.0 + FIDELITY_TOL:
+            raise NumericalInvariantError(f"fidelity {fid!r} at t = {t:g} is outside [0, 1 + {FIDELITY_TOL:g}]")
+    return dict(zip(times, values))
 
 
 def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
     """Densities and summaries per requested time, in the requested order.
 
-    Each distinct time is evolved once, in closed form from t = 0, so a run
-    costs one transform plus one ``evolve_momentum`` and one inverse
-    transform per distinct time, whatever the times are.  The localized
-    state's light cone is strict: every site farther than t from x0 around
-    the ring is set to exactly 0, where the closed form leaves roundoff.
+    Each distinct time is evolved once, in closed form from t = 0, so a run costs one transform plus one
+    ``evolve_momentum`` and one inverse transform per distinct time, whatever the times are, and a packet's
+    fidelities one ``approx.fidelity`` call.  The localized state's light cone is strict: every site farther
+    than t from x0 around the ring is set to exactly 0, where the closed form leaves roundoff.
     """
     auto, initial, spec = _build_state(params)
     times = _times(params)
@@ -378,8 +375,9 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
         x = np.arange(params["L"])
         distance = np.minimum((x - int(params["x0"])) % params["L"], (int(params["x0"]) - x) % params["L"])
     distinct = {}  # time -> (summary, curve), filled in ascending time
+    fids = {} if localized else _fidelities(initial, auto, spec, sorted(set(times)))
     for t, name in sorted(dict(zip(times, files)).items()):
-        evolved, fid = _exact_and_fidelity(initial, auto, spec, t)
+        evolved = evolve_momentum(initial, auto, t)
         state = inverse_transform(evolved, out=evolved.modes)  # evolved is this loop's own: transformed in place
         del evolved
         if localized:  # the closed form leaves roundoff outside the cone, which is empty once 2t + 1 >= L
@@ -394,7 +392,7 @@ def _run_evolve(params: dict, out_dir: str, warnings: list) -> dict:
         _write_csv(os.path.join(out_dir, name), ["x", "density"], (x, density))
         curve = (f"t={t:g}", x, density) if params["svg"] else None
         del x, density  # only the plot's curve keeps them past their CSV
-        distinct[t] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fid}, curve
+        distinct[t] = {"t": t, "norm": norm, "mean_x": mean_x, "var_x": var_x, "fidelity_vs_approx": fids.get(t)}, curve
     summaries = [distinct[t][0] for t in times]
     curves = [distinct[t][1] for t in times]
     if params["svg"]:
@@ -410,8 +408,7 @@ def _run_compare(params: dict, out_dir: str, warnings: list) -> dict:
     _wraparound_warning(params, times, warnings)
     sigma = params["sigma"] if params["sigma"] is not None else 3.0 / spec.sigma_hat
     distinct = {}  # one row per distinct time, in first-seen order
-    for t in dict.fromkeys(times):
-        _, fid = _exact_and_fidelity(spectrum, auto, spec, t)
+    for t, fid in _fidelities(spectrum, auto, spec, list(dict.fromkeys(times))).items():
         bound = approx.accuracy_bound(spectrum, auto, spec.k0, sigma, t)
         distinct[t] = {"fidelity": fid, **dataclasses.asdict(bound)}
     rows = [distinct[t] for t in times]  # a repeated time reuses its row

@@ -399,9 +399,9 @@ def validate_bound_montecarlo(
       after sqrt; and ``sup`` itself is rounded twice.  That is
       (N_bar + 55) u to first order, which tol covers twice over.
 
-    Samples are drawn in blocks of min(``MC_BLOCK``, ``MC_BLOCK_DRAWS`` //
-    (``CONFIGS_PER_STATE`` N_bar)) samples, at least one, so a block holds at
-    most max(``MC_BLOCK_DRAWS``, ``CONFIGS_PER_STATE`` N_bar) particle draws;
+    N_bar <= ``MC_BLOCK_DRAWS`` / ``CONFIGS_PER_STATE`` = 20480, and samples are
+    drawn in blocks of min(``MC_BLOCK``, ``MC_BLOCK_DRAWS`` // (``CONFIGS_PER_STATE``
+    N_bar)) samples, so a block holds at most ``MC_BLOCK_DRAWS`` particle draws;
     block i draws from the i-th child of ``SeedSequence(seed).spawn(n_blocks)``,
     so results depend only on (seed, samples, N_bar).  ``workers`` only sets
     parallelism: the blocks run on min(workers, os.cpu_count(), n_blocks)
@@ -417,6 +417,8 @@ def validate_bound_montecarlo(
         raise ValueError(f"need samples >= 1, got {samples}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    if CONFIGS_PER_STATE * inp.N_bar > MC_BLOCK_DRAWS:
+        raise ValueError(f"need N_bar <= {MC_BLOCK_DRAWS // CONFIGS_PER_STATE} to sample, got {inp.N_bar}")
     report = pe_lower_bound(inp)
     if not report.hypotheses_ok:
         raise ValueError("the analytic bound requires the time-cap hypotheses to hold")
@@ -425,7 +427,7 @@ def validate_bound_montecarlo(
 
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI import path
 
-    block = min(MC_BLOCK, max(1, MC_BLOCK_DRAWS // (CONFIGS_PER_STATE * inp.N_bar)))
+    block = min(MC_BLOCK, MC_BLOCK_DRAWS // (CONFIGS_PER_STATE * inp.N_bar))
     n_blocks = -(-samples // block)
     threads = min(workers, os.cpu_count() or 1, n_blocks)
 

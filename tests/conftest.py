@@ -97,6 +97,12 @@ def regime_series(k, m, regime):
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def overlap(a, b):
+    """|<a|b>| of two ``ModeSpectrum`` states, summed over both components of every mode: the two-state oracle of
+    ``approx.fidelity``'s phase sum."""
+    return float(abs(np.vdot(a.modes, b.modes)))
+
+
 def traced_peak(call):
     """(``call()``'s result, the peak bytes ``tracemalloc`` saw during it), after one untraced call that keeps
     first-call allocations out of the peak."""

@@ -28,6 +28,19 @@ def load_json(path):
         return json.load(handle)
 
 
+def count_fidelity(monkeypatch):
+    """A list that gains the times of each ``approx.fidelity`` call from now on."""
+    calls = []
+    original = approx.fidelity
+
+    def counted(spectrum, params, k0, times):
+        calls.append(list(times))
+        return original(spectrum, params, k0, times)
+
+    monkeypatch.setattr(approx, "fidelity", counted)
+    return calls
+
+
 def count_ifft(monkeypatch):
     """A list that gains one entry per ``np.fft.ifft`` call from now on."""
     calls = []
@@ -127,8 +140,10 @@ class TestEvolveCommand:
             return original(*args)
 
         monkeypatch.setattr(cli, "evolve_momentum", counted)
-        assert run(["evolve", "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 0
+        fidelity_calls = count_fidelity(monkeypatch)
+        assert run(["evolve", "--preset", "fig4", "--times", "100,0,100", "--out-dir", str(tmp_path / "o")]) == 0
         assert calls == [0.0, 100.0]
+        assert fidelity_calls == [[0.0, 100.0]]
 
     def test_one_inverse_fft_per_distinct_time(self, tmp_path, monkeypatch):
         calls = []
@@ -143,15 +158,16 @@ class TestEvolveCommand:
         assert calls == [1024, 1024]
 
     def test_memory_of_a_time_step_on_a_large_ring(self, tmp_path):
-        # the initial, exact and drift-diffusion spectra (L x 2 complex each) and one block's pieces, at most 8 arrays
-        # of MODE_BLOCK doubles, plus 64 KiB for the run's objects: 7.06 MiB at L = 65536, where the step's
-        # whole-ring temporaries took the peak to 8.63 MiB; the first run keeps first-call allocations out
+        # the initial and exact spectra (L x 2 complex each) and one block of U(k)^t's pieces, at most 12 arrays of
+        # MODE_BLOCK doubles, plus 64 KiB for the run's objects: 5.56 MiB at L = 65536, measured 5.51, where the
+        # drift-diffusion spectrum beside them took the peak to 6.75 MiB; the first run keeps first-call
+        # allocations out
         L = 65536
         job = ["evolve", "--L", str(L), "--x0", "30000", "--k0", "1.0", "--times", "1000", "--out-dir", str(tmp_path)]
         with contextlib.redirect_stdout(io.StringIO()):
             code, peak = traced_peak(lambda: run(job))
         assert code == 0
-        assert peak <= 3 * L * 32 + 8 * dispersion.MODE_BLOCK * 8 + 65536
+        assert peak <= 2 * L * 32 + 12 * dispersion.MODE_BLOCK * 8 + 65536
 
     def test_repeated_time_reuses_its_curve(self, tmp_path):
         out = tmp_path / "o"
@@ -305,18 +321,14 @@ class TestCompareCommand:
         for row in rows:
             assert row["fidelity"] >= row["bound"] - 1e-9
 
-    def test_one_evolution_per_distinct_time(self, tmp_path, monkeypatch):
-        calls = []
-        original = cli.evolve_momentum
-
-        def counted(spectrum, params, t):
-            calls.append(t)
-            return original(spectrum, params, t)
-
-        monkeypatch.setattr(cli, "evolve_momentum", counted)
+    def test_one_fidelity_call_and_no_evolution(self, tmp_path, monkeypatch):
+        evolutions = []
+        monkeypatch.setattr(cli, "evolve_momentum", lambda *args: evolutions.append(args))
+        fidelity_calls = count_fidelity(monkeypatch)
         out = tmp_path / "o"
         assert run(["compare", "--preset", "fig4", "--times", "0,100,100,600", "--out-dir", str(out)]) == 0
-        assert calls == [0.0, 100.0, 600.0]
+        assert evolutions == []
+        assert fidelity_calls == [[0.0, 100.0, 600.0]]
         lines = (out / "compare.csv").read_text().splitlines()  # the header, then one line per requested time
         assert len(lines) == 5
         assert lines[2] == lines[3] != lines[4]
@@ -336,15 +348,16 @@ class TestFidelityPostcondition:
     @pytest.mark.parametrize("command", ["evolve", "compare"])
     @pytest.mark.parametrize("fid", [1.0 + 2e-12, math.nan, -1e-300])
     def test_fidelity_out_of_range_is_exit_2(self, tmp_path, capsys, monkeypatch, command, fid):
-        monkeypatch.setattr(approx, "fidelity", lambda a, b: fid)
+        # every value is checked: only the last time's is out of range
+        monkeypatch.setattr(approx, "fidelity", lambda spectrum, params, k0, times: [0.5] * (len(times) - 1) + [fid])
         assert run([command, "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 2
         record = json.loads(capsys.readouterr().out)
         assert record["error"]["type"] == "numerical-invariant"
-        assert "fidelity" in record["error"]["message"]
+        assert "fidelity" in record["error"]["message"] and "t = 100" in record["error"]["message"]
 
     @pytest.mark.parametrize("command", ["evolve", "compare"])
     def test_fidelity_within_tolerance_passes(self, tmp_path, monkeypatch, command):
-        monkeypatch.setattr(approx, "fidelity", lambda a, b: 1.0 + 0.9e-12)
+        monkeypatch.setattr(approx, "fidelity", lambda spectrum, params, k0, times: [1.0 + 0.9e-12] * len(times))
         assert run([command, "--preset", "fig4", "--times", "0,100", "--out-dir", str(tmp_path / "o")]) == 0
 
 
@@ -636,6 +649,13 @@ INPUTS = {
         _ints(-10**6, 0),
     ),
     "k-samples": (["symcheck"], "--k-samples", _ints(1, 64), _ints(-10**6, 0)),
+    # one sample's draws must fit a block: CONFIGS_PER_STATE * N_bar <= MC_BLOCK_DRAWS
+    "particle cap": (
+        ["validate-bound", "--m", "1e-10", "--kbar", "1e-5", "--t", "1", "--samples", "8"],
+        "--nbar",
+        _ints(1, 20480),
+        _ints(20481, 10**12),
+    ),
 }
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "dirac_qca").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 # kept for perfbench/tracing.py, which wraps them as traced layers, until ROADMAP item 1 drops those layers
-ALLOWED = {"automaton.evolve_position", "dispersion.sin_omega"}
+ALLOWED = {"automaton.evolve_position", "dispersion.sin_omega", "approx.schrodinger_evolve"}
 
 
 def unnamed_definitions():

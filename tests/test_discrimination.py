@@ -691,7 +691,7 @@ class TestMonteCarlo:
 
     @staticmethod
     def _block(n_bar):
-        return min(MC_BLOCK, max(1, 1024 * 8 * 20 // (discrimination.CONFIGS_PER_STATE * n_bar)))
+        return min(MC_BLOCK, 1024 * 8 * 20 // (discrimination.CONFIGS_PER_STATE * n_bar))
 
     def test_memory_flat_in_n_bar(self):
         def peak(n_bar):
@@ -707,6 +707,20 @@ class TestMonteCarlo:
         base = peak(20)
         assert peak(200) <= 1.25 * base
         assert peak(2000) <= 1.25 * base
+
+    def test_particle_cap_is_checked_before_the_table(self, monkeypatch):
+        # one sample's draws, CONFIGS_PER_STATE * N_bar, must fit a block of MC_BLOCK_DRAWS: 20480 particles;
+        # at (1e-10, 1e-5, 1) the hypotheses hold for any N_bar, and N_bar = 1e9 would have drawn 28.9 GiB of indices
+        tables, table = [], discrimination._mu_table
+        monkeypatch.setattr(discrimination, "_mu_table", lambda inp: tables.append(1) or table(inp))
+        blocks = self._count_blocks(monkeypatch)
+        for n_bar in (20481, 10**9):
+            with pytest.raises(ValueError, match=f"^need N_bar <= 20480 to sample, got {n_bar}$"):
+                validate_bound_montecarlo(DiscriminationInput(1e-10, 1e-5, n_bar, 1.0), samples=8, seed=0)
+        assert tables == [] and blocks == []
+        report = validate_bound_montecarlo(DiscriminationInput(1e-10, 1e-5, 20480, 1.0), samples=2, seed=0)
+        assert tables == [1] and blocks == [1, 1]  # one sample per block
+        assert report.max_observed <= report.sup
 
     @pytest.mark.parametrize("n_bar", [20, 21, 200])
     def test_block_size_follows_n_bar(self, n_bar):

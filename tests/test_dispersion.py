@@ -16,6 +16,7 @@ from dirac_qca import (
     dirac_omega,
     evolve_momentum,
     evolve_position,
+    fidelity,
     mu,
     omega,
     schrodinger_evolve,
@@ -34,6 +35,7 @@ def _time_entry_points():
         "evolve_momentum": lambda t: evolve_momentum(spec, p, t),
         "evolve_position": lambda t: evolve_position(SpinorField(np.eye(8, 2, dtype=complex)), p, t),
         "schrodinger_evolve": lambda t: schrodinger_evolve(spec, p, 0.3, 1, t),
+        "fidelity": lambda t: fidelity(spec, p, 0.3, [0.0, t]),
         "accuracy_bound": lambda t: accuracy_bound(spec, p, 0.3, 0.5, t),
         "mu": lambda t: mu(0.3, 0.5, t),
         "broadening": lambda t: broadening(FlytimeInput(m=0.5, k=0.3, sigma_hat=10.0), t),
